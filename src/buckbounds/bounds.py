@@ -206,10 +206,14 @@ def _as_delta(delta, k):
     return delta
 
 
-def _check_candidate(spectrum, k, candidate):
+def _check_k(spectrum, k):
     _require_int(k, "k", 1)
     if k > spectrum.k:
         raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
+
+
+def _check_candidate(spectrum, k, candidate):
+    _check_k(spectrum, k)
     candidate = float(candidate)
     if not math.isfinite(candidate):
         raise InvalidParameterError(f"candidate must be finite, got {candidate}")
@@ -367,9 +371,7 @@ def next_bound_cor11(spectrum, k):
     of the first k eigenvalues.  A negative discriminant or a largest root
     below eigenvalue k means the input is not a buckling spectrum prefix.
     """
-    _require_int(k, "k", 1)
-    if k > spectrum.k:
-        raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
+    _check_k(spectrum, k)
     n, l = spectrum.n, spectrum.l
     big_c = 4.0 * float(euclidean_coefficient(n, l)) / (n * n)
     values = spectrum.values[:k]
@@ -420,10 +422,18 @@ def _largest_root(f, start, max_doublings=MAX_DOUBLINGS, rel_tol=BISECT_RELATIVE
 
 
 def next_bound_sharp(spectrum, k):
-    """Largest candidate allowed by the square-root form, by bracketing and bisection."""
-    _require_int(k, "k", 1)
-    if k > spectrum.k:
-        raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
+    """Largest candidate allowed by the square-root form, by bracketing and bisection.
+
+    The form must already hold at eigenvalue k itself: a prefix that fails it
+    there is not a buckling spectrum prefix and is rejected before probing.
+    """
+    _check_k(spectrum, k)
+    report = eval_eq112(spectrum, k, spectrum.values[k - 1])
+    if not report.satisfied:
+        raise InfeasibleSpectrumError(
+            f"the square-root form fails at eigenvalue {k} = {spectrum.values[k - 1]} "
+            f"(residual {report.residual} above tolerance {report.tolerance})"
+        )
     n, l = spectrum.n, spectrum.l
     coeff = float(euclidean_coefficient(n, l))
     e_heavy = (l - 2) / (l - 1)
@@ -474,9 +484,7 @@ def next_bound_sphere(spectrum, k):
     s_term must be strictly positive, otherwise the inner minimization is
     unbounded and no finite bound exists.
     """
-    _require_int(k, "k", 1)
-    if k > spectrum.k:
-        raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
+    _check_k(spectrum, k)
     n, l = spectrum.n, spectrum.l
     roots = _sphere_admissible(spectrum, k)
     values = spectrum.values[:k]

@@ -3,9 +3,11 @@
 The 1D basis on [0, 1] is b_a(x) = x**l (1-x)**l * L_a(2x - 1) with L_a the
 Legendre polynomial of degree a, so b_a and its first l-1 derivatives vanish
 at both endpoints.  Shifted Legendre polynomials have integer coefficients,
-hence every basis function, every derivative, and every product integral is
-exact; matrices are rationals rounded to binary64 exactly once at export.
-Rectangles use the tensor product of two scaled copies of the 1D basis.
+so every 1D integral block is an integer Hilbert product C_r H C_s^T over
+one common denominator.  Rectangles use the tensor product of two scaled
+copies of the 1D basis, and their forms are sums of Kronecker products of
+those blocks (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  All of it is
+integer arithmetic; each matrix entry is rounded to binary64 exactly once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -95,45 +97,35 @@ def build_basis_1d(l, m):
     return Basis1D(l=l, m=m, functions=tuple(clamp * _shifted_legendre(a) for a in range(m)))
 
 
-def _integral01(c, d):
-    # Exact integral over [0, 1] of the product of two integer polynomials.
-    conv = [0] * (len(c) + len(d) - 1)
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for j, dj in enumerate(d):
-            conv[i + j] += ci * dj
-    return sum(Fraction(v, k + 1) for k, v in enumerate(conv) if v)
-
-
 def derivative_integral_table(basis, max_order):
     """Exact table M[r][s][a][b] = integral of b_a^(r) * b_b^(s) over [0, 1].
 
     Orders run from 0 to max_order <= l; beyond l the integration-by-parts
     identities used downstream stop holding at the boundary, so larger orders
-    are refused.  Entries with odd a + b + r + s vanish by the x -> 1-x
-    symmetry of the basis and are emitted as exact zeros.
+    are refused.  Block (r, s) is C_r H C_s^T, with C_r the integer
+    coefficients of the r-th derivatives and H the Hilbert matrix
+    1/(i + j + 1), multiplied out in integers over one common denominator.
+    Entries with odd a + b + r + s vanish by the x -> 1-x symmetry of the
+    basis and come out as exact zeros.
     """
     _require_int(max_order, "max_order", 0)
     if max_order > basis.l:
         raise InvalidParameterError(
             f"max_order={max_order} exceeds the boundary order l={basis.l}"
         )
-    m = basis.m
-    derivs = []
+    width = len(basis.functions[-1].coefficients)
+    den = lcm(*range(1, 2 * width))  # clears every monomial integral 1/(i + j + 1)
+    hilbert = [[den // (i + j + 1) for j in range(width)] for i in range(width)]
+    hilbert = np.array(hilbert, dtype=object)
+    coeffs = []
     for r in range(max_order + 1):
-        derivs.append([basis.functions[a].derivative(r).coefficients for a in range(m)])
-    zero = Fraction(0)
-    table = [[None] * (max_order + 1) for _ in range(max_order + 1)]
-    for r in range(max_order + 1):
-        for s in range(max_order + 1):
-            block = [[zero] * m for _ in range(m)]
-            for a in range(m):
-                for b in range(m):
-                    if (r + s + a + b) % 2:
-                        continue
-                    block[a][b] = _integral01(derivs[r][a], derivs[s][b])
-            table[r][s] = block
+        rows = [f.derivative(r).coefficients for f in basis.functions]
+        coeffs.append(np.array([row + (0,) * (width - len(row)) for row in rows], dtype=object))
+    table = []
+    for c_r in coeffs:
+        left = c_r @ hilbert
+        blocks = [(left @ c_s.T).tolist() for c_s in coeffs]
+        table.append([[[Fraction(v, den) for v in row] for row in block] for block in blocks])
     return table
 
 
@@ -158,75 +150,56 @@ class OperatorForms:
         return self.matrices[0]
 
 
-def _scaled_table(table, edge, max_order):
-    factor = Fraction(edge)
-    if factor == 1:
-        return table
-    scaled = []
-    for r in range(max_order + 1):
-        row = []
-        for s in range(max_order + 1):
-            weight = factor ** (1 - r - s)
-            row.append([[v * weight for v in line] for line in table[r][s]])
-        scaled.append(row)
-    return scaled
+def _numerators(block):
+    # One exact table block as integer numerators over one denominator.
+    den = lcm(*(v.denominator for row in block for v in row))
+    numerators = [[v.numerator * (den // v.denominator) for v in row] for row in block]
+    return np.array(numerators, dtype=object), den
 
 
-def _entry_1d(table, k, a, b, factor):
-    return table[k][k][a][b] * factor ** (1 - 2 * k)
-
-
-def _entry_2d(sx, sy, k, a, c, a2, c2):
-    # Binomial expansion of the k-th power of the Laplacian on a product
-    # b_a(x) b_c(y); even k pairs equal-order blocks, odd k adds one gradient.
-    total = Fraction(0)
-    if k % 2 == 0:
-        p = k // 2
-        for u in range(p + 1):
-            cu = comb(p, u)
-            for v in range(p + 1):
-                w = cu * comb(p, v)
-                total += w * sx[2 * u][2 * v][a][a2] * sy[2 * (p - u)][2 * (p - v)][c][c2]
-    else:
-        p = (k - 1) // 2
-        for u in range(p + 1):
-            cu = comb(p, u)
-            for v in range(p + 1):
-                w = cu * comb(p, v)
-                total += w * sx[2 * u + 1][2 * v + 1][a][a2] * sy[2 * (p - u)][2 * (p - v)][c][c2]
-                total += w * sx[2 * u][2 * v][a][a2] * sy[2 * (p - u) + 1][2 * (p - v) + 1][c][c2]
-    return total
+def _form_terms(k, dim):
+    # (binomial, (r, s) per axis) for the order-k form.  On a rectangle this is
+    # the binomial expansion of the k-th power of the Laplacian on a product
+    # b_a(x) b_c(y): even k pairs equal-order blocks, odd k adds one gradient.
+    if dim == 1:
+        yield 1, ((k, k),)
+        return
+    p, odd = divmod(k, 2)
+    for u in range(p + 1):
+        for v in range(p + 1):
+            for dx, dy in ((1, 0), (0, 1)) if odd else ((0, 0),):
+                x_orders = (2 * u + dx, 2 * v + dx)
+                y_orders = (2 * (p - u) + dy, 2 * (p - v) + dy)
+                yield comb(p, u) * comb(p, v), (x_orders, y_orders)
 
 
 def _assemble(domain, basis):
-    l, m = basis.l, basis.m
-    table = derivative_integral_table(basis, l)
+    # Each form is a sum of Kronecker products of 1D table blocks, the block of
+    # orders (r, s) scaled by edge**(1 - r - s).  The sum is carried out in
+    # integers over one denominator, and the correctly rounded int / int
+    # division rounds each entry once.
+    table = derivative_integral_table(basis, basis.l)
+    blocks = [[_numerators(block) for block in line] for line in table]
+    edges = [Fraction(e) for e in domain.edges]
     matrices = []
-    if domain.dim == 1:
-        factor = Fraction(domain.edges[0])
-        for k in range(1, l + 1):
-            exact = [[_entry_1d(table, k, a, b, factor) for b in range(m)] for a in range(m)]
-            matrices.append(exact)
-        n_basis = m
-    else:
-        sx = _scaled_table(table, domain.edges[0], l)
-        sy = _scaled_table(table, domain.edges[1], l)
-        n_basis = m * m
-        for k in range(1, l + 1):
-            exact = [[Fraction(0)] * n_basis for _ in range(n_basis)]
-            for i in range(n_basis):
-                a, c = divmod(i, m)
-                for j in range(i, n_basis):
-                    a2, c2 = divmod(j, m)
-                    value = _entry_2d(sx, sy, k, a, c, a2, c2)
-                    exact[i][j] = value
-                    exact[j][i] = value
-            matrices.append(exact)
-    rounded = []
-    for exact in matrices:
-        mat = np.array([[float(v) for v in row] for row in exact], dtype=float)
-        rounded.append(mat)
-    return n_basis, tuple(rounded)
+    for k in range(1, basis.l + 1):
+        terms = []
+        for weight, orders in _form_terms(k, domain.dim):
+            factors = []
+            for edge, (r, s) in zip(edges, orders):
+                numerators, den = blocks[r][s]
+                weight = edge ** (1 - r - s) * weight / den
+                factors.append(numerators)
+            terms.append((weight, factors))
+        common = lcm(*(weight.denominator for weight, _ in terms))
+        total = 0
+        for weight, (first, *rest) in terms:
+            product = first * (weight.numerator * (common // weight.denominator))
+            for factor in rest:
+                product = np.kron(product, factor)
+            total += product
+        matrices.append((total / common).astype(float))
+    return basis.m**domain.dim, tuple(matrices)
 
 
 def assemble_forms(domain, l, m):
@@ -266,22 +239,35 @@ def export_forms(forms, path):
 
 
 def load_forms(path):
-    """Read a file written by ``export_forms`` back into ``OperatorForms``."""
+    """Read a file written by ``export_forms`` back into ``OperatorForms``.
+
+    The header is checked against the data: one matrix per order up to l,
+    n_basis equal to m**dim, no bytes after the last matrix, and every
+    matrix exactly symmetric.
+    """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline().decode("ascii"))
         if header.get("schema") != 1:
             raise InvalidParameterError(f"unknown forms schema {header.get('schema')!r}")
-        n = header["n_basis"]
+        domain = Domain(tuple(float(e) for e in header["domain"]))
+        l, m, n = header["l"], header["m"], header["n_basis"]
+        _require_int(l, "l", 2)
+        _require_int(m, "m", 1)
+        if header["matrices"] != l:
+            raise InvalidParameterError(f"{header['matrices']} matrices in {path}, expected l={l}")
+        if n != m**domain.dim:
+            raise InvalidParameterError(
+                f"n_basis={n} in {path}, expected m**dim = {m**domain.dim}"
+            )
         matrices = []
-        for _ in range(header["matrices"]):
+        for _ in range(l):
             block = handle.read(8 * n * n)
             if len(block) != 8 * n * n:
                 raise InvalidParameterError(f"truncated matrix block in {path}")
             matrices.append(np.frombuffer(block, dtype="<f8").reshape(n, n).copy())
-    return OperatorForms(
-        domain=Domain(tuple(float(e) for e in header["domain"])),
-        l=header["l"],
-        m=header["m"],
-        n_basis=n,
-        matrices=tuple(matrices),
-    )
+        if handle.read(1):
+            raise InvalidParameterError(f"trailing bytes after the last matrix in {path}")
+    for k, mat in enumerate(matrices, start=1):
+        if not np.array_equal(mat, mat.T):
+            raise InvalidParameterError(f"matrix {k} in {path} is not symmetric")
+    return OperatorForms(domain=domain, l=l, m=m, n_basis=n, matrices=tuple(matrices))

@@ -2,14 +2,16 @@
 
 Every routine here reaches a result along a different route from the
 package: symbolic algebra instead of integer tuple recursion, finite
-differences instead of exact Galerkin assembly, dense grid search and
-block-partition enumeration instead of a pool-adjacent-violators pass,
-and a fine geometric scan plus bisection instead of doubling brackets.
+differences instead of exact Galerkin assembly, per-entry Fraction
+integrals instead of integer Hilbert and Kronecker products, dense grid
+search and block-partition enumeration instead of a pool-adjacent-violators
+pass, and a fine geometric scan plus bisection instead of doubling brackets.
 Nothing in this module imports from the package.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import sympy
@@ -67,6 +69,75 @@ def basis_integral_sympy(l, a, b, r, s):
     fb = _X**l * (1 - _X) ** l * sympy.legendre(b, 2 * _X - 1)
     product = sympy.diff(fa, _X, r) * sympy.diff(fb, _X, s)
     return sympy.integrate(sympy.expand(product), (_X, 0, 1))
+
+
+def _clamped_basis(l, m):
+    """Ascending integer coefficients of x^l (1-x)^l L_a(2x - 1) for a < m."""
+    clamp = [0] * l + [(-1) ** j * math.comb(l, j) for j in range(l + 1)]
+    basis = []
+    for a in range(m):
+        legendre = [(-1) ** (a + k) * math.comb(a, k) * math.comb(a + k, k) for k in range(a + 1)]
+        product = [0] * (len(clamp) + len(legendre) - 1)
+        for i, c in enumerate(clamp):
+            for j, d in enumerate(legendre):
+                product[i + j] += c * d
+        basis.append(product)
+    return basis
+
+
+def _integral01(c, d):
+    # Exact integral over [0, 1] of the product of two integer polynomials.
+    conv = [0] * (len(c) + len(d) - 1)
+    for i, ci in enumerate(c):
+        for j, dj in enumerate(d):
+            conv[i + j] += ci * dj
+    return sum(Fraction(v, k + 1) for k, v in enumerate(conv) if v)
+
+
+def reference_forms(edges, l, m):
+    """Form matrices A_1..A_l assembled entry by entry in Fraction arithmetic.
+
+    Each 1D block entry is its own convolution integral; rectangle entries
+    expand the k-th power of the Laplacian binomially over scaled 1D
+    entries (even k pairs equal-order blocks, odd k adds one gradient).
+    Every entry is one exact rational rounded once by ``float``.
+    """
+    basis = _clamped_basis(l, m)
+    derivs = [basis]
+    for _ in range(l):
+        derivs.append([[p * c[p] for p in range(1, len(c))] for c in derivs[-1]])
+
+    @lru_cache(maxsize=None)
+    def scaled(axis, r, s):
+        factor = Fraction(edges[axis]) ** (1 - r - s)
+        return [[_integral01(derivs[r][a], derivs[s][b]) * factor for b in range(m)]
+                for a in range(m)]
+
+    def entry_2d(k, a, c, a2, c2):
+        p, odd = divmod(k, 2)
+        total = Fraction(0)
+        for u in range(p + 1):
+            for v in range(p + 1):
+                w = math.comb(p, u) * math.comb(p, v)
+                x, y = (2 * u, 2 * v), (2 * (p - u), 2 * (p - v))
+                pairs = [((x[0] + 1, x[1] + 1), y), (x, (y[0] + 1, y[1] + 1))] if odd else [(x, y)]
+                for (rx, sx), (ry, sy) in pairs:
+                    total += w * scaled(0, rx, sx)[a][a2] * scaled(1, ry, sy)[c][c2]
+        return total
+
+    matrices = []
+    for k in range(1, l + 1):
+        if len(edges) == 1:
+            exact = scaled(0, k, k)
+        else:
+            n = m * m
+            exact = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    value = entry_2d(k, *divmod(i, m), *divmod(j, m))
+                    exact[i][j] = exact[j][i] = value
+        matrices.append(np.array([[float(v) for v in row] for row in exact]))
+    return matrices
 
 
 def fd_square_buckling(cells, count=1):

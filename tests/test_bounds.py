@@ -372,10 +372,18 @@ def test_sharp_scale_covariance():
     assert next_bound_sharp(scaled, 3) == pytest.approx(10.0 * base, rel=1e-11)
 
 
-def test_sharp_brackets_nothing_on_stretched_spectrum():
+def test_sharp_rejects_stretched_spectrum_as_infeasible():
     stretched = Spectrum(values=(1.0, 100.0), n=2, l=2)
-    with pytest.raises(BracketError):
+    with pytest.raises(InfeasibleSpectrumError):
         next_bound_sharp(stretched, 2)
+
+
+def test_sharp_rejects_prefix_infeasible_at_its_last_eigenvalue():
+    # the shortfall at lambda_40 is +1.6e6; probing used to end in BracketError
+    spectrum = Spectrum(values=tuple(float(i * i + 10) for i in range(1, 41)), n=3, l=3)
+    assert not eval_eq112(spectrum, 40, spectrum.values[-1]).satisfied
+    with pytest.raises(InfeasibleSpectrumError):
+        next_bound_sharp(spectrum, 40)
 
 
 def test_chain_bounds_known_prefix():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from buckbounds import cli
+from buckbounds.errors import BracketError
 
 
 @pytest.fixture()
@@ -179,8 +180,29 @@ def test_bound_next_infeasible_input(capsys, spectra):
     assert err.startswith("error: input:")
 
 
-def test_bound_next_bracket_failure_is_numerical(capsys, spectra):
+def test_bound_next_sharp_infeasible_input(capsys, spectra):
     argv = ["bound", "next", "--method", "sharp", "--spectrum", spectra["wide"]]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: input:")
+
+
+def test_bound_next_sharp_infeasible_long_prefix(capsys, tmp_path):
+    path = tmp_path / "squares.csv"
+    lines = ["# n=3 l=3"] + [repr(float(i * i + 10)) for i in range(1, 41)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    argv = ["bound", "next", "--method", "sharp", "--spectrum", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
+
+
+def test_bound_next_bracket_failure_is_numerical(capsys, spectra, monkeypatch):
+    def no_bracket(spectrum, k):
+        raise BracketError("no sign change")
+
+    monkeypatch.setattr(cli, "next_bound_sharp", no_bracket)
+    argv = ["bound", "next", "--method", "sharp", "--spectrum", spectra["two"]]
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert err.startswith("error: numerical:")

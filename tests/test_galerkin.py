@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,37 @@ def test_assemble_symmetric_and_deterministic():
         assert np.array_equal(mat_a, mat_a.T)
 
 
+def test_assembly_matches_per_entry_fraction_reference():
+    # bit-identical to the entry-by-entry Fraction route on unit and
+    # non-dyadic edges, so the integer Hilbert/Kronecker path rounds the same
+    # rationals once
+    grid = [((e,), l, m) for e in (1.0, 0.85) for l in (2, 3, 4, 6) for m in (1, 7, 24)]
+    rectangles = ((1.0, 1.0), (0.9, 1.3), (1.7, 0.6))
+    grid += [(e, l, m) for e in rectangles for l in (2, 3, 4) for m in (1, 2, 5, 8)]
+    for edges, l, m in grid:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            forms = assemble_forms(Domain(edges), l, m)
+        reference = oracles.reference_forms(edges, l, m)
+        assert len(forms.matrices) == len(reference) == l
+        for k, (ours, theirs) in enumerate(zip(forms.matrices, reference), start=1):
+            assert np.array_equal(ours, theirs), (edges, l, m, k)
+
+
+def test_smaller_basis_is_the_leading_block():
+    # every entry is the same rational rounded once, whatever the basis size
+    for edges, l, m in (((0.85,), 3, 16), ((1.0, 1.0), 2, 7), ((0.9, 1.3), 3, 6)):
+        full = assemble_forms(Domain(edges), l, m)
+        for small in range(1, m):
+            sub = assemble_forms(Domain(edges), l, small)
+            if len(edges) == 1:
+                index = list(range(small))
+            else:
+                index = [a * m + c for a in range(small) for c in range(small)]
+            for ours, big in zip(sub.matrices, full.matrices):
+                assert np.array_equal(ours, big[np.ix_(index, index)]), (edges, l, small)
+
+
 def test_assemble_validation():
     with pytest.raises(InvalidParameterError):
         assemble_forms(Domain.interval(1.0), 1, 2)
@@ -197,5 +229,48 @@ def test_export_round_trip(tmp_path):
 def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "forms.bin"
     path.write_bytes(b'{"schema": 2}\n')
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+def _exported(tmp_path, edges=(1.0, 2.0), l=3, m=2):
+    path = tmp_path / "forms.bin"
+    export_forms(assemble_forms(Domain(edges), l, m), path)
+    header, _, data = path.read_bytes().partition(b"\n")
+    return path, json.loads(header), data
+
+
+def _rewrite(path, header, data):
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + data)
+
+
+def test_load_rejects_matrix_count_other_than_l(tmp_path):
+    path, header, data = _exported(tmp_path)
+    header["l"] = 7
+    _rewrite(path, header, data)
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+def test_load_rejects_n_basis_other_than_m_to_the_dim(tmp_path):
+    path, header, data = _exported(tmp_path, edges=(1.0,), l=2, m=4)
+    header["m"] = 5
+    _rewrite(path, header, data)
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path, header, data = _exported(tmp_path)
+    _rewrite(path, header, data + b"junk")
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+def test_load_rejects_asymmetric_matrix(tmp_path):
+    path, header, data = _exported(tmp_path)
+    values = np.frombuffer(data, dtype="<f8").copy()
+    values[1] += 1.0  # entry (0, 1) of the first matrix; (1, 0) keeps its value
+    _rewrite(path, header, values.tobytes())
     with pytest.raises(InvalidParameterError):
         load_forms(path)
