@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -155,8 +155,8 @@ class BoundReport:
     """Outcome of scoring one inequality at one candidate.
 
     ``residual`` is lhs - rhs; the inequality is satisfied when the residual
-    does not exceed ``tolerance`` = 1e-9 * max(1, |lhs|, |rhs|).  Solvers fill
-    ``bound_value`` with the candidate they certify.
+    does not exceed ``tolerance`` = 1e-9 * max(1, |lhs|, |rhs|).  Only the
+    evaluators return reports; the solvers return the bound as a float.
     """
 
     method: str
@@ -166,24 +166,12 @@ class BoundReport:
     residual: float
     tolerance: float
     satisfied: bool
-    bound_value: object = None
 
     def to_dict(self):
-        out = {
-            "method": self.method,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "satisfied": self.satisfied,
-        }
-        if self.bound_value is not None:
-            out["bound_value"] = self.bound_value
-        return out
+        return asdict(self)
 
 
-def _report(method, k, lhs, rhs, bound_value=None):
+def _report(method, k, lhs, rhs):
     residual = lhs - rhs
     tolerance = RESIDUAL_TOLERANCE * max(1.0, abs(lhs), abs(rhs))
     return BoundReport(
@@ -194,7 +182,6 @@ def _report(method, k, lhs, rhs, bound_value=None):
         residual=residual,
         tolerance=tolerance,
         satisfied=residual <= tolerance,
-        bound_value=bound_value,
     )
 
 
@@ -224,19 +211,53 @@ def _check_candidate(spectrum, k, candidate):
     return candidate
 
 
-def _sphere_admissible(spectrum, k):
-    # Every used eigenvalue must satisfy lam**(1/(l-1)) > n - 2.
+def _euclidean_prefix(spectrum, k):
+    # The first k eigenvalues, the coefficient as a float, and the powers
+    # lam**((l-2)/(l-1)) and lam**(1/(l-1)) of each eigenvalue.
+    l = spectrum.l
+    values = spectrum.values[:k]
+    e_heavy = (l - 2) / (l - 1)
+    e_light = 1 / (l - 1)
+    heavy = [v**e_heavy for v in values]
+    light = [v**e_light for v in values]
+    return values, float(euclidean_coefficient(spectrum.n, l)), heavy, light
+
+
+def _quadratic_constant(spectrum):
+    # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
+    # of the powers that _euclidean_prefix computes.
+    n = spectrum.n
+    return 4.0 * float(euclidean_coefficient(n, spectrum.l)) / (n * n)
+
+
+def _sqrt_form_sums(gaps, heavy, light):
+    # The three sums of the square-root form: sum g**2, sum g**2 * heavy and
+    # sum g * light.
+    return (
+        math.fsum(g * g for g in gaps),
+        math.fsum(g * g * h for g, h in zip(gaps, heavy)),
+        math.fsum(g * c for g, c in zip(gaps, light)),
+    )
+
+
+def _sphere_prefix(spectrum, k):
+    # The first k eigenvalues with their lhs weights, s_terms and plain-gap
+    # weights root + (n-2)**2/4, where every root = lam**(1/(l-1)) must
+    # exceed n - 2.
     n, l = spectrum.n, spectrum.l
-    roots = []
-    for i in range(k):
-        root = spectrum.values[i] ** (1.0 / (l - 1))
+    values = spectrum.values[:k]
+    quarter = (n - 2) ** 2 / 4.0
+    lhs_weights, light = [], []
+    for i, v in enumerate(values, start=1):
+        root = v ** (1.0 / (l - 1))
         if root - (n - 2) <= 0.0:
             raise DomainViolationError(
-                f"eigenvalue {i + 1} = {spectrum.values[i]} violates "
+                f"eigenvalue {i} = {v} violates "
                 f"lam**(1/(l-1)) > n - 2 (root {root}, n - 2 = {n - 2})"
             )
-        roots.append(root)
-    return roots
+        lhs_weights.append(2.0 + (n - 2) / (root - (n - 2)))
+        light.append(root + quarter)
+    return values, lhs_weights, [s_term(l, n, v) for v in values], light
 
 
 def eval_thm11(spectrum, k, candidate, delta):
@@ -248,16 +269,12 @@ def eval_thm11(spectrum, k, candidate, delta):
     """
     candidate = _check_candidate(spectrum, k, candidate)
     delta = _as_delta(delta, k)
-    n, l = spectrum.n, spectrum.l
-    coeff = float(euclidean_coefficient(n, l))
-    e_heavy = (l - 2) / (l - 1)
-    e_light = 1 / (l - 1)
-    values = spectrum.values[:k]
+    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
     gaps = [candidate - v for v in values]
-    lhs = n * math.fsum(g * g for g in gaps)
+    lhs = spectrum.n * math.fsum(g * g for g in gaps)
     rhs = math.fsum(
-        d * g * g * coeff * v**e_heavy for d, g, v in zip(delta, gaps, values)
-    ) + math.fsum(g / d * v**e_light for d, g, v in zip(delta, gaps, values))
+        d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)
+    ) + math.fsum(g / d * c for d, g, c in zip(delta, gaps, light))
     return _report("thm11", k, lhs, rhs)
 
 
@@ -269,24 +286,16 @@ def eval_eq112(spectrum, k, candidate):
     delta.
     """
     candidate = _check_candidate(spectrum, k, candidate)
-    n, l = spectrum.n, spectrum.l
-    coeff = float(euclidean_coefficient(n, l))
-    e_heavy = (l - 2) / (l - 1)
-    e_light = 1 / (l - 1)
-    values = spectrum.values[:k]
-    gaps = [candidate - v for v in values]
-    lhs = n * math.fsum(g * g for g in gaps)
-    t_heavy = math.fsum(g * g * v**e_heavy for g, v in zip(gaps, values))
-    t_light = math.fsum(g * v**e_light for g, v in zip(gaps, values))
+    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
+    squares, t_heavy, t_light = _sqrt_form_sums([candidate - v for v in values], heavy, light)
     rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
-    return _report("eq112", k, lhs, rhs)
+    return _report("eq112", k, spectrum.n * squares, rhs)
 
 
 def eval_cor11(spectrum, k, candidate):
     """Score the quadratic corollary: sum of squared gaps vs C * sum(gap * lam)."""
     candidate = _check_candidate(spectrum, k, candidate)
-    n, l = spectrum.n, spectrum.l
-    big_c = 4.0 * float(euclidean_coefficient(n, l)) / (n * n)
+    big_c = _quadratic_constant(spectrum)
     values = spectrum.values[:k]
     gaps = [candidate - v for v in values]
     lhs = math.fsum(g * g for g in gaps)
@@ -347,17 +356,13 @@ def thm11_optimal_delta(spectrum, k, candidate):
     optimized value (1.0 when every gap vanishes).
     """
     candidate = _check_candidate(spectrum, k, candidate)
-    n, l = spectrum.n, spectrum.l
-    coeff = float(euclidean_coefficient(n, l))
-    e_heavy = (l - 2) / (l - 1)
-    e_light = 1 / (l - 1)
-    values = spectrum.values[:k]
+    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
     gaps = [candidate - v for v in values]
     kept = sum(1 for g in gaps if g > 0.0)
     if kept == 0:
         return DeltaSequence((1.0,) * k)
-    a = [g * g * coeff * v**e_heavy for g, v in zip(gaps[:kept], values[:kept])]
-    b = [g * v**e_light for g, v in zip(gaps[:kept], values[:kept])]
+    a = [g * g * coeff * h for g, h in zip(gaps[:kept], heavy)]
+    b = [g * c for g, c in zip(gaps[:kept], light)]
     head = list(optimize_delta(a, b))
     tail = [head[-1]] * (k - kept)
     return DeltaSequence(tuple(head + tail))
@@ -372,8 +377,7 @@ def next_bound_cor11(spectrum, k):
     below eigenvalue k means the input is not a buckling spectrum prefix.
     """
     _check_k(spectrum, k)
-    n, l = spectrum.n, spectrum.l
-    big_c = 4.0 * float(euclidean_coefficient(n, l)) / (n * n)
+    big_c = _quadratic_constant(spectrum)
     values = spectrum.values[:k]
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
@@ -393,13 +397,13 @@ def next_bound_cor11(spectrum, k):
     return max(root, top)
 
 
-def _largest_root(f, start, max_doublings=MAX_DOUBLINGS, rel_tol=BISECT_RELATIVE):
-    # Probe geometrically up to start * 2**max_doublings, keep the last sign
+def _largest_root(f, start):
+    # Probe geometrically up to start * 2**MAX_DOUBLINGS, keep the last sign
     # change, then bisect it.  Sub-doubling spacing matters: a feasible window
     # can open just above start (where f sits at roundoff from a saturated
     # prefix) and close before 2 * start, which factor-2 probes would skip.
     step = 2.0 ** (1.0 / PROBES_PER_DOUBLING)
-    probes = [start * step**j for j in range(max_doublings * PROBES_PER_DOUBLING + 1)]
+    probes = [start * step**j for j in range(MAX_DOUBLINGS * PROBES_PER_DOUBLING + 1)]
     signs = [f(x) for x in probes]
     lo = hi = None
     for left, right, f_left, f_right in zip(probes, probes[1:], signs, signs[1:]):
@@ -407,11 +411,11 @@ def _largest_root(f, start, max_doublings=MAX_DOUBLINGS, rel_tol=BISECT_RELATIVE
             lo, hi = left, right
     if lo is None:
         raise BracketError(
-            f"no sign change within {max_doublings} doublings from {start}; "
+            f"no sign change within {MAX_DOUBLINGS} doublings from {start}; "
             "the inequality brackets no candidate"
         )
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= BISECT_RELATIVE * hi:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -434,19 +438,12 @@ def next_bound_sharp(spectrum, k):
             f"the square-root form fails at eigenvalue {k} = {spectrum.values[k - 1]} "
             f"(residual {report.residual} above tolerance {report.tolerance})"
         )
-    n, l = spectrum.n, spectrum.l
-    coeff = float(euclidean_coefficient(n, l))
-    e_heavy = (l - 2) / (l - 1)
-    e_light = 1 / (l - 1)
-    values = spectrum.values[:k]
-    scale = 2.0 * math.sqrt(coeff) / n
+    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
+    scale = 2.0 * math.sqrt(coeff) / spectrum.n
 
     def shortfall(x):
-        gaps = [x - v for v in values]
-        lhs = math.fsum(g * g for g in gaps)
-        t_heavy = math.fsum(g * g * v**e_heavy for g, v in zip(gaps, values))
-        t_light = math.fsum(g * v**e_light for g, v in zip(gaps, values))
-        return lhs - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
+        squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in values], heavy, light)
+        return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
     return _largest_root(shortfall, values[-1])
 
@@ -461,17 +458,11 @@ def eval_thm12(spectrum, k, candidate, delta):
     """
     candidate = _check_candidate(spectrum, k, candidate)
     delta = _as_delta(delta, k)
-    n, l = spectrum.n, spectrum.l
-    roots = _sphere_admissible(spectrum, k)
-    values = spectrum.values[:k]
+    values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
     gaps = [candidate - v for v in values]
-    s_values = [s_term(l, n, v) for v in values]
-    lhs = math.fsum(
-        g * g * (2.0 + (n - 2) / (r - (n - 2))) for g, r in zip(gaps, roots)
-    )
-    quarter = (n - 2) ** 2 / 4.0
+    lhs = math.fsum(g * g * w for g, w in zip(gaps, lhs_weights))
     rhs = math.fsum(g * g * d * s for g, d, s in zip(gaps, delta, s_values)) + math.fsum(
-        g / d * (r + quarter) for g, d, r in zip(gaps, delta, roots)
+        g / d * c for g, d, c in zip(gaps, delta, light)
     )
     return _report("thm12", k, lhs, rhs)
 
@@ -482,13 +473,11 @@ def next_bound_sphere(spectrum, k):
     At each probe the weights are re-optimized over positive non-increasing
     sequences; zero-gap indices contribute nothing and are dropped.  Every
     s_term must be strictly positive, otherwise the inner minimization is
-    unbounded and no finite bound exists.
+    unbounded and no finite bound exists.  Like the square-root solver it
+    rejects a prefix whose form already fails at eigenvalue k itself.
     """
     _check_k(spectrum, k)
-    n, l = spectrum.n, spectrum.l
-    roots = _sphere_admissible(spectrum, k)
-    values = spectrum.values[:k]
-    s_values = [s_term(l, n, v) for v in values]
+    values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
     for i, s in enumerate(s_values):
         if s <= 0.0:
             raise InfeasibleSpectrumError(
@@ -496,20 +485,30 @@ def next_bound_sphere(spectrum, k):
                 "needs positive quadratic weights, so no bound can be extracted "
                 "from this prefix"
             )
-    quarter = (n - 2) ** 2 / 4.0
-    lhs_weights = [2.0 + (n - 2) / (r - (n - 2)) for r in roots]
-    rhs_light = [r + quarter for r in roots]
 
-    def shortfall(x):
+    def sides(x):
         gaps = [x - v for v in values]
         kept = sum(1 for g in gaps if g > 0.0)
         if kept == 0:
-            return 0.0
-        a = [g * g * s for g, s in zip(gaps[:kept], s_values[:kept])]
-        b = [g * c for g, c in zip(gaps[:kept], rhs_light[:kept])]
+            return 0.0, 0.0
+        a = [g * g * s for g, s in zip(gaps[:kept], s_values)]
+        b = [g * c for g, c in zip(gaps[:kept], light)]
         delta = optimize_delta(a, b)
-        lhs = math.fsum(g * g * w for g, w in zip(gaps[:kept], lhs_weights[:kept]))
-        return lhs - delta_objective(delta, a, b)
+        lhs = math.fsum(g * g * w for g, w in zip(gaps[:kept], lhs_weights))
+        return lhs, delta_objective(delta, a, b)
+
+    # A zero last gap leaves the (k-1)-th inequality at eigenvalue k, which
+    # every buckling spectrum satisfies.
+    report = _report("thm12", k, *sides(values[-1]))
+    if not report.satisfied:
+        raise InfeasibleSpectrumError(
+            f"the spherical form fails at eigenvalue {k} = {values[-1]} "
+            f"(residual {report.residual} above tolerance {report.tolerance})"
+        )
+
+    def shortfall(x):
+        lhs, rhs = sides(x)
+        return lhs - rhs
 
     return _largest_root(shortfall, values[-1])
 

@@ -38,13 +38,9 @@ from .polyrec import extract_a_coefficients, phi_polynomial
 from .verify import run_verification
 
 
-class _UsageError(InvalidParameterError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidParameterError(message)
 
 
 def _num(x):
@@ -58,14 +54,16 @@ def _parse_edges(text, dim):
     try:
         edges = tuple(float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"--domain expects numbers separated by a comma, got {text!r}") from None
+        raise InvalidParameterError(
+            f"--domain expects numbers separated by a comma, got {text!r}"
+        ) from None
     if dim == 1 and len(edges) == 1:
         return edges
     if dim == 2 and len(edges) == 1:
         return (edges[0], edges[0])
     if dim == 2 and len(edges) == 2:
         return edges
-    raise _UsageError(f"--domain got {len(edges)} edges for dim={dim}")
+    raise InvalidParameterError(f"--domain got {len(edges)} edges for dim={dim}")
 
 
 def _cmd_phi(args):
@@ -125,7 +123,7 @@ def _cmd_solve(args):
 
 def _exact_next_bound(spectrum, k, method):
     if method not in ("cor11", "sharp") or k != 1:
-        raise _UsageError("--exact is only available for k=1 with method cor11 or sharp")
+        raise InvalidParameterError("--exact is only available for k=1 with method cor11 or sharp")
     coeff = euclidean_coefficient(spectrum.n, spectrum.l)
     lam = Fraction(spectrum.values[0])
     return lam * (1 + 4 * coeff / (spectrum.n * spectrum.n))
@@ -133,7 +131,7 @@ def _exact_next_bound(spectrum, k, method):
 
 def _read_spectrum_args(args):
     if (args.n is None) != (args.l is None):
-        raise _UsageError("--n and --l must be given together")
+        raise InvalidParameterError("--n and --l must be given together")
     with open(args.spectrum, "r", encoding="ascii") as handle:
         text = handle.read()
     has_header = text.lstrip().startswith("#")
@@ -288,9 +286,6 @@ def dispatch(argv):
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        _emit("usage", exc)
-        return 2
     except InvalidParameterError as exc:
         _emit("usage", exc)
         return 2

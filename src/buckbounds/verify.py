@@ -9,7 +9,7 @@ because it is indistinguishable from discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -217,17 +217,7 @@ class VerificationReport:
             "theorem_checks": [
                 dict(check.report.to_dict(), verdict=check.verdict) for check in self.checks
             ],
-            "lemma_rows": [
-                {
-                    "i": row.i,
-                    "k": row.k,
-                    "value": row.value,
-                    "bound": row.bound,
-                    "margin": row.margin,
-                    "passed": row.passed,
-                }
-                for row in self.lemma_rows
-            ],
+            "lemma_rows": [asdict(row) for row in self.lemma_rows],
             "convergence": {
                 "m": list(self.convergence.m_values),
                 "eigenvalues": [list(row) for row in self.convergence.eigenvalues],

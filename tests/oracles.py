@@ -275,9 +275,13 @@ def scan_bisect_root(f, start, steps_per_doubling=16, max_doublings=64):
     return 0.5 * (lo + hi)
 
 
+def _euclidean_coefficient(n, l):
+    return (6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n) / 3.0
+
+
 def yang_quadratic_bound(lams, k, n, l):
     """Largest root of the gap quadratic, straight from the abc formula."""
-    coeff = (6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n) / 3.0
+    coeff = _euclidean_coefficient(n, l)
     c = 4.0 * coeff / (n * n)
     s1 = math.fsum(lams[:k])
     s2 = math.fsum(v * v for v in lams[:k])
@@ -286,6 +290,31 @@ def yang_quadratic_bound(lams, k, n, l):
     qc = (1.0 + c) * s2
     disc = qb * qb - 4.0 * qa * qc
     return (qb + math.sqrt(disc)) / (2.0 * qa)
+
+
+def thm11_sides(lams, n, l, k, candidate, delta):
+    """lhs and rhs of the weighted Euclidean inequality, coded literally.
+
+    Each term multiplies its factors left to right in the order the formula
+    writes them, so the package's evaluator must agree bit for bit.
+    """
+    coeff = _euclidean_coefficient(n, l)
+    gaps = [candidate - v for v in lams[:k]]
+    lhs = n * math.fsum(g * g for g in gaps)
+    rhs = math.fsum(
+        delta[i] * gaps[i] * gaps[i] * coeff * lams[i] ** ((l - 2) / (l - 1)) for i in range(k)
+    ) + math.fsum(gaps[i] / delta[i] * lams[i] ** (1 / (l - 1)) for i in range(k))
+    return lhs, rhs
+
+
+def eq112_sides(lams, n, l, k, candidate):
+    """lhs and rhs of the square-root Euclidean form, coded literally."""
+    coeff = _euclidean_coefficient(n, l)
+    gaps = [candidate - v for v in lams[:k]]
+    lhs = n * math.fsum(g * g for g in gaps)
+    heavy = math.fsum(gaps[i] * gaps[i] * lams[i] ** ((l - 2) / (l - 1)) for i in range(k))
+    light = math.fsum(gaps[i] * lams[i] ** (1 / (l - 1)) for i in range(k))
+    return lhs, 2.0 * math.sqrt(coeff) * math.sqrt(heavy) * math.sqrt(light)
 
 
 def l2_rhs_linear_gap(n, lams, k, candidate, delta):
@@ -307,6 +336,30 @@ def sphere_a_coefficients(l, n):
     return out
 
 
+def sphere_s_value(lam, n, l, a_coeffs):
+    """The spherical curvature term from the clipped interior coefficients."""
+    root = lam ** (1.0 / (l - 1))
+    h = float((-1) ** l * (n - 2) ** (l - 2))
+    h += math.fsum(max(a_coeffs[j - 1], 0) * lam ** (j / (l - 1)) for j in range(1, l - 1))
+    return lam * (1.0 - 1.0 / (root - (n - 2))) + h
+
+
+def thm12_sides(lams, n, l, k, candidate, delta):
+    """lhs and rhs of the weighted spherical inequality, coded literally."""
+    a_coeffs = sphere_a_coefficients(l, n)
+    root_pow = 1.0 / (l - 1)
+    gaps = [candidate - v for v in lams[:k]]
+    lhs = math.fsum(
+        gaps[i] * gaps[i] * (2.0 + (n - 2) / (lams[i] ** root_pow - (n - 2))) for i in range(k)
+    )
+    rhs = math.fsum(
+        gaps[i] * gaps[i] * delta[i] * sphere_s_value(lams[i], n, l, a_coeffs) for i in range(k)
+    ) + math.fsum(
+        gaps[i] / delta[i] * (lams[i] ** root_pow + (n - 2) ** 2 / 4.0) for i in range(k)
+    )
+    return lhs, rhs
+
+
 def sphere_bound_oracle(lams, n, l, k):
     """Largest admissible candidate for the spherical inequality.
 
@@ -316,18 +369,9 @@ def sphere_bound_oracle(lams, n, l, k):
     """
     a_coeffs = sphere_a_coefficients(l, n)
     root_pow = 1.0 / (l - 1)
-
-    def s_value(lam):
-        root = lam**root_pow
-        h = float((-1) ** l * (n - 2) ** (l - 2))
-        h += math.fsum(
-            max(a_coeffs[j - 1], 0) * lam ** (j / (l - 1)) for j in range(1, l - 1)
-        )
-        return lam * (1.0 - 1.0 / (root - (n - 2))) + h
-
     kept = [v for v in lams[:k]]
     weights = [2.0 + (n - 2) / (v**root_pow - (n - 2)) for v in kept]
-    s_vals = [s_value(v) for v in kept]
+    s_vals = [sphere_s_value(v, n, l, a_coeffs) for v in kept]
     c_vals = [v**root_pow + (n - 2) ** 2 / 4.0 for v in kept]
 
     def excess(x):

@@ -137,8 +137,8 @@ def test_eval_report_fields():
     assert report.k == 2
     assert report.residual == report.lhs - report.rhs
     assert report.tolerance == 1e-9 * max(1.0, abs(report.lhs), abs(report.rhs))
-    keys = set(report.to_dict())
-    assert keys == {"method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied"}
+    keys = list(report.to_dict())
+    assert keys == ["method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied"]
 
 
 def test_candidate_must_dominate_kth_eigenvalue():
@@ -386,6 +386,14 @@ def test_sharp_rejects_prefix_infeasible_at_its_last_eigenvalue():
         next_bound_sharp(spectrum, 40)
 
 
+def test_sphere_rejects_prefix_infeasible_at_its_last_eigenvalue():
+    # the k=1 bound from 30.0 is 31.85, so 41.0 cannot be eigenvalue 2;
+    # probing used to end in BracketError
+    assert next_bound_sphere(Spectrum(values=(30.0,), n=5, l=4), 1) < 41.0
+    with pytest.raises(InfeasibleSpectrumError):
+        next_bound_sphere(Spectrum(values=(30.0, 41.0), n=5, l=4), 2)
+
+
 def test_chain_bounds_known_prefix():
     chain = chain_bounds(1.0, 4, 2, 2, "cor11")
     assert chain[0] == 1.0
@@ -538,6 +546,27 @@ def test_thm11_order_two_matches_literal_oracle():
             spectrum.n, spectrum.values, k, candidate, delta
         )
         assert report.rhs == pytest.approx(reference, rel=1e-12)
+
+
+def test_evaluators_match_literal_formulas_bit_for_bit():
+    # == rather than approx: evaluation order is part of the contract
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        l = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 7))
+        start = (n - 2) ** (l - 1) + float(rng.uniform(0.5, 20.0))
+        values = start + np.cumsum(rng.uniform(0.0, 10.0, size=k))
+        spectrum = Spectrum(values=tuple(float(v) for v in values), n=n, l=l)
+        lams = spectrum.values
+        candidate = lams[-1] * float(rng.uniform(1.0, 2.0))
+        delta = tuple(float(d) for d in np.cumsum(rng.uniform(0.01, 1.0, size=k)[::-1])[::-1])
+        thm11 = eval_thm11(spectrum, k, candidate, delta)
+        assert (thm11.lhs, thm11.rhs) == oracles.thm11_sides(lams, n, l, k, candidate, delta)
+        eq112 = eval_eq112(spectrum, k, candidate)
+        assert (eq112.lhs, eq112.rhs) == oracles.eq112_sides(lams, n, l, k, candidate)
+        thm12 = eval_thm12(spectrum, k, candidate, delta)
+        assert (thm12.lhs, thm12.rhs) == oracles.thm12_sides(lams, n, l, k, candidate, delta)
 
 
 def test_l2_priors_require_order_two():

@@ -16,6 +16,7 @@ def spectra(tmp_path):
         "two": "# n=2 l=2\n1.0\n2.0\n",
         "sphere": "# n=3 l=3\n9.0\n16.0\n",
         "wide": "# n=2 l=2\n1.0\n100.0\n",
+        "jump": "# n=5 l=4\n30.0\n41.0\n",
     }.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="ascii")
@@ -192,6 +193,13 @@ def test_bound_next_sharp_infeasible_long_prefix(capsys, tmp_path):
     lines = ["# n=3 l=3"] + [repr(float(i * i + 10)) for i in range(1, 41)]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     argv = ["bound", "next", "--method", "sharp", "--spectrum", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
+
+
+def test_bound_next_sphere_infeasible_input(capsys, spectra):
+    argv = ["bound", "next", "--method", "sphere", "--spectrum", spectra["jump"]]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: input:")
