@@ -151,11 +151,11 @@ def solve_buckling(domain, l, m, count):
     """
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
+    _require_int(m, "m", 1)
+    _require_int(count, "count", 1)
+    if count > m**domain.dim:
+        raise InvalidParameterError(f"count={count} exceeds the basis size {m**domain.dim}")
     forms = assemble_forms(domain, l, m)
-    if count > forms.n_basis:
-        raise InvalidParameterError(
-            f"count={count} exceeds the basis size {forms.n_basis}"
-        )
     solution = solve_generalized(forms.matrices[-1], forms.matrices[0], count)
     if float(solution.eigenvalues[0]) <= 0.0:
         raise InternalConsistencyError(

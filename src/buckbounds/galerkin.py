@@ -4,10 +4,12 @@ The 1D basis on [0, 1] is b_a(x) = x**l (1-x)**l * L_a(2x - 1) with L_a the
 Legendre polynomial of degree a, so b_a and its first l-1 derivatives vanish
 at both endpoints.  Shifted Legendre polynomials have integer coefficients,
 so every 1D integral block is an integer Hilbert product C_r H C_s^T over
-one common denominator.  Rectangles use the tensor product of two scaled
-copies of the 1D basis, and their forms are sums of Kronecker products of
-those blocks (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  All of it is
-integer arithmetic; each matrix entry is rounded to binary64 exactly once.
+one common denominator, and the exact table is those integer blocks plus
+that denominator; only the derivative order pairs a form uses are built.
+Rectangles use the tensor product of two scaled copies of the 1D basis, and
+their forms are sums of Kronecker products of those blocks (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).  All of it is integer arithmetic; each matrix
+entry is rounded to binary64 exactly once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .polyrec import Polynomial, _require_int
 
 DEGREE_CAP = 24
 CONDITIONING_NOTE = 16
+HEADER_KEYS = {"schema", "n_basis", "l", "m", "domain", "matrices", "dtype", "order"}
 
 
 @dataclass(frozen=True)
@@ -97,36 +100,30 @@ def build_basis_1d(l, m):
     return Basis1D(l=l, m=m, functions=tuple(clamp * _shifted_legendre(a) for a in range(m)))
 
 
-def derivative_integral_table(basis, max_order):
-    """Exact table M[r][s][a][b] = integral of b_a^(r) * b_b^(s) over [0, 1].
+def derivative_integral_table(basis, orders):
+    """Exact 1D blocks for the derivative order pairs (r, s) in ``orders``.
 
-    Orders run from 0 to max_order <= l; beyond l the integration-by-parts
+    Returns ``(blocks, den)``: the integral of b_a^(r) * b_b^(s) over [0, 1]
+    is ``blocks[(r, s)][a, b] / den``, with each block an m x m integer
+    array.  Orders run from 0 to l; beyond l the integration-by-parts
     identities used downstream stop holding at the boundary, so larger orders
     are refused.  Block (r, s) is C_r H C_s^T, with C_r the integer
     coefficients of the r-th derivatives and H the Hilbert matrix
-    1/(i + j + 1), multiplied out in integers over one common denominator.
-    Entries with odd a + b + r + s vanish by the x -> 1-x symmetry of the
-    basis and come out as exact zeros.
+    1/(i + j + 1) scaled to integers by den.  Entries with odd a + b + r + s
+    vanish by the x -> 1-x symmetry of the basis and come out as exact zeros.
     """
-    _require_int(max_order, "max_order", 0)
-    if max_order > basis.l:
-        raise InvalidParameterError(
-            f"max_order={max_order} exceeds the boundary order l={basis.l}"
-        )
     width = len(basis.functions[-1].coefficients)
     den = lcm(*range(1, 2 * width))  # clears every monomial integral 1/(i + j + 1)
     hilbert = [[den // (i + j + 1) for j in range(width)] for i in range(width)]
     hilbert = np.array(hilbert, dtype=object)
-    coeffs = []
-    for r in range(max_order + 1):
-        rows = [f.derivative(r).coefficients for f in basis.functions]
-        coeffs.append(np.array([row + (0,) * (width - len(row)) for row in rows], dtype=object))
-    table = []
-    for c_r in coeffs:
-        left = c_r @ hilbert
-        blocks = [(left @ c_s.T).tolist() for c_s in coeffs]
-        table.append([[[Fraction(v, den) for v in row] for row in block] for block in blocks])
-    return table
+    coeffs = {}
+    for order in {order for pair in orders for order in pair}:
+        _require_int(order, "order", 0)
+        if order > basis.l:
+            raise InvalidParameterError(f"order {order} exceeds the boundary order l={basis.l}")
+        rows = [f.derivative(order).coefficients for f in basis.functions]
+        coeffs[order] = np.array([row + (0,) * (width - len(row)) for row in rows], dtype=object)
+    return {(r, s): coeffs[r] @ hilbert @ coeffs[s].T for r, s in orders}, den
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,6 @@ class OperatorForms:
         return self.matrices[0]
 
 
-def _numerators(block):
-    # One exact table block as integer numerators over one denominator.
-    den = lcm(*(v.denominator for row in block for v in row))
-    numerators = [[v.numerator * (den // v.denominator) for v in row] for row in block]
-    return np.array(numerators, dtype=object), den
-
-
 def _form_terms(k, dim):
     # (binomial, (r, s) per axis) for the order-k form.  On a rectangle this is
     # the binomial expansion of the k-th power of the Laplacian on a product
@@ -178,27 +168,25 @@ def _assemble(domain, basis):
     # orders (r, s) scaled by edge**(1 - r - s).  The sum is carried out in
     # integers over one denominator, and the correctly rounded int / int
     # division rounds each entry once.
-    table = derivative_integral_table(basis, basis.l)
-    blocks = [[_numerators(block) for block in line] for line in table]
+    forms = [list(_form_terms(k, domain.dim)) for k in range(1, basis.l + 1)]
+    pairs = {pair for terms in forms for _, orders in terms for pair in orders}
+    blocks, den = derivative_integral_table(basis, pairs)
     edges = [Fraction(e) for e in domain.edges]
     matrices = []
-    for k in range(1, basis.l + 1):
-        terms = []
-        for weight, orders in _form_terms(k, domain.dim):
-            factors = []
+    for terms in forms:
+        weighted = []
+        for weight, orders in terms:
             for edge, (r, s) in zip(edges, orders):
-                numerators, den = blocks[r][s]
-                weight = edge ** (1 - r - s) * weight / den
-                factors.append(numerators)
-            terms.append((weight, factors))
-        common = lcm(*(weight.denominator for weight, _ in terms))
+                weight *= edge ** (1 - r - s)
+            weighted.append((weight, [blocks[pair] for pair in orders]))
+        common = lcm(*(weight.denominator for weight, _ in weighted))
         total = 0
-        for weight, (first, *rest) in terms:
+        for weight, (first, *rest) in weighted:
             product = first * (weight.numerator * (common // weight.denominator))
             for factor in rest:
                 product = np.kron(product, factor)
             total += product
-        matrices.append((total / common).astype(float))
+        matrices.append((total / (common * den**domain.dim)).astype(float))
     return basis.m**domain.dim, tuple(matrices)
 
 
@@ -241,18 +229,36 @@ def export_forms(forms, path):
 def load_forms(path):
     """Read a file written by ``export_forms`` back into ``OperatorForms``.
 
-    The header is checked against the data: one matrix per order up to l,
-    n_basis equal to m**dim, no bytes after the last matrix, and every
-    matrix exactly symmetric.
+    The header must be ASCII JSON with every key ``export_forms`` writes and
+    the little-endian row-major layout, and it is checked against the data:
+    one matrix per order up to l, n_basis equal to m**dim, no bytes after
+    the last matrix, and every matrix exactly symmetric.
     """
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("ascii"))
+        try:
+            header = json.loads(handle.readline().decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise InvalidParameterError(f"the header of {path} is not ASCII JSON") from None
+        if not isinstance(header, dict):
+            raise InvalidParameterError(f"the header of {path} is not a JSON object")
         if header.get("schema") != 1:
             raise InvalidParameterError(f"unknown forms schema {header.get('schema')!r}")
-        domain = Domain(tuple(float(e) for e in header["domain"]))
+        missing = sorted(HEADER_KEYS - header.keys())
+        if missing:
+            raise InvalidParameterError(f"the header of {path} lacks {', '.join(missing)}")
+        if header["dtype"] != "<f8" or header["order"] != "C":
+            raise InvalidParameterError(
+                f"dtype={header['dtype']!r}, order={header['order']!r} in {path}, "
+                "expected '<f8' and 'C'"
+            )
+        edges = header["domain"]
+        if not isinstance(edges, list) or not all(type(e) in (int, float) for e in edges):
+            raise InvalidParameterError(f"domain={edges!r} in {path} is not a list of edges")
+        domain = Domain(tuple(edges))
         l, m, n = header["l"], header["m"], header["n_basis"]
         _require_int(l, "l", 2)
         _require_int(m, "m", 1)
+        _require_int(n, "n_basis", 1)
         if header["matrices"] != l:
             raise InvalidParameterError(f"{header['matrices']} matrices in {path}, expected l={l}")
         if n != m**domain.dim:

@@ -230,8 +230,7 @@ class VerificationReport:
 
 
 def _ladder(m):
-    steps = sorted({max(2, m // 4), max(2, m // 2), m})
-    return steps
+    return sorted({min(m, max(2, m // 4)), min(m, max(2, m // 2)), m})
 
 
 def run_verification(domain, l, m, k_max):

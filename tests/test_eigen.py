@@ -10,6 +10,7 @@ from buckbounds import (
     NotPositiveDefiniteError,
     assemble_forms,
     cholesky_spd,
+    eigen,
     rayleigh_quantities,
     solve_buckling,
     solve_generalized,
@@ -137,6 +138,16 @@ def test_solve_buckling_validation():
         solve_buckling(Domain.interval(1.0), 2, 3, 4)
     with pytest.raises(InvalidParameterError):
         solve_buckling(Domain.interval(1.0), 2, 3, 0)
+
+
+def test_solve_buckling_checks_count_before_assembling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assembled forms for an invalid count")
+
+    monkeypatch.setattr(eigen, "assemble_forms", refuse)
+    for count in (0, 1.0, 577, 1000):
+        with pytest.raises(InvalidParameterError, match="count"):
+            solve_buckling(Domain.rectangle(), 3, 24, count)
 
 
 def test_solve_generalized_validation():

@@ -60,44 +60,50 @@ def test_basis_cap_and_conditioning_warning():
         build_basis_1d(2, 17)
 
 
+def _entry(table, r, s, a, b):
+    blocks, den = table
+    return Fraction(int(blocks[r, s][a, b]), den)
+
+
 def test_monomial_integral_example():
     # the l=2, a=b=0 entry is the plain beta integral of x^4 (1-x)^4
     basis = build_basis_1d(2, 1)
-    table = derivative_integral_table(basis, 2)
-    assert table[0][0][0][0] == oracles.beta_integral(4, 4) == Fraction(1, 630)
-    assert table[1][1][0][0] == Fraction(2, 105)
-    assert table[2][2][0][0] == Fraction(4, 5)
+    table = derivative_integral_table(basis, [(0, 0), (1, 1), (2, 2)])
+    assert _entry(table, 0, 0, 0, 0) == oracles.beta_integral(4, 4) == Fraction(1, 630)
+    assert _entry(table, 1, 1, 0, 0) == Fraction(2, 105)
+    assert _entry(table, 2, 2, 0, 0) == Fraction(4, 5)
 
 
 def test_table_matches_sympy_integrals():
     basis = build_basis_1d(2, 3)
-    table = derivative_integral_table(basis, 2)
+    table = derivative_integral_table(basis, [(r, s) for r in range(3) for s in range(3)])
     for r in range(3):
         for s in range(3):
             for a in range(3):
                 for b in range(3):
                     exact = oracles.basis_integral_sympy(2, a, b, r, s)
-                    assert table[r][s][a][b] == Fraction(int(exact.p), int(exact.q))
+                    assert _entry(table, r, s, a, b) == Fraction(int(exact.p), int(exact.q))
 
 
 def test_table_higher_order_and_symmetry():
     basis = build_basis_1d(3, 3)
-    table = derivative_integral_table(basis, 3)
+    table = derivative_integral_table(basis, [(r, s) for r in range(4) for s in range(4)])
     for r in range(4):
         for s in range(4):
             for a in range(3):
                 for b in range(3):
-                    assert table[r][s][a][b] == table[s][r][b][a]
+                    assert _entry(table, r, s, a, b) == _entry(table, s, r, b, a)
                     if (a + b + r + s) % 2 == 1:
-                        assert table[r][s][a][b] == 0
+                        assert _entry(table, r, s, a, b) == 0
     exact = oracles.basis_integral_sympy(3, 1, 1, 3, 3)
-    assert table[3][3][1][1] == Fraction(int(exact.p), int(exact.q))
+    assert _entry(table, 3, 3, 1, 1) == Fraction(int(exact.p), int(exact.q))
 
 
 def test_table_order_cap():
     basis = build_basis_1d(2, 2)
-    with pytest.raises(InvalidParameterError):
-        derivative_integral_table(basis, 3)
+    for pair in ((3, 0), (0, 3), (-1, 0), (1, -1)):
+        with pytest.raises(InvalidParameterError):
+            derivative_integral_table(basis, [(0, 0), pair])
 
 
 def test_assemble_interval_example():
@@ -272,5 +278,42 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
     values = np.frombuffer(data, dtype="<f8").copy()
     values[1] += 1.0  # entry (0, 1) of the first matrix; (1, 0) keeps its value
     _rewrite(path, header, values.tobytes())
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param(b"{schema: 1}", id="not-json"),
+        pytest.param('{"schema": 1, "note": "\u00e9"}'.encode("utf-8"), id="not-ascii"),
+        pytest.param(b"[1]", id="not-an-object"),
+    ],
+)
+def test_load_rejects_header_that_is_not_an_ascii_json_object(tmp_path, line):
+    path, _, data = _exported(tmp_path)
+    path.write_bytes(line + b"\n" + data)
+    with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l", None),  # None drops the key
+        ("domain", 1.0),
+        ("domain", ["1.0", 2.0]),
+        ("dtype", ">f8"),
+        ("order", "F"),
+        ("n_basis", 4.0),
+    ],
+)
+def test_load_rejects_malformed_header_fields(tmp_path, field, value):
+    path, header, data = _exported(tmp_path)
+    if value is None:
+        del header[field]
+    else:
+        header[field] = value
+    _rewrite(path, header, data)
     with pytest.raises(InvalidParameterError):
         load_forms(path)

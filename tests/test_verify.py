@@ -180,6 +180,12 @@ def test_run_verification_rejects_intervals():
         run_verification(Domain.interval(1.0), 2, 6, 1)
 
 
+def test_run_verification_ladder_never_exceeds_m():
+    report = run_verification(Domain.rectangle(1.0, 1.0), 2, 1, 0)
+    assert report.convergence.m_values == (1,)
+    assert report.m == 1 and report.passed
+
+
 def test_run_verification_zero_kmax_still_checks_lemma():
     report = run_verification(Domain.rectangle(1.0, 1.0), 2, 4, 0)
     assert report.checks == ()
