@@ -6,12 +6,17 @@ the next eigenvalue and report lhs, rhs, and the satisfaction margin; solvers
 turn an inequality into the largest admissible candidate.  Weight sequences
 delta must be positive and non-increasing; ``optimize_delta`` produces the
 minimizing one by pool-adjacent-violators.
+
+The sharp and spherical solvers scan geometrically from eigenvalue k up to a
+limit that their own inequality puts on every feasible candidate, then bisect
+the last sign change.  ``BracketError`` means no sign change below that limit.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -26,7 +31,6 @@ from .errors import (
 from .polyrec import _require_int, s_term
 
 RESIDUAL_TOLERANCE = 1e-9
-MAX_DOUBLINGS = 64
 PROBES_PER_DOUBLING = 16
 BISECT_RELATIVE = 1e-13
 
@@ -113,9 +117,17 @@ def parse_spectrum(text):
         raise SpectrumFormatError(str(exc)) from None
 
 
+def _read_ascii(path):
+    # The spectrum format is ASCII text; any other byte is a format error.
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path} is not ASCII text: {exc}") from None
+
+
 def read_spectrum(path):
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_spectrum(handle.read())
+    return parse_spectrum(_read_ascii(path))
 
 
 def format_spectrum_csv(spectrum):
@@ -397,13 +409,20 @@ def next_bound_cor11(spectrum, k):
     return max(root, top)
 
 
-def _largest_root(f, start):
-    # Probe geometrically up to start * 2**MAX_DOUBLINGS, keep the last sign
-    # change, then bisect it.  Sub-doubling spacing matters: a feasible window
-    # can open just above start (where f sits at roundoff from a saturated
-    # prefix) and close before 2 * start, which factor-2 probes would skip.
+def _largest_root(f, start, limit):
+    # Probe geometrically from start to the first probe past limit * step,
+    # keep the last sign change, then bisect it.  The caller's limit bounds
+    # every feasible candidate; the extra step keeps a root that sits at the
+    # limit (k = 1 for the sharp form) inside the scan despite roundoff, and
+    # the cap at the largest float ends the scan when the limit overflows.
+    # Sub-doubling spacing matters: a feasible window can open just above
+    # start (where f sits at roundoff from a saturated prefix) and close
+    # before 2 * start, which factor-2 probes would skip.
     step = 2.0 ** (1.0 / PROBES_PER_DOUBLING)
-    probes = [start * step**j for j in range(MAX_DOUBLINGS * PROBES_PER_DOUBLING + 1)]
+    end = min(max(start, limit) * step, sys.float_info.max)
+    probes = [start]
+    while probes[-1] <= end:
+        probes.append(start * step ** len(probes))
     signs = [f(x) for x in probes]
     lo = hi = None
     for left, right, f_left, f_right in zip(probes, probes[1:], signs, signs[1:]):
@@ -411,7 +430,7 @@ def _largest_root(f, start):
             lo, hi = left, right
     if lo is None:
         raise BracketError(
-            f"no sign change within {MAX_DOUBLINGS} doublings from {start}; "
+            f"no sign change between {start} and {probes[-1]}; "
             "the inequality brackets no candidate"
         )
     for _ in range(200):
@@ -445,7 +464,10 @@ def next_bound_sharp(spectrum, k):
         squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in values], heavy, light)
         return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
-    return _largest_root(shortfall, values[-1])
+    # Each power is at most its value at lambda_k, so sum g**2 <= C lambda_k sum g,
+    # and sum g**2 >= (sum g)**2 / k caps every feasible x.
+    limit = math.fsum(values) / k + _quadratic_constant(spectrum) * values[-1]
+    return _largest_root(shortfall, values[-1], limit)
 
 
 def eval_thm12(spectrum, k, candidate, delta):
@@ -510,7 +532,10 @@ def next_bound_sphere(spectrum, k):
         lhs, rhs = sides(x)
         return lhs - rhs
 
-    return _largest_root(shortfall, values[-1])
+    # lhs >= 2 sum g**2 and rhs <= its constant-delta value, so
+    # sum g**2 <= max(s) max(light) sum g caps x as in the sharp solver.
+    limit = math.fsum(values) / k + max(s_values) * max(light)
+    return _largest_root(shortfall, values[-1], limit)
 
 
 def chain_bounds(lambda1, count, n, l, method):
@@ -521,6 +546,8 @@ def chain_bounds(lambda1, count, n, l, method):
     output is strictly increasing.
     """
     _require_int(count, "count", 1)
+    _require_int(n, "n", 2)
+    _require_int(l, "l", 2)
     lambda1 = float(lambda1)
     if not math.isfinite(lambda1) or lambda1 <= 0.0:
         raise InvalidParameterError(f"lambda1 must be positive finite, got {lambda1}")

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import (
+    _read_ascii,
     chain_bounds,
     euclidean_coefficient,
     eval_l2_priors,
@@ -132,8 +133,7 @@ def _exact_next_bound(spectrum, k, method):
 def _read_spectrum_args(args):
     if (args.n is None) != (args.l is None):
         raise InvalidParameterError("--n and --l must be given together")
-    with open(args.spectrum, "r", encoding="ascii") as handle:
-        text = handle.read()
+    text = _read_ascii(args.spectrum)
     has_header = text.lstrip().startswith("#")
     if args.n is None:
         return parse_spectrum(text)

@@ -25,6 +25,7 @@ from buckbounds import (
     next_bound_sphere,
     optimize_delta,
     parse_spectrum,
+    read_spectrum,
     thm11_optimal_delta,
 )
 from buckbounds.errors import BracketError
@@ -65,6 +66,13 @@ def test_parse_spectrum_rejects_bad_input():
         parse_spectrum("# n=2 l=2\n2.0\n1.0\n")
     with pytest.raises(SpectrumFormatError):
         parse_spectrum("# n=2 l=2\n-1.0\n")
+
+
+def test_read_spectrum_rejects_non_ascii(tmp_path):
+    path = tmp_path / "accent.csv"
+    path.write_bytes(b"# n=2 l=2\n1.0\n\xc3\xa9\n")
+    with pytest.raises(SpectrumFormatError, match="not ASCII"):
+        read_spectrum(str(path))
 
 
 def test_spectrum_validation():
@@ -365,6 +373,34 @@ def test_sharp_matches_scan_oracle():
     assert ours == pytest.approx(reference, rel=1e-11)
 
 
+def test_sharp_bound_matches_full_range_scan():
+    # The solver scans only up to a limit derived from the inequality; the
+    # oracle scans 64 doublings.  Cases where that limit is tight: k = 1
+    # (the limit is the bound), n = 8..12 at l = 2 (C < 1) and k = 40.
+    rng = np.random.default_rng(45)
+    cases = [(int(rng.integers(2, 13)), int(rng.integers(2, 7)), 1, 1.0) for _ in range(20)]
+    cases += [(int(rng.integers(8, 13)), 2, int(rng.integers(2, 8)), 0.2) for _ in range(20)]
+    cases += [(int(rng.integers(2, 6)), int(rng.integers(2, 5)), 40, 1.0) for _ in range(20)]
+    checked = 0
+    for n, l, k, spread in cases:
+        start = float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.0, spread * start, size=k - 1)
+        lams = tuple(float(v) for v in start + np.cumsum(np.concatenate([[0.0], gaps])))
+        try:
+            ours = next_bound_sharp(Spectrum(values=lams, n=n, l=l), k)
+        except InfeasibleSpectrumError:
+            continue
+
+        def shortfall(x):
+            lhs, rhs = oracles.eq112_sides(lams, n, l, k, x)
+            return lhs - rhs
+
+        reference = oracles.scan_bisect_root(shortfall, lams[-1])
+        assert ours == pytest.approx(reference, rel=1e-12)
+        checked += 1
+    assert checked > 50
+
+
 def test_sharp_scale_covariance():
     spectrum = Spectrum(values=(1.0, 3.0, 4.5), n=2, l=3)
     base = next_bound_sharp(spectrum, 3)
@@ -384,6 +420,12 @@ def test_sharp_rejects_prefix_infeasible_at_its_last_eigenvalue():
     assert not eval_eq112(spectrum, 40, spectrum.values[-1]).satisfied
     with pytest.raises(InfeasibleSpectrumError):
         next_bound_sharp(spectrum, 40)
+
+
+def test_sharp_scan_ends_when_its_limit_overflows():
+    # the limit 1e308 * (1 + C) is inf; the scan must still end
+    with pytest.raises(BracketError, match="and inf"):
+        next_bound_sharp(Spectrum(values=(1e308,), n=2, l=2), 1)
 
 
 def test_sphere_rejects_prefix_infeasible_at_its_last_eigenvalue():
@@ -412,6 +454,13 @@ def test_chain_bounds_validation():
         chain_bounds(-1.0, 3, 2, 2, "cor11")
     with pytest.raises(InvalidParameterError):
         chain_bounds(1.0, 0, 2, 2, "cor11")
+    # n and l are checked even when count 1 calls no solver
+    with pytest.raises(InvalidParameterError, match="n must be >= 2"):
+        chain_bounds(1.0, 1, 0, 0, "cor11")
+    with pytest.raises(InvalidParameterError, match="n must be an integer"):
+        chain_bounds(1.0, 1, "x", 2.5, "sharp")
+    with pytest.raises(InvalidParameterError, match="l must be an integer"):
+        chain_bounds(1.0, 1, 2, 2.5, "sharp")
 
 
 # -- spherical form
@@ -483,6 +532,27 @@ def test_sphere_bound_random_instances_agree_with_oracle():
         assert abs(ours - reference) <= 1e-11 * max(1.0, abs(reference))
         checked += 1
     assert checked > 30
+
+
+def test_sphere_bound_matches_oracle_up_to_n8_k6():
+    # The oracle scans 64 doublings and enumerates 2**(k-1) partitions.
+    rng = np.random.default_rng(46)
+    checked = 0
+    for _ in range(24):
+        n = int(rng.integers(2, 9))
+        l = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 7))
+        start = (n - 2) ** (l - 1) + float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.0, 0.2 * start, size=k - 1)
+        lams = tuple(float(v) for v in start + np.cumsum(np.concatenate([[0.0], gaps])))
+        try:
+            ours = next_bound_sphere(Spectrum(values=lams, n=n, l=l), k)
+        except InfeasibleSpectrumError:
+            continue
+        reference = oracles.sphere_bound_oracle(lams, n, l, k)
+        assert ours == pytest.approx(reference, rel=1e-12)
+        checked += 1
+    assert checked > 12
 
 
 def test_sphere_bound_exceeds_constant_spectrum():

@@ -223,6 +223,15 @@ def test_bound_next_missing_file(capsys, tmp_path):
     assert err.startswith("error: input:")
 
 
+def test_bound_next_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "accent.csv"
+    path.write_bytes(b"# n=2 l=2\n1.0\n\xc3\xa9\n")
+    argv = ["bound", "next", "--method", "cor11", "--spectrum", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
+
+
 def test_bound_chain_output(capsys):
     argv = [
         "bound",
@@ -240,6 +249,13 @@ def test_bound_chain_output(capsys):
     ]
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, "1\n4.333333333333\n9.888888888889\n")
+
+
+def test_bound_chain_rejects_bad_n_and_l(capsys):
+    argv = ["bound", "chain", "--lambda1", "1", "--count", "1", "--n", "0", "--l", "0"]
+    code, out, err = run_cli(argv + ["--method", "cor11"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage: n must be >= 2")
 
 
 def test_bound_chain_rejects_sphere(capsys):
@@ -317,6 +333,15 @@ def test_compare_l2_requires_order_two(capsys, spectra):
     argv = ["compare-l2", "--spectrum", spectra["sphere"], "--candidate", "20.0"]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_compare_l2_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "accent.csv"
+    path.write_bytes(b"# n=2 l=2\n1.0\n\xc3\xa9\n")
+    argv = ["compare-l2", "--spectrum", str(path), "--candidate", "4.0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
 
 
 def test_unknown_subcommand(capsys):
