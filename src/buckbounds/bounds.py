@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleSpectrumError,
     InternalConsistencyError,
     InvalidParameterError,
+    NumericalError,
     SpectrumFormatError,
 )
 from .polyrec import _require_int, s_term
@@ -387,10 +388,17 @@ def next_bound_cor11(spectrum, k):
     k x**2 - (2 + C) S1 x + (1 + C) S2 <= 0 where S1, S2 are the power sums
     of the first k eigenvalues.  A negative discriminant or a largest root
     below eigenvalue k means the input is not a buckling spectrum prefix.
+    The quadratic is homogeneous, so it is solved for the prefix scaled by
+    the power of two that brings eigenvalue k near 1, where its squares stay
+    in the float range; the scaling is exact, and only a bound beyond the
+    float range raises ``NumericalError``.
     """
     _check_k(spectrum, k)
     big_c = _quadratic_constant(spectrum)
-    values = spectrum.values[:k]
+    top = spectrum.values[k - 1]
+    shift = math.frexp(top)[1]
+    scale = math.ldexp(1.0, -shift)
+    values = [v * scale for v in spectrum.values[:k]]
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
     linear = (2.0 + big_c) * s1
@@ -398,15 +406,19 @@ def next_bound_cor11(spectrum, k):
     disc = linear * linear - 4.0 * k * constant
     if disc < 0.0:
         raise InfeasibleSpectrumError(
-            f"negative discriminant {disc}: no candidate satisfies the quadratic bound"
+            "negative discriminant: no candidate satisfies the quadratic bound"
         )
     root = (linear + math.sqrt(disc)) / (2.0 * k)
-    top = values[-1]
-    if root < top * (1.0 - 1e-12):
+    if root < values[-1] * (1.0 - 1e-12):
         raise InfeasibleSpectrumError(
-            f"largest root {root} lies below eigenvalue {k} = {top}"
+            f"largest root {math.ldexp(root, shift)} lies below eigenvalue {k} = {top}"
         )
-    return max(root, top)
+    try:
+        return math.ldexp(max(root, values[-1]), shift)
+    except OverflowError:
+        raise NumericalError(
+            f"the quadratic bound after eigenvalue {k} = {top} exceeds the float range"
+        ) from None
 
 
 def _largest_root(f, start, limit):
@@ -515,6 +527,9 @@ def next_bound_sphere(spectrum, k):
             return 0.0, 0.0
         a = [g * g * s for g, s in zip(gaps[:kept], s_values)]
         b = [g * c for g, c in zip(gaps[:kept], light)]
+        # Positive factors: a weight of 0 or inf is an underflow or overflow.
+        if not all(0.0 < w < math.inf for w in a + b):
+            raise NumericalError(f"the spherical weights at {x} leave the float range")
         delta = optimize_delta(a, b)
         lhs = math.fsum(g * g * w for g, w in zip(gaps[:kept], lhs_weights))
         return lhs, delta_objective(delta, a, b)

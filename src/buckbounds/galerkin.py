@@ -7,9 +7,11 @@ so every 1D integral block is an integer Hilbert product C_r H C_s^T over
 one common denominator, and the exact table is those integer blocks plus
 that denominator; only the derivative order pairs a form uses are built.
 Rectangles use the tensor product of two scaled copies of the 1D basis, and
-their forms are sums of Kronecker products of those blocks (Lynch, Rice &
-Thomas, Numer. Math. 6, 1964).  All of it is integer arithmetic; each matrix
-entry is rounded to binary64 exactly once.
+their order-k form is the sum over j of C(k, j) times the Kronecker product of
+the equal-order blocks (j, j) and (k-j, k-j) (Lynch, Rice & Thomas, Numer.
+Math. 6, 1964).  All of it is integer arithmetic; each matrix entry is rounded
+to binary64 exactly once, and a form beyond the binary64 range raises
+``NumericalError``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 from .polyrec import Polynomial, _require_int
 
 DEGREE_CAP = 24
@@ -148,19 +150,17 @@ class OperatorForms:
 
 
 def _form_terms(k, dim):
-    # (binomial, (r, s) per axis) for the order-k form.  On a rectangle this is
-    # the binomial expansion of the k-th power of the Laplacian on a product
-    # b_a(x) b_c(y): even k pairs equal-order blocks, odd k adds one gradient.
+    # (binomial, (r, s) per axis) for the order-k form.  On a rectangle it is
+    # sum_j C(k, j) |d_x^j d_y^(k-j) f|**2: integrating the Laplacian power's
+    # cross blocks (2p, 2q) by parts gives (-1)**(q-p) (p+q, p+q) per axis, each
+    # boundary term holding a derivative of order <= k-1 <= l-1 that the clamp
+    # zeroes; the two axes' signs cancel, and Vandermonde's identity (Pascal's
+    # rule for odd k) collects the binomials into C(k, j).
     if dim == 1:
         yield 1, ((k, k),)
         return
-    p, odd = divmod(k, 2)
-    for u in range(p + 1):
-        for v in range(p + 1):
-            for dx, dy in ((1, 0), (0, 1)) if odd else ((0, 0),):
-                x_orders = (2 * u + dx, 2 * v + dx)
-                y_orders = (2 * (p - u) + dy, 2 * (p - v) + dy)
-                yield comb(p, u) * comb(p, v), (x_orders, y_orders)
+    for j in range(k + 1):
+        yield comb(k, j), ((j, j), (k - j, k - j))
 
 
 def _assemble(domain, basis):
@@ -173,7 +173,7 @@ def _assemble(domain, basis):
     blocks, den = derivative_integral_table(basis, pairs)
     edges = [Fraction(e) for e in domain.edges]
     matrices = []
-    for terms in forms:
+    for k, terms in enumerate(forms, start=1):
         weighted = []
         for weight, orders in terms:
             for edge, (r, s) in zip(edges, orders):
@@ -186,7 +186,12 @@ def _assemble(domain, basis):
             for factor in rest:
                 product = np.kron(product, factor)
             total += product
-        matrices.append((total / (common * den**domain.dim)).astype(float))
+        try:
+            matrices.append((total / (common * den**domain.dim)).astype(float))
+        except OverflowError:
+            raise NumericalError(
+                f"the order-{k} form overflows binary64 on edges {domain.edges}"
+            ) from None
     return basis.m**domain.dim, tuple(matrices)
 
 

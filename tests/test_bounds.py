@@ -9,6 +9,7 @@ from buckbounds import (
     DomainViolationError,
     InfeasibleSpectrumError,
     InvalidParameterError,
+    NumericalError,
     Spectrum,
     SpectrumFormatError,
     chain_bounds,
@@ -336,6 +337,24 @@ def test_cor11_scale_covariance():
         assert next_bound_cor11(scaled, scaled.k) == pytest.approx(factor * base, rel=1e-12)
 
 
+def test_cor11_is_exact_at_any_float_scale():
+    # the quadratic is homogeneous, so scaling by a power of two scales the
+    # bound exactly, far beyond where the squares overflow or underflow
+    for values in ((1.0,), (1.0, 2.0), (3.0, 4.5, 7.25, 8.0)):
+        base = next_bound_cor11(Spectrum(values=values, n=3, l=3), len(values))
+        for s in (2.0**-700, 2.0**700):
+            scaled = Spectrum(values=tuple(s * v for v in values), n=3, l=3)
+            assert next_bound_cor11(scaled, len(values)) == s * base
+    assert next_bound_cor11(Spectrum(values=(1e200,), n=2, l=2), 1) == pytest.approx(
+        13.0 / 3.0 * 1e200, rel=1e-15
+    )
+    tiny = next_bound_cor11(Spectrum(values=(1e-200, 2e-200), n=2, l=2), 2)
+    expected = next_bound_cor11(Spectrum(values=(1.0, 2.0), n=2, l=2), 2) * 1e-200
+    assert tiny == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(NumericalError):
+        next_bound_cor11(Spectrum(values=(1e308,), n=2, l=2), 1)
+
+
 def test_sharp_first_bound_matches_closed_form():
     spectrum = Spectrum(values=(1.0,), n=2, l=2)
     assert next_bound_sharp(spectrum, 1) == pytest.approx(13.0 / 3.0, rel=1e-12)
@@ -434,6 +453,14 @@ def test_sphere_rejects_prefix_infeasible_at_its_last_eigenvalue():
     assert next_bound_sphere(Spectrum(values=(30.0,), n=5, l=4), 1) < 41.0
     with pytest.raises(InfeasibleSpectrumError):
         next_bound_sphere(Spectrum(values=(30.0, 41.0), n=5, l=4), 2)
+
+
+def test_sphere_overflow_is_a_numerical_error():
+    # at n=2, l=2 the bound from 1e80 is about 1e160, and the probe weights
+    # g**2 * s_term overflow on the way there
+    for n in (2, 3):
+        with pytest.raises(NumericalError, match="float range"):
+            next_bound_sphere(Spectrum(values=(1e80,), n=n, l=2), 1)
 
 
 def test_chain_bounds_known_prefix():

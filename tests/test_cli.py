@@ -117,6 +117,13 @@ def test_solve_rejects_bad_domain(capsys):
     assert err.startswith("error: usage:")
 
 
+def test_solve_overflow_is_numerical(capsys):
+    argv = ["solve", "--dim", "1", "--l", "2", "--degree", "3", "--count", "1", "--domain", "1e-150"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
 def test_bound_next_headerless_with_flags(capsys, spectra):
     argv = ["bound", "next", "--method", "cor11", "--spectrum", spectra["one"], "--n", "2", "--l", "2"]
     code, out, _ = run_cli(argv, capsys)
@@ -205,6 +212,23 @@ def test_bound_next_sphere_infeasible_input(capsys, spectra):
     assert err.startswith("error: input:")
 
 
+def test_bound_next_far_out_of_range(capsys, tmp_path):
+    # cor11 stays exact at 1e200 and fails as numerical only when its bound
+    # overflows; the sphere probe weights overflow from 1e80
+    cases = (
+        ("cor11", "1e200", 0, "4.333333333333e+200\n", ""),
+        ("cor11", "1e308", 3, "", "error: numerical:"),
+        ("sphere", "1e80", 3, "", "error: numerical:"),
+    )
+    path = tmp_path / "big.csv"
+    for method, value, expected_code, expected_out, err_prefix in cases:
+        path.write_text(f"# n=2 l=2\n{value}\n", encoding="ascii")
+        argv = ["bound", "next", "--method", method, "--spectrum", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (expected_code, expected_out), (method, value)
+        assert err.startswith(err_prefix) and err.count("\n") == (code != 0)
+
+
 def test_bound_next_bracket_failure_is_numerical(capsys, spectra, monkeypatch):
     def no_bracket(spectrum, k):
         raise BracketError("no sign change")
@@ -249,6 +273,9 @@ def test_bound_chain_output(capsys):
     ]
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, "1\n4.333333333333\n9.888888888889\n")
+    argv[3] = "1e160"
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (0, "1e+160\n4.333333333333e+160\n9.888888888889e+160\n")
 
 
 def test_bound_chain_rejects_bad_n_and_l(capsys):

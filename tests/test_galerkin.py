@@ -1,6 +1,8 @@
+import itertools
 import json
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import sympy
 from buckbounds import (
     Domain,
     InvalidParameterError,
+    NumericalError,
     assemble_forms,
     build_basis_1d,
     derivative_integral_table,
@@ -148,27 +151,26 @@ def test_assemble_square_matches_sympy_tensor_route():
 
 
 def test_assemble_third_order_square_odd_form():
-    # odd order k=3 uses the gradient of the Laplacian; check one diagonal
-    # entry against the sympy tensor expansion
+    # odd order k=3 uses the gradient of the Laplacian; every entry is the
+    # sympy tensor expansion rounded once
     l, m = 3, 2
     forms = assemble_forms(Domain.rectangle(1.0, 1.0), l, m)
 
+    @lru_cache(maxsize=None)
     def e(a, b, r, s):
         value = oracles.basis_integral_sympy(l, a, b, r, s)
         return Fraction(int(value.p), int(value.q))
 
-    for a in range(m):
-        for c in range(m):
-            row = a * m + c
-            # grad Lap(u) . grad Lap(v) with u = v = b_a(x) b_c(y)
-            expected = Fraction(0)
-            for dx1, dy1 in ((3, 0), (1, 2)):
-                for dx2, dy2 in ((3, 0), (1, 2)):
-                    expected += e(a, a, dx1, dx2) * e(c, c, dy1, dy2)
-            for dx1, dy1 in ((2, 1), (0, 3)):
-                for dx2, dy2 in ((2, 1), (0, 3)):
-                    expected += e(a, a, dx1, dx2) * e(c, c, dy1, dy2)
-            assert forms.matrices[2][row, row] == pytest.approx(float(expected), rel=1e-15)
+    for a, c, a2, c2 in itertools.product(range(m), repeat=4):
+        # grad Lap(u) . grad Lap(v) with u = b_a(x) b_c(y), v = b_a2(x) b_c2(y)
+        expected = Fraction(0)
+        for dx1, dy1 in ((3, 0), (1, 2)):
+            for dx2, dy2 in ((3, 0), (1, 2)):
+                expected += e(a, a2, dx1, dx2) * e(c, c2, dy1, dy2)
+        for dx1, dy1 in ((2, 1), (0, 3)):
+            for dx2, dy2 in ((2, 1), (0, 3)):
+                expected += e(a, a2, dx1, dx2) * e(c, c2, dy1, dy2)
+        assert forms.matrices[2][a * m + c, a2 * m + c2] == float(expected)
 
 
 def test_assemble_symmetric_and_deterministic():
@@ -187,6 +189,8 @@ def test_assembly_matches_per_entry_fraction_reference():
     grid = [((e,), l, m) for e in (1.0, 0.85) for l in (2, 3, 4, 6) for m in (1, 7, 24)]
     rectangles = ((1.0, 1.0), (0.9, 1.3), (1.7, 0.6))
     grid += [(e, l, m) for e in rectangles for l in (2, 3, 4) for m in (1, 2, 5, 8)]
+    # the equal-order identity needs k <= l; test it up to the highest orders
+    grid += [(e, l, m) for e in rectangles for l in (5, 6) for m in (1, 2, 3)]
     for edges, l, m in grid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -214,6 +218,13 @@ def test_smaller_basis_is_the_leading_block():
 def test_assemble_validation():
     with pytest.raises(InvalidParameterError):
         assemble_forms(Domain.interval(1.0), 1, 2)
+
+
+def test_assemble_overflow_is_a_numerical_error():
+    # the order-2 form scales with edge**-3, beyond binary64 for these edges
+    for domain, l in ((Domain.interval(1e-150), 2), (Domain.rectangle(1e-120, 1.0), 3)):
+        with pytest.raises(NumericalError, match="order-2 form overflows"):
+            assemble_forms(domain, l, 3)
 
 
 def test_export_round_trip(tmp_path):
