@@ -1,4 +1,11 @@
-"""Clamped buckling spectra of arbitrary order and universal gap bounds."""
+"""Clamped buckling spectra of arbitrary order and universal gap bounds.
+
+The bounds, polynomial families and errors are pure Python and load with the
+package.  The numeric modules ``eigen``, ``galerkin`` and ``verify`` need
+numpy and scipy, so their names are imported on first use (PEP 562).
+"""
+
+import importlib
 
 from .bounds import (
     BoundReport,
@@ -21,7 +28,6 @@ from .bounds import (
     read_spectrum,
     thm11_optimal_delta,
 )
-from .eigen import EigenSolution, cholesky_spd, solve_buckling, solve_generalized
 from .errors import (
     BracketError,
     BuckBoundsError,
@@ -34,16 +40,6 @@ from .errors import (
     NumericalError,
     SpectrumFormatError,
 )
-from .galerkin import (
-    Basis1D,
-    Domain,
-    OperatorForms,
-    assemble_forms,
-    build_basis_1d,
-    derivative_integral_table,
-    export_forms,
-    load_forms,
-)
 from .polyrec import (
     ACoefficients,
     Polynomial,
@@ -53,16 +49,44 @@ from .polyrec import (
     phi_polynomial,
     s_term,
 )
-from .verify import (
-    ConvergenceTable,
-    LemmaRow,
-    TheoremCheck,
-    VerificationReport,
-    check_lemma21,
-    check_theorem11,
-    convergence_study,
-    rayleigh_quantities,
-    run_verification,
-)
 
 __version__ = "0.1.0"
+
+# Public name -> the numeric module that defines it.
+_LAZY = {
+    "EigenSolution": "eigen",
+    "cholesky_spd": "eigen",
+    "solve_buckling": "eigen",
+    "solve_generalized": "eigen",
+    "Basis1D": "galerkin",
+    "Domain": "galerkin",
+    "OperatorForms": "galerkin",
+    "assemble_forms": "galerkin",
+    "build_basis_1d": "galerkin",
+    "derivative_integral_table": "galerkin",
+    "export_forms": "galerkin",
+    "load_forms": "galerkin",
+    "ConvergenceTable": "verify",
+    "LemmaRow": "verify",
+    "TheoremCheck": "verify",
+    "VerificationReport": "verify",
+    "check_lemma21": "verify",
+    "check_theorem11": "verify",
+    "convergence_study": "verify",
+    "rayleigh_quantities": "verify",
+    "run_verification": "verify",
+}
+
+
+def __getattr__(name):
+    if name in ("eigen", "galerkin", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -4,11 +4,16 @@ stdout carries data only and is byte-identical across runs with the same
 arguments and input files; diagnostics go to stderr as a single line
 ``error: <kind>: <message>``.  Exit codes: 0 success, 1 input or file error,
 2 usage error, 3 numerical failure, 4 verification failure.
+
+numpy and scipy load only for ``solve`` and ``verify``: ``solve_buckling``,
+``Domain`` and ``run_verification`` are module attributes resolved on first
+use, and the commands call whatever those attributes hold at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from fractions import Fraction
@@ -25,7 +30,6 @@ from .bounds import (
     parse_spectrum,
     read_spectrum,
 )
-from .eigen import solve_buckling
 from .errors import (
     DomainViolationError,
     InfeasibleSpectrumError,
@@ -34,9 +38,23 @@ from .errors import (
     NumericalError,
     SpectrumFormatError,
 )
-from .galerkin import Domain
 from .polyrec import extract_a_coefficients, phi_polynomial
-from .verify import run_verification
+
+# Names of the numeric modules, which import numpy, resolved on first use.
+_LAZY = {"solve_buckling": "eigen", "Domain": "galerkin", "run_verification": "verify"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name):
+    """The current value of the module attribute ``name``."""
+    return getattr(sys.modules[__name__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +118,7 @@ def _cmd_coeffs(args):
 
 def _cmd_solve(args):
     edges = _parse_edges(args.domain, args.dim)
-    spectrum = solve_buckling(Domain(edges), args.l, args.degree, args.count)
+    spectrum = _lazy("solve_buckling")(_lazy("Domain")(edges), args.l, args.degree, args.count)
     if args.json:
         print(
             json.dumps(
@@ -171,7 +189,7 @@ def _cmd_bound_chain(args):
 
 def _cmd_verify(args):
     edges = _parse_edges(args.domain, args.dim)
-    report = run_verification(Domain(edges), args.l, args.degree, args.kmax)
+    report = _lazy("run_verification")(_lazy("Domain")(edges), args.l, args.degree, args.kmax)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:

@@ -133,9 +133,15 @@ def solve_generalized(a_matrix, b_matrix, count):
         raise ConvergenceError(
             f"eigenvectors deviate from B-orthonormality by {ortho_dev}"
         )
-    norm_a = float(np.linalg.norm(a_mat))
-    residuals = a_mat @ vectors - b_mat @ vectors * eigenvalues[None, :]
-    worst = float(np.max(np.linalg.norm(residuals, axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_a = float(np.linalg.norm(a_mat))
+        residuals = a_mat @ vectors - b_mat @ vectors * eigenvalues[None, :]
+        worst = float(np.max(np.linalg.norm(residuals, axis=0)))
+    # An overflowed norm would make the comparison below vacuous.
+    if not (math.isfinite(norm_a) and math.isfinite(worst)):
+        raise ConvergenceError(
+            f"the residual check overflowed: |A| = {norm_a}, worst pair residual = {worst}"
+        )
     if worst > RESIDUAL_TOL * max(norm_a, 1.0):
         raise ConvergenceError(
             f"pair residual {worst} exceeds {RESIDUAL_TOL} * |A| = {RESIDUAL_TOL * norm_a}"

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from buckbounds import cli
-from buckbounds.errors import BracketError
+from buckbounds.errors import BracketError, ConvergenceError
 
 
 @pytest.fixture()
@@ -122,6 +123,25 @@ def test_solve_overflow_is_numerical(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
+def test_solve_overflowed_residual_check_is_numerical(capsys):
+    argv = ["solve", "--dim", "2", "--l", "3", "--degree", "3", "--count", "1", "--domain", "1e200,1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
+def test_solve_failure_exit_code(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConvergenceError("stub failure")
+
+    monkeypatch.setattr(cli, "solve_buckling", failing)
+    argv = ["solve", "--dim", "2", "--l", "2", "--degree", "4", "--count", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (3, "", "error: numerical: stub failure\n")
 
 
 def test_bound_next_headerless_with_flags(capsys, spectra):

@@ -1,0 +1,150 @@
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import buckbounds
+
+# Every public name of the package, by the module that defines it.
+PUBLIC_NAMES = {
+    "bounds": (
+        "BoundReport",
+        "DeltaSequence",
+        "Spectrum",
+        "chain_bounds",
+        "delta_objective",
+        "euclidean_coefficient",
+        "eval_cor11",
+        "eval_eq112",
+        "eval_l2_priors",
+        "eval_thm11",
+        "eval_thm12",
+        "format_spectrum_csv",
+        "next_bound_cor11",
+        "next_bound_sharp",
+        "next_bound_sphere",
+        "optimize_delta",
+        "parse_spectrum",
+        "read_spectrum",
+        "thm11_optimal_delta",
+    ),
+    "eigen": ("EigenSolution", "cholesky_spd", "solve_buckling", "solve_generalized"),
+    "errors": (
+        "BracketError",
+        "BuckBoundsError",
+        "ConvergenceError",
+        "DomainViolationError",
+        "InfeasibleSpectrumError",
+        "InternalConsistencyError",
+        "InvalidParameterError",
+        "NotPositiveDefiniteError",
+        "NumericalError",
+        "SpectrumFormatError",
+    ),
+    "galerkin": (
+        "Basis1D",
+        "Domain",
+        "OperatorForms",
+        "assemble_forms",
+        "build_basis_1d",
+        "derivative_integral_table",
+        "export_forms",
+        "load_forms",
+    ),
+    "polyrec": (
+        "ACoefficients",
+        "Polynomial",
+        "extract_a_coefficients",
+        "fg_polynomials",
+        "h_term",
+        "phi_polynomial",
+        "s_term",
+    ),
+    "verify": (
+        "ConvergenceTable",
+        "LemmaRow",
+        "TheoremCheck",
+        "VerificationReport",
+        "check_lemma21",
+        "check_theorem11",
+        "convergence_study",
+        "rayleigh_quantities",
+        "run_verification",
+    ),
+}
+
+
+def test_public_names_resolve_to_their_definitions():
+    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 57
+    for module_name, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"buckbounds.{module_name}")
+        for name in names:
+            assert getattr(buckbounds, name) is getattr(module, name), name
+            assert name in vars(buckbounds), name
+            assert name in dir(buckbounds)
+    assert buckbounds.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        buckbounds.no_such_name
+    from buckbounds import cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+# Runs light subcommands, then a solve, in one fresh interpreter and reports
+# the exit codes and which numeric packages were loaded after each stage.  The
+# solve does not import ``verify``, so the last lookup reaches it only through
+# the package's ``__getattr__``.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import buckbounds
+from buckbounds import cli
+
+def loaded():
+    return sorted({"numpy", "scipy"} & set(sys.modules))
+
+runs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.dispatch(argv) for argv in runs]
+    light = loaded()
+    solve = cli.dispatch(["solve", "--dim", "1", "--l", "2", "--degree", "1", "--count", "1"])
+after_solve = loaded()
+verify = "buckbounds.verify" in sys.modules, buckbounds.verify.__name__
+print(json.dumps({"codes": codes, "light": light, "solve": solve, "after_solve": after_solve,
+                  "verify": verify}))
+"""
+
+
+def test_light_subcommands_never_load_numpy(tmp_path):
+    one = tmp_path / "one.csv"
+    one.write_text("# n=2 l=2\n1.0\n", encoding="ascii")
+    sphere = tmp_path / "sphere.csv"
+    sphere.write_text("# n=3 l=3\n9.0\n16.0\n", encoding="ascii")
+    two = tmp_path / "two.csv"
+    two.write_text("# n=2 l=2\n1.0\n2.0\n", encoding="ascii")
+    runs = [
+        ["phi", "--q", "2", "--n", "4"],
+        ["coeffs", "--l", "4", "--n", "2"],
+        ["bound", "next", "--method", "cor11", "--spectrum", str(one)],
+        ["bound", "next", "--method", "sharp", "--spectrum", str(one)],
+        ["bound", "next", "--method", "sphere", "--spectrum", str(sphere)],
+        ["bound", "chain", "--lambda1", "1.0", "--count", "4", "--n", "2", "--l", "3", "--method", "sharp"],
+        ["compare-l2", "--spectrum", str(two), "--candidate", "4.0"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0] * len(runs)
+    assert report["light"] == []
+    assert report["solve"] == 0
+    assert "numpy" in report["after_solve"]
+    assert report["verify"] == [False, "buckbounds.verify"]
