@@ -471,9 +471,22 @@ def next_bound_sharp(spectrum, k):
         )
     values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
     scale = 2.0 * math.sqrt(coeff) / spectrum.n
+    # The form is homogeneous of degree 2 in the prefix, so it is evaluated
+    # for the prefix and x times c = 4**((l-1) w), which brings eigenvalue k
+    # near 1 where the squared gaps stay in the float range.  Gaps scale by c,
+    # the heavy powers by 4**((l-2) w) and the light ones by 4**w; every
+    # exponent under a square root is even, so the shortfall scales by
+    # exactly c**2.
+    l = spectrum.l
+    w = -round(math.frexp(values[-1])[1] / (2 * (l - 1)))
+    shift = 2 * (l - 1) * w
+    scaled = [math.ldexp(v, shift) for v in values]
+    heavy = [math.ldexp(h, 2 * (l - 2) * w) for h in heavy]
+    light = [math.ldexp(c, 2 * w) for c in light]
 
     def shortfall(x):
-        squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in values], heavy, light)
+        x = math.ldexp(x, shift)
+        squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in scaled], heavy, light)
         return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
     # Each power is at most its value at lambda_k, so sum g**2 <= C lambda_k sum g,
@@ -557,8 +570,11 @@ def chain_bounds(lambda1, count, n, l, method):
     """Iterate a next-bound solver from a single starting eigenvalue.
 
     Each produced bound joins the synthetic spectrum used for the next step,
-    so entry j bounds eigenvalue j of any spectrum starting at lambda1.  The
-    output is strictly increasing.
+    so entry j is the solver's bound for the chain of entries before it.  It
+    is not a bound on eigenvalue j of every spectrum starting at lambda1: the
+    next bound is not monotone in the earlier eigenvalues, and a lower
+    feasible prefix can admit a larger next eigenvalue.  The output is
+    strictly increasing.
     """
     _require_int(count, "count", 1)
     _require_int(n, "n", 2)

@@ -270,7 +270,9 @@ def build_parser():
     p_next.add_argument("--exact", action="store_true")
     p_next.set_defaults(func=_cmd_bound_next)
 
-    p_chain = bound_sub.add_parser("chain", help="iterate bounds from one eigenvalue")
+    p_chain = bound_sub.add_parser(
+        "chain", help="iterate a next-bound solver on its own bounds from one eigenvalue"
+    )
     p_chain.add_argument("--lambda1", type=float, required=True)
     p_chain.add_argument("--count", type=int, required=True)
     p_chain.add_argument("--n", type=int, required=True)

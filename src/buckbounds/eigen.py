@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, solve_triangular
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh, solve_triangular
 
 from .bounds import Spectrum
 from .errors import (

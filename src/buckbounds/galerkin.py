@@ -3,24 +3,24 @@
 The 1D basis on [0, 1] is b_a(x) = x**l (1-x)**l * L_a(2x - 1) with L_a the
 Legendre polynomial of degree a, so b_a and its first l-1 derivatives vanish
 at both endpoints.  Shifted Legendre polynomials have integer coefficients,
-so every 1D integral block is an integer Hilbert product C_r H C_s^T over
-one common denominator, and the exact table is those integer blocks plus
-that denominator; only the derivative order pairs a form uses are built.
-Rectangles use the tensor product of two scaled copies of the 1D basis, and
-their order-k form is the sum over j of C(k, j) times the Kronecker product of
-the equal-order blocks (j, j) and (k-j, k-j) (Lynch, Rice & Thomas, Numer.
-Math. 6, 1964).  All of it is integer arithmetic; each matrix entry is rounded
-to binary64 exactly once, and a form beyond the binary64 range raises
-``NumericalError``.
+so the Gram block G_j[a, b] of the j-th derivatives is an integer Hilbert
+product C_j H C_j^T over one common denominator, with C_j a column shift of
+the basis coefficient matrix.  Every form is a weighted Kronecker sum of these
+equal-order blocks: on a box the order-k form is the sum, over per-axis
+orders j with |j| = k, of the multinomial k! / prod(j_i!) times the Kronecker
+product of the blocks G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+All of it is integer arithmetic; each matrix entry is rounded to binary64
+exactly once, and a form beyond the binary64 range raises ``NumericalError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, perm, prod
 
 import numpy as np
 
@@ -103,29 +103,31 @@ def build_basis_1d(l, m):
 
 
 def derivative_integral_table(basis, orders):
-    """Exact 1D blocks for the derivative order pairs (r, s) in ``orders``.
+    """Exact 1D Gram blocks for the derivative orders j in ``orders``.
 
-    Returns ``(blocks, den)``: the integral of b_a^(r) * b_b^(s) over [0, 1]
-    is ``blocks[(r, s)][a, b] / den``, with each block an m x m integer
-    array.  Orders run from 0 to l; beyond l the integration-by-parts
-    identities used downstream stop holding at the boundary, so larger orders
-    are refused.  Block (r, s) is C_r H C_s^T, with C_r the integer
-    coefficients of the r-th derivatives and H the Hilbert matrix
-    1/(i + j + 1) scaled to integers by den.  Entries with odd a + b + r + s
-    vanish by the x -> 1-x symmetry of the basis and come out as exact zeros.
+    Returns ``(blocks, den)``: the integral of b_a^(j) * b_b^(j) over [0, 1]
+    is ``blocks[j][a, b] / den``, with each block an m x m integer array.
+    Orders run from 0 to l; beyond l the integration-by-parts identities
+    used downstream stop holding at the boundary, so larger orders are
+    refused.  Block j is C_j H C_j^T, where column p of C_j is column p + j
+    of the integer coefficient matrix times (p + j)! / p!, and H is the
+    Hilbert matrix 1/(p + q + 1) scaled to integers by den.  Entries with odd
+    a + b vanish by the x -> 1-x symmetry of the basis and come out as exact
+    zeros.
     """
     width = len(basis.functions[-1].coefficients)
-    den = lcm(*range(1, 2 * width))  # clears every monomial integral 1/(i + j + 1)
-    hilbert = [[den // (i + j + 1) for j in range(width)] for i in range(width)]
-    hilbert = np.array(hilbert, dtype=object)
-    coeffs = {}
-    for order in {order for pair in orders for order in pair}:
-        _require_int(order, "order", 0)
-        if order > basis.l:
-            raise InvalidParameterError(f"order {order} exceeds the boundary order l={basis.l}")
-        rows = [f.derivative(order).coefficients for f in basis.functions]
-        coeffs[order] = np.array([row + (0,) * (width - len(row)) for row in rows], dtype=object)
-    return {(r, s): coeffs[r] @ hilbert @ coeffs[s].T for r, s in orders}, den
+    den = lcm(*range(1, 2 * width))  # clears every monomial integral 1/(p + q + 1)
+    hilbert = den // np.add.outer(range(1, width + 1), range(width)).astype(object)
+    coeffs = [f.coefficients + (0,) * (width - len(f.coefficients)) for f in basis.functions]
+    coeffs = np.array(coeffs, dtype=object)
+    blocks = {}
+    for j in set(orders):
+        _require_int(j, "order", 0)
+        if j > basis.l:
+            raise InvalidParameterError(f"order {j} exceeds the boundary order l={basis.l}")
+        shifted = coeffs[:, j:] * np.array([perm(p, j) for p in range(j, width)], dtype=object)
+        blocks[j] = shifted @ hilbert[: width - j, : width - j] @ shifted.T
+    return blocks, den
 
 
 @dataclass(frozen=True)
@@ -150,35 +152,34 @@ class OperatorForms:
 
 
 def _form_terms(k, dim):
-    # (binomial, (r, s) per axis) for the order-k form.  On a rectangle it is
-    # sum_j C(k, j) |d_x^j d_y^(k-j) f|**2: integrating the Laplacian power's
-    # cross blocks (2p, 2q) by parts gives (-1)**(q-p) (p+q, p+q) per axis, each
-    # boundary term holding a derivative of order <= k-1 <= l-1 that the clamp
-    # zeroes; the two axes' signs cancel, and Vandermonde's identity (Pascal's
-    # rule for odd k) collects the binomials into C(k, j).
-    if dim == 1:
-        yield 1, ((k, k),)
-        return
-    for j in range(k + 1):
-        yield comb(k, j), ((j, j), (k - j, k - j))
+    # (multinomial, per-axis orders j) for every j with |j| = k: the order-k
+    # form is the sum of k! / prod(j_i!) |d^j f|**2.  On an interval that is
+    # the single term 1 * (k,).  On a rectangle, integrating the Laplacian
+    # power's cross blocks (2p, 2q) by parts gives (-1)**(q-p) (p+q, p+q) per
+    # axis, each boundary term holding a derivative of order <= k-1 <= l-1
+    # that the clamp zeroes; the two axes' signs cancel, and Vandermonde's
+    # identity (Pascal's rule for odd k) collects the binomials into C(k, j).
+    for orders in itertools.product(range(k + 1), repeat=dim):
+        if sum(orders) == k:
+            yield factorial(k) // prod(map(factorial, orders)), orders
 
 
 def _assemble(domain, basis):
-    # Each form is a sum of Kronecker products of 1D table blocks, the block of
-    # orders (r, s) scaled by edge**(1 - r - s).  The sum is carried out in
-    # integers over one denominator, and the correctly rounded int / int
-    # division rounds each entry once.
+    # Each form is a sum of Kronecker products of 1D Gram blocks, the block of
+    # order j scaled by edge**(1 - 2j).  The sum is carried out in integers
+    # over one denominator, and the correctly rounded int / int division
+    # rounds each entry once.
     forms = [list(_form_terms(k, domain.dim)) for k in range(1, basis.l + 1)]
-    pairs = {pair for terms in forms for _, orders in terms for pair in orders}
-    blocks, den = derivative_integral_table(basis, pairs)
+    used = {j for terms in forms for _, orders in terms for j in orders}
+    blocks, den = derivative_integral_table(basis, used)
     edges = [Fraction(e) for e in domain.edges]
     matrices = []
     for k, terms in enumerate(forms, start=1):
         weighted = []
         for weight, orders in terms:
-            for edge, (r, s) in zip(edges, orders):
-                weight *= edge ** (1 - r - s)
-            weighted.append((weight, [blocks[pair] for pair in orders]))
+            for edge, j in zip(edges, orders):
+                weight *= edge ** (1 - 2 * j)
+            weighted.append((weight, [blocks[j] for j in orders]))
         common = lcm(*(weight.denominator for weight, _ in weighted))
         total = 0
         for weight, (first, *rest) in weighted:

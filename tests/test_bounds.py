@@ -356,8 +356,17 @@ def test_cor11_is_exact_at_any_float_scale():
 
 
 def test_sharp_first_bound_matches_closed_form():
-    spectrum = Spectrum(values=(1.0,), n=2, l=2)
-    assert next_bound_sharp(spectrum, 1) == pytest.approx(13.0 / 3.0, rel=1e-12)
+    # k = 1 gives (1 + C) lambda_1 (13/3 at n=2, l=2) at any scale: the form is
+    # homogeneous of degree 2 and is evaluated on an exactly rescaled prefix,
+    # so its squared gaps do not overflow or underflow at 1e200 or 1e-200
+    for n, l in ((2, 2), (3, 4), (5, 6)):
+        one_plus_c = 1.0 + 4.0 * float(euclidean_coefficient(n, l)) / (n * n)
+        for value in (1.0, 1e200, 1e-200):
+            bound = next_bound_sharp(Spectrum(values=(value,), n=n, l=l), 1)
+            assert bound == pytest.approx(one_plus_c * value, rel=1e-12), (n, l, value)
+    tiny = next_bound_sharp(Spectrum(values=(1e-200, 2e-200), n=2, l=2), 2)
+    expected = next_bound_sharp(Spectrum(values=(1.0, 2.0), n=2, l=2), 2) * 1e-200
+    assert tiny == pytest.approx(expected, rel=1e-12)
 
 
 def test_sharp_never_exceeds_cor11():
@@ -472,6 +481,18 @@ def test_chain_bounds_known_prefix():
     sharp_chain = chain_bounds(1.0, 4, 2, 2, "sharp")
     for quad, sharp in zip(chain, sharp_chain):
         assert sharp <= quad * (1.0 + 1e-9)
+
+
+def test_chain_entries_do_not_bound_every_feasible_spectrum():
+    # entry j is the bound for the chain so far only: (1, 1.8) satisfies cor11
+    # at k=1, yet its bound for the third eigenvalue exceeds the chain's
+    chain = chain_bounds(1.0, 3, 5, 2, "cor11")
+    assert chain == pytest.approx([1.0, 2.013333333333, 2.526756], rel=1e-6)
+    prefix = Spectrum(values=(1.0, 1.8), n=5, l=2)
+    assert eval_cor11(prefix, 1, 1.8).satisfied
+    beyond = next_bound_cor11(prefix, 2)
+    assert beyond == pytest.approx(2.534798, rel=1e-6)
+    assert beyond > chain[2]
 
 
 def test_chain_bounds_validation():

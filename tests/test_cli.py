@@ -234,10 +234,13 @@ def test_bound_next_sphere_infeasible_input(capsys, spectra):
 
 def test_bound_next_far_out_of_range(capsys, tmp_path):
     # cor11 stays exact at 1e200 and fails as numerical only when its bound
-    # overflows; the sphere probe weights overflow from 1e80
+    # overflows; the sharp form is evaluated on a rescaled prefix; the sphere
+    # probe weights overflow from 1e80
     cases = (
         ("cor11", "1e200", 0, "4.333333333333e+200\n", ""),
         ("cor11", "1e308", 3, "", "error: numerical:"),
+        ("sharp", "1e200", 0, "4.333333333333e+200\n", ""),
+        ("sharp", "1e-200", 0, "4.333333333333e-200\n", ""),
         ("sphere", "1e80", 3, "", "error: numerical:"),
     )
     path = tmp_path / "big.csv"
