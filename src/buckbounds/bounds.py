@@ -463,12 +463,6 @@ def next_bound_sharp(spectrum, k):
     there is not a buckling spectrum prefix and is rejected before probing.
     """
     _check_k(spectrum, k)
-    report = eval_eq112(spectrum, k, spectrum.values[k - 1])
-    if not report.satisfied:
-        raise InfeasibleSpectrumError(
-            f"the square-root form fails at eigenvalue {k} = {spectrum.values[k - 1]} "
-            f"(residual {report.residual} above tolerance {report.tolerance})"
-        )
     values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
     scale = 2.0 * math.sqrt(coeff) / spectrum.n
     # The form is homogeneous of degree 2 in the prefix, so it is evaluated
@@ -483,6 +477,19 @@ def next_bound_sharp(spectrum, k):
     scaled = [math.ldexp(v, shift) for v in values]
     heavy = [math.ldexp(h, 2 * (l - 2) * w) for h in heavy]
     light = [math.ldexp(c, 2 * w) for c in light]
+    # eval_eq112's test at eigenvalue k, in units of c**2: lhs, rhs and the
+    # tolerance floor 1 all scale by c**2, so only the sums that would
+    # overflow (or underflow) in the raw units change.
+    squares, t_heavy, t_light = _sqrt_form_sums([scaled[-1] - v for v in scaled], heavy, light)
+    lhs = spectrum.n * squares
+    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
+    floor = math.ldexp(1.0, 2 * shift) if 2 * shift < sys.float_info.max_exp else math.inf
+    size = max(floor, abs(lhs), abs(rhs))
+    if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
+        raise InfeasibleSpectrumError(
+            f"the square-root form fails at eigenvalue {k} = {values[-1]} "
+            f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
+        )
 
     def shortfall(x):
         x = math.ldexp(x, shift)

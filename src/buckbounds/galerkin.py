@@ -9,12 +9,16 @@ the basis coefficient matrix.  Every form is a weighted Kronecker sum of these
 equal-order blocks: on a box the order-k form is the sum, over per-axis
 orders j with |j| = k, of the multinomial k! / prod(j_i!) times the Kronecker
 product of the blocks G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-All of it is integer arithmetic; each matrix entry is rounded to binary64
-exactly once, and a form beyond the binary64 range raises ``NumericalError``.
+Only the parity-even upper half of each form is computed: G_j[a, b] = 0 for
+odd a + b, and the first axis keeps a <= b; the lower half is written as the
+mirror image.  All of it is integer arithmetic; each matrix entry is rounded
+to binary64 exactly once, and a form beyond the binary64 range raises
+``NumericalError``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -164,36 +168,67 @@ def _form_terms(k, dim):
             yield factorial(k) // prod(map(factorial, orders)), orders
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_layout(m, dim):
+    # Where assembly reads and writes, which depends on m and dim only: the
+    # first-axis block pairs (a, b) with a + b even and a <= b, the
+    # second-axis pairs (c, d) with c + d even (rectangles only), both as flat
+    # block indices a*m + b, and the flat form positions of entry
+    # ((a, c), (b, d)), at row a*m + c and column b*m + d, and of its mirror
+    # image.  The cached arrays are only ever read.
+    first = np.array([a * m + b for a in range(m) for b in range(a, m, 2)])
+    a, b = np.divmod(first, m)
+    if dim == 1:
+        return first, None, first, b * m + a
+    n = m * m
+    second = np.array([c * m + d for c in range(m) for d in range(c % 2, m, 2)])
+    c, d = np.divmod(second, m)
+    upper = np.add.outer((a * n + b) * m, c * n + d)
+    lower = np.add.outer((b * n + a) * m, d * n + c)
+    return first, second, upper, lower
+
+
 def _assemble(domain, basis):
     # Each form is a sum of Kronecker products of 1D Gram blocks, the block of
-    # order j scaled by edge**(1 - 2j).  The sum is carried out in integers
-    # over one denominator, and the correctly rounded int / int division
-    # rounds each entry once.
+    # order j scaled by edge**(1 - 2j).  Only the entries that can be nonzero
+    # are computed, each once: block pairs (a, b) with a + b even (the x -> 1-x
+    # parity zeroes the rest), and on the first axis only a <= b, the other
+    # half being the mirror image of a symmetric form.  On a rectangle the
+    # weighted sum over terms is one integer product: the weighted first-axis
+    # pair values, a column per term, times the second-axis pair values, a
+    # row per term.  An interval form has one term.
+    # The correctly rounded int / int division rounds each entry once.
     forms = [list(_form_terms(k, domain.dim)) for k in range(1, basis.l + 1)]
     used = {j for terms in forms for _, orders in terms for j in orders}
     blocks, den = derivative_integral_table(basis, used)
     edges = [Fraction(e) for e in domain.edges]
+    n = basis.m**domain.dim
+    first, second, upper, lower = _parity_layout(basis.m, domain.dim)
+    xg = {j: blocks[j].take(first) for j in used}
+    if domain.dim == 2:
+        yg = {j: blocks[j].take(second) for j in used}
     matrices = []
     for k, terms in enumerate(forms, start=1):
         weighted = []
         for weight, orders in terms:
             for edge, j in zip(edges, orders):
                 weight *= edge ** (1 - 2 * j)
-            weighted.append((weight, [blocks[j] for j in orders]))
+            weighted.append((weight, orders))
         common = lcm(*(weight.denominator for weight, _ in weighted))
-        total = 0
-        for weight, (first, *rest) in weighted:
-            product = first * (weight.numerator * (common // weight.denominator))
-            for factor in rest:
-                product = np.kron(product, factor)
-            total += product
+        xs = [xg[orders[0]] * (w.numerator * (common // w.denominator)) for w, orders in weighted]
+        if domain.dim == 1:
+            values = xs[0]
+        else:
+            values = np.stack(xs, axis=1) @ np.stack([yg[orders[1]] for _, orders in weighted])
+        out = np.zeros(n * n)
         try:
-            matrices.append((total / (common * den**domain.dim)).astype(float))
+            out[upper] = out[lower] = (values / (common * den**domain.dim)).astype(float)
         except OverflowError:
             raise NumericalError(
                 f"the order-{k} form overflows binary64 on edges {domain.edges}"
             ) from None
-    return basis.m**domain.dim, tuple(matrices)
+        matrices.append(out.reshape(n, n))
+    return n, tuple(matrices)
 
 
 def assemble_forms(domain, l, m):

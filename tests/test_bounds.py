@@ -364,9 +364,12 @@ def test_sharp_first_bound_matches_closed_form():
         for value in (1.0, 1e200, 1e-200):
             bound = next_bound_sharp(Spectrum(values=(value,), n=n, l=l), 1)
             assert bound == pytest.approx(one_plus_c * value, rel=1e-12), (n, l, value)
-    tiny = next_bound_sharp(Spectrum(values=(1e-200, 2e-200), n=2, l=2), 2)
-    expected = next_bound_sharp(Spectrum(values=(1.0, 2.0), n=2, l=2), 2) * 1e-200
-    assert tiny == pytest.approx(expected, rel=1e-12)
+    base = next_bound_sharp(Spectrum(values=(1.0, 2.0), n=2, l=2), 2)
+    for value in (1e-200, 1e200):
+        # the lambda_k check runs in the rescaled units too: at 1e200 its raw
+        # squared gaps overflow
+        bound = next_bound_sharp(Spectrum(values=(value, 2.0 * value), n=2, l=2), 2)
+        assert bound == pytest.approx(base * value, rel=1e-12), value
 
 
 def test_sharp_never_exceeds_cor11():

@@ -241,6 +241,7 @@ def test_bound_next_far_out_of_range(capsys, tmp_path):
         ("cor11", "1e308", 3, "", "error: numerical:"),
         ("sharp", "1e200", 0, "4.333333333333e+200\n", ""),
         ("sharp", "1e-200", 0, "4.333333333333e-200\n", ""),
+        ("sharp", "1e200\n2e200", 0, "6.273030282831e+200\n", ""),
         ("sphere", "1e80", 3, "", "error: numerical:"),
     )
     path = tmp_path / "big.csv"

@@ -180,7 +180,9 @@ def test_assemble_symmetric_and_deterministic():
 def test_assembly_matches_per_entry_fraction_reference():
     # bit-identical to the entry-by-entry Fraction route on unit and
     # non-dyadic edges, so the integer Hilbert/Kronecker path rounds the same
-    # rationals once
+    # rationals once; the parity zeros and the mirrored lower half are
+    # written apart from the computed entries, so signs and symmetry are
+    # checked as well
     grid = [((e,), l, m) for e in (1.0, 0.85) for l in (2, 3, 4, 6) for m in (1, 7, 24)]
     rectangles = ((1.0, 1.0), (0.9, 1.3), (1.7, 0.6))
     grid += [(e, l, m) for e in rectangles for l in (2, 3, 4) for m in (1, 2, 5, 8)]
@@ -194,6 +196,8 @@ def test_assembly_matches_per_entry_fraction_reference():
         assert len(forms.matrices) == len(reference) == l
         for k, (ours, theirs) in enumerate(zip(forms.matrices, reference), start=1):
             assert np.array_equal(ours, theirs), (edges, l, m, k)
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs)), (edges, l, m, k)
+            assert np.array_equal(ours, ours.T), (edges, l, m, k)
 
 
 def test_smaller_basis_is_the_leading_block():
