@@ -10,6 +10,22 @@ minimizing one by pool-adjacent-violators.
 The sharp and spherical solvers scan geometrically from eigenvalue k up to a
 limit that their own inequality puts on every feasible candidate, then bisect
 the last sign change.  ``BracketError`` means no sign change below that limit.
+
+The sharp limit is the largest root of cor11.  For x >= eigenvalue k the gaps
+g = x - lam are nonnegative and nonincreasing along the prefix, while
+h = lam**((l-2)/(l-1)) and c = lam**(1/(l-1)) are nondecreasing with h c = lam,
+so the Chebyshev pairing
+
+    sum g**2 sum g lam - sum g**2 h sum g c
+        = 1/2 sum_ij g_i g_j (h_j - h_i)(g_i c_j - g_j c_i) >= 0
+
+turns n sum g**2 <= 2 sqrt(coeff) sqrt(sum g**2 h) sqrt(sum g c) into
+n sum g**2 <= 2 sqrt(coeff) sqrt(sum g**2) sqrt(sum g lam), which is cor11.
+The spherical lhs weights are at least 2 and its optimized rhs is at most the
+constant-delta value 2 sqrt(sum g**2 s sum g c), so every spherical candidate
+has sum g**2 <= sum g u: u = s c by the same pairing when the s_terms are
+nondecreasing along the prefix, u = max(s) c otherwise.  Its limit is the
+largest root of that quadratic.
 """
 
 from __future__ import annotations
@@ -17,8 +33,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import mul, truediv
 
 from .errors import (
     BracketError,
@@ -245,12 +263,9 @@ def _quadratic_constant(spectrum):
 
 def _sqrt_form_sums(gaps, heavy, light):
     # The three sums of the square-root form: sum g**2, sum g**2 * heavy and
-    # sum g * light.
-    return (
-        math.fsum(g * g for g in gaps),
-        math.fsum(g * g * h for g, h in zip(gaps, heavy)),
-        math.fsum(g * c for g, c in zip(gaps, light)),
-    )
+    # sum g * light, each gap squared once.
+    squares = [g * g for g in gaps]
+    return math.fsum(squares), math.fsum(map(mul, squares, heavy)), math.fsum(map(mul, gaps, light))
 
 
 def _sphere_prefix(spectrum, k):
@@ -331,6 +346,11 @@ def optimize_delta(a, b):
     for v in a + b:
         if not math.isfinite(v) or v <= 0.0:
             raise InvalidParameterError(f"weights must be positive finite, got {v}")
+    return DeltaSequence(tuple(_pool_adjacent_violators(a, b)))
+
+
+def _pool_adjacent_violators(a, b):
+    # optimize_delta's minimizer as a list, for weight lists it has validated.
     blocks = []  # (sum_a, sum_b, count, value)
     for ai, bi in zip(a, b):
         sum_a, sum_b, count = ai, bi, 1
@@ -348,7 +368,7 @@ def optimize_delta(a, b):
         value = min(value, previous)
         out.extend([value] * count)
         previous = value
-    return DeltaSequence(tuple(out))
+    return out
 
 
 def delta_objective(delta, a, b):
@@ -401,14 +421,11 @@ def next_bound_cor11(spectrum, k):
     values = [v * scale for v in spectrum.values[:k]]
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
-    linear = (2.0 + big_c) * s1
-    constant = (1.0 + big_c) * s2
-    disc = linear * linear - 4.0 * k * constant
-    if disc < 0.0:
+    root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
+    if root is None:
         raise InfeasibleSpectrumError(
             "negative discriminant: no candidate satisfies the quadratic bound"
         )
-    root = (linear + math.sqrt(disc)) / (2.0 * k)
     if root < values[-1] * (1.0 - 1e-12):
         raise InfeasibleSpectrumError(
             f"largest root {math.ldexp(root, shift)} lies below eigenvalue {k} = {top}"
@@ -419,6 +436,16 @@ def next_bound_cor11(spectrum, k):
         raise NumericalError(
             f"the quadratic bound after eigenvalue {k} = {top} exceeds the float range"
         ) from None
+
+
+def _largest_quadratic_root(k, linear, constant):
+    # The larger root of k x**2 - linear x + constant, or None when the
+    # discriminant is negative or not a number (coefficients past the float
+    # range).
+    disc = linear * linear - 4.0 * k * constant
+    if not disc >= 0.0:
+        return None
+    return (linear + math.sqrt(disc)) / (2.0 * k)
 
 
 def _largest_root(f, start, limit):
@@ -459,8 +486,10 @@ def _largest_root(f, start, limit):
 def next_bound_sharp(spectrum, k):
     """Largest candidate allowed by the square-root form, by bracketing and bisection.
 
-    The form must already hold at eigenvalue k itself: a prefix that fails it
-    there is not a buckling spectrum prefix and is rejected before probing.
+    The form must already hold at eigenvalue k itself, to the relative
+    tolerance 1e-9 with no absolute floor, so the verdict does not depend on
+    the scale of the prefix: a prefix that fails it there is not a buckling
+    spectrum prefix and is rejected before probing.
     """
     _check_k(spectrum, k)
     values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
@@ -477,14 +506,12 @@ def next_bound_sharp(spectrum, k):
     scaled = [math.ldexp(v, shift) for v in values]
     heavy = [math.ldexp(h, 2 * (l - 2) * w) for h in heavy]
     light = [math.ldexp(c, 2 * w) for c in light]
-    # eval_eq112's test at eigenvalue k, in units of c**2: lhs, rhs and the
-    # tolerance floor 1 all scale by c**2, so only the sums that would
-    # overflow (or underflow) in the raw units change.
+    # eval_eq112's test at eigenvalue k without its absolute floor, in units
+    # of c**2: a purely relative test gives the same verdict at every scale.
     squares, t_heavy, t_light = _sqrt_form_sums([scaled[-1] - v for v in scaled], heavy, light)
     lhs = spectrum.n * squares
     rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
-    floor = math.ldexp(1.0, 2 * shift) if 2 * shift < sys.float_info.max_exp else math.inf
-    size = max(floor, abs(lhs), abs(rhs))
+    size = max(abs(lhs), abs(rhs))
     if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
         raise InfeasibleSpectrumError(
             f"the square-root form fails at eigenvalue {k} = {values[-1]} "
@@ -497,8 +524,15 @@ def next_bound_sharp(spectrum, k):
         return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
     # Each power is at most its value at lambda_k, so sum g**2 <= C lambda_k sum g,
-    # and sum g**2 >= (sum g)**2 / k caps every feasible x.
+    # and sum g**2 >= (sum g)**2 / k caps every feasible x.  By the Chebyshev
+    # pairing (module docstring) so does the largest root of cor11, which is
+    # tighter; cor11 can still reject a prefix whose check above passed by
+    # roundoff, and then the first cap stands.
     limit = math.fsum(values) / k + _quadratic_constant(spectrum) * values[-1]
+    try:
+        limit = min(limit, next_bound_cor11(spectrum, k))
+    except (InfeasibleSpectrumError, NumericalError):
+        pass
     return _largest_root(shortfall, values[-1], limit)
 
 
@@ -541,18 +575,21 @@ def next_bound_sphere(spectrum, k):
             )
 
     def sides(x):
-        gaps = [x - v for v in values]
-        kept = sum(1 for g in gaps if g > 0.0)
-        if kept == 0:
+        # x >= eigenvalue k, so the positive gaps are those of the eigenvalues
+        # below x; the ascending prefix puts them first.
+        gaps = [x - v for v in values[: bisect_left(values, x)]]
+        if not gaps:
             return 0.0, 0.0
-        a = [g * g * s for g, s in zip(gaps[:kept], s_values)]
-        b = [g * c for g, c in zip(gaps[:kept], light)]
-        # Positive factors: a weight of 0 or inf is an underflow or overflow.
-        if not all(0.0 < w < math.inf for w in a + b):
+        squares = [g * g for g in gaps]
+        a = list(map(mul, squares, s_values))
+        b = list(map(mul, gaps, light))
+        # Positive finite factors: a weight of 0 or inf is an underflow or
+        # overflow.
+        if not (0.0 < min(a) and max(a) < math.inf and 0.0 < min(b) and max(b) < math.inf):
             raise NumericalError(f"the spherical weights at {x} leave the float range")
-        delta = optimize_delta(a, b)
-        lhs = math.fsum(g * g * w for g, w in zip(gaps[:kept], lhs_weights))
-        return lhs, delta_objective(delta, a, b)
+        delta = _pool_adjacent_violators(a, b)
+        lhs = math.fsum(map(mul, squares, lhs_weights))
+        return lhs, math.fsum(map(mul, delta, a)) + math.fsum(map(truediv, b, delta))
 
     # A zero last gap leaves the (k-1)-th inequality at eigenvalue k, which
     # every buckling spectrum satisfies.
@@ -568,9 +605,32 @@ def next_bound_sphere(spectrum, k):
         return lhs - rhs
 
     # lhs >= 2 sum g**2 and rhs <= its constant-delta value, so
-    # sum g**2 <= max(s) max(light) sum g caps x as in the sharp solver.
+    # sum g**2 <= max(s) max(light) sum g caps x as in the sharp solver, and
+    # the quadratic of _sphere_cap caps it tighter.
     limit = math.fsum(values) / k + max(s_values) * max(light)
+    cap = _sphere_cap(values, s_values, light)
+    if cap is not None:
+        limit = min(limit, cap)
     return _largest_root(shortfall, values[-1], limit)
+
+
+def _sphere_cap(values, s_values, light):
+    # The largest root of sum g**2 = sum g u, which bounds every candidate the
+    # spherical form admits (module docstring): u = s * light when the s_terms
+    # are nondecreasing along the prefix, max(s) * light otherwise.  With
+    # g = y + e, y = x - lambda_k and e = lambda_k - lambda, it is the root
+    # of k y**2 - (sum u - 2 sum e) y + sum e (e - u), which stays accurate
+    # when the cap sits just above lambda_k.  None when no root is found.
+    if all(p <= q for p, q in zip(s_values, s_values[1:])):
+        u = list(map(mul, s_values, light))
+    else:
+        top = max(s_values)
+        u = [top * c for c in light]
+    below = [values[-1] - v for v in values]
+    linear = math.fsum(u) - 2.0 * math.fsum(below)
+    constant = math.fsum(e * (e - w) for e, w in zip(below, u))
+    y = _largest_quadratic_root(len(values), linear, constant)
+    return None if y is None else values[-1] + y
 
 
 def chain_bounds(lambda1, count, n, l, method):

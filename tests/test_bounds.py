@@ -29,6 +29,7 @@ from buckbounds import (
     read_spectrum,
     thm11_optimal_delta,
 )
+from buckbounds.bounds import _sphere_cap, _sphere_prefix
 from buckbounds.errors import BracketError
 from buckbounds.polyrec import s_term
 
@@ -453,6 +454,15 @@ def test_sharp_rejects_prefix_infeasible_at_its_last_eigenvalue():
         next_bound_sharp(spectrum, 40)
 
 
+def test_sharp_lambda_k_check_is_relative_at_every_scale():
+    # 71.5 lies far beyond the k=1 bound from 1.0 (11.6); with an absolute
+    # tolerance floor the check passed at 1e-14 and the scan found no bracket
+    for scale in (1.0, 1e-14, 2.0**-600, 1e200):
+        spectrum = Spectrum(values=(scale, 71.5 * scale), n=3, l=3)
+        with pytest.raises(InfeasibleSpectrumError, match="relative residual 0.717"):
+            next_bound_sharp(spectrum, 2)
+
+
 def test_sharp_scan_ends_when_its_limit_overflows():
     # the limit 1e308 * (1 + C) is inf; the scan must still end
     with pytest.raises(BracketError, match="and inf"):
@@ -606,6 +616,30 @@ def test_sphere_bound_matches_oracle_up_to_n8_k6():
     assert checked > 12
 
 
+def test_sphere_cap_bounds_the_oracle():
+    # the solver scans only up to the quadratic root of _sphere_cap; the
+    # oracle scans 64 doublings, so it sees every probe the cap drops
+    rng = np.random.default_rng(48)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        l = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 7))
+        start = (n - 2) ** (l - 1) + float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.0, 0.3 * start, size=k - 1)
+        lams = tuple(float(v) for v in start + np.cumsum(np.concatenate([[0.0], gaps])))
+        spectrum = Spectrum(values=lams, n=n, l=l)
+        try:
+            next_bound_sphere(spectrum, k)
+        except InfeasibleSpectrumError:
+            continue
+        values, _, s_values, light = _sphere_prefix(spectrum, k)
+        cap = _sphere_cap(values, s_values, light)
+        assert cap >= oracles.sphere_bound_oracle(lams, n, l, k) * (1.0 - 1e-12)
+        checked += 1
+    assert checked > 20
+
+
 def test_sphere_bound_exceeds_constant_spectrum():
     spectrum = Spectrum(values=(5.0, 5.0, 5.0), n=3, l=2)
     bound = next_bound_sphere(spectrum, 3)
@@ -617,6 +651,41 @@ def test_sphere_bound_rejects_nonpositive_s_term():
     spectrum = Spectrum(values=(2.05, 2.1), n=4, l=2)
     with pytest.raises(InfeasibleSpectrumError):
         next_bound_sphere(spectrum, 2)
+
+
+# Bounds pinned bit for bit, so that any drift of the solvers fails: the
+# capped scans keep every probe below their cap and the same bisection.
+FROZEN_PREFIX = tuple(10.0 + 6.0 * i + i * i / 4.0 for i in range(1, 41))
+FROZEN_NEXT = {
+    # (solver, n, l): the bounds after eigenvalues 1, 10 and 40
+    (next_bound_sharp, 2, 2): (70.4166666666687, 210.62801564366828, 943.3342390598773),
+    (next_bound_sharp, 3, 3): (107.73148148148303, 307.4436039047748, 1272.320430428561),
+    (next_bound_sharp, 4, 4): (130.00000000000472, 376.2403138350479, 1615.2841591004703),
+    (next_bound_sphere, 2, 2): (280.3125000000051, 2785.231225140202, 73514.94629560917),
+    (next_bound_sphere, 3, 3): (149.17718419289963, 628.1269469372493, 5175.8039481148135),
+    (next_bound_sphere, 4, 4): (95.35529623002995, 600.5679592571707, 4312.420189904255),
+}
+FROZEN_SHARP_CHAIN = [
+    12.5,
+    82.8703703703716,
+    204.10472475169718,
+    365.04503035416235,
+    566.9586322474263,
+    802.4497384101019,
+    1074.698348580905,
+    1377.0740421767205,
+    1713.676487903613,
+    2078.0577728581575,
+    2474.903494175402,
+    2897.7719510468332,
+]
+
+
+def test_solver_outputs_are_frozen():
+    for (solver, n, l), expected in FROZEN_NEXT.items():
+        spectrum = Spectrum(values=FROZEN_PREFIX, n=n, l=l)
+        assert tuple(solver(spectrum, k) for k in (1, 10, 40)) == expected, (solver, n, l)
+    assert chain_bounds(12.5, 12, 3, 3, "sharp") == FROZEN_SHARP_CHAIN
 
 
 # -- order-2 comparison forms

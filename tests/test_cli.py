@@ -225,6 +225,18 @@ def test_bound_next_sharp_infeasible_long_prefix(capsys, tmp_path):
     assert err.startswith("error: input:")
 
 
+def test_bound_next_sharp_infeasible_at_any_scale(capsys, tmp_path):
+    # the check at the last eigenvalue is relative, so a tiny prefix is
+    # rejected as infeasible (exit 1) like the same prefix at scale 1
+    path = tmp_path / "far.csv"
+    for scale in (1.0, 1e-14):
+        path.write_text(f"# n=3 l=3\n{scale!r}\n{71.5 * scale!r}\n", encoding="ascii")
+        argv = ["bound", "next", "--method", "sharp", "--spectrum", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), scale
+        assert err.startswith("error: input:")
+
+
 def test_bound_next_sphere_infeasible_input(capsys, spectra):
     argv = ["bound", "next", "--method", "sphere", "--spectrum", spectra["jump"]]
     code, out, err = run_cli(argv, capsys)

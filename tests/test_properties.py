@@ -5,12 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buckbounds import Domain, Spectrum, assemble_forms, next_bound_sharp, optimize_delta
+from buckbounds import (
+    Domain,
+    Spectrum,
+    assemble_forms,
+    format_spectrum_csv,
+    next_bound_cor11,
+    next_bound_sharp,
+    optimize_delta,
+    parse_spectrum,
+)
+from buckbounds.bounds import _sphere_cap
 
 import oracles
 
 EDGES = st.lists(st.floats(min_value=0.3, max_value=3.0), min_size=1, max_size=2).map(tuple)
 WEIGHT = st.floats(min_value=1e-6, max_value=1e6)
+PREFIX = st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1, max_size=40).map(sorted)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -77,3 +88,91 @@ def test_sharp_bound_is_scale_covariant(n, l, first, steps, s):
     c = 2.0**s
     scaled = next_bound_sharp(Spectrum(values=tuple(c * v for v in values), n=n, l=l), k)
     assert scaled == pytest.approx(c * base, rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    l=st.integers(2, 5),
+    first=st.floats(min_value=0.5, max_value=200.0),
+    steps=st.lists(st.floats(min_value=0.0, max_value=0.9), max_size=7),
+    s=st.integers(-600, 600),
+)
+def test_cor11_bound_is_bitwise_scale_covariant(n, l, first, steps, s):
+    # the quadratic is solved in units of a power of two near eigenvalue k,
+    # so scaling the prefix by 2**s scales the bound exactly
+    values = [first]
+    for step in steps:
+        bound = next_bound_cor11(Spectrum(values=tuple(values), n=n, l=l), len(values))
+        values.append(values[-1] + step * (bound - values[-1]))
+    k = len(values)
+    base = next_bound_cor11(Spectrum(values=tuple(values), n=n, l=l), k)
+    c = 2.0**s
+    scaled = next_bound_cor11(Spectrum(values=tuple(c * v for v in values), n=n, l=l), k)
+    assert scaled == c * base
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    l=st.integers(2, 8),
+    values=st.lists(
+        st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=20
+    ).map(sorted),
+)
+def test_spectrum_csv_round_trips(n, l, values):
+    # repr writes the shortest text that reads back as the same float
+    spectrum = Spectrum(values=tuple(values), n=n, l=l)
+    parsed = parse_spectrum(format_spectrum_csv(spectrum))
+    assert (parsed.values, parsed.n, parsed.l, parsed.provenance) == (
+        spectrum.values,
+        n,
+        l,
+        "file",
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(l=st.integers(2, 6), values=PREFIX, beyond=st.floats(min_value=0.0, max_value=10.0))
+def test_chebyshev_pairing_puts_the_sharp_form_inside_cor11(l, values, beyond):
+    # with g = x - lam nonincreasing and h = lam**((l-2)/(l-1)),
+    # c = lam**(1/(l-1)) nondecreasing along the prefix,
+    # sum g**2 sum g lam - sum g**2 h sum g c
+    #   = 1/2 sum_ij g_i g_j (h_j - h_i)(g_i c_j - g_j c_i) >= 0,
+    # so every candidate of the square-root form satisfies cor11
+    x = values[-1] * (1.0 + beyond)
+    gaps = [x - v for v in values]
+    heavy = [v ** ((l - 2) / (l - 1)) for v in values]
+    light = [v ** (1 / (l - 1)) for v in values]
+    squares = math.fsum(g * g for g in gaps)
+    paired = math.fsum(g * g * h for g, h in zip(gaps, heavy)) * math.fsum(
+        g * c for g, c in zip(gaps, light)
+    )
+    assert paired <= squares * math.fsum(g * v for g, v in zip(gaps, values)) * (1.0 + 1e-12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    values=PREFIX,
+    data=st.data(),
+    beyond=st.floats(min_value=1e-6, max_value=10.0),
+)
+def test_sphere_cap_bounds_the_constant_delta_form(values, data, beyond):
+    # 2 sum g**2 <= lhs and the optimized rhs <= 2 sqrt(sum g**2 s sum g c),
+    # so a candidate of the spherical form has
+    # (sum g**2)**2 <= sum g**2 s sum g c; above the cap (above lambda_k when
+    # there is none) this fails, for nondecreasing s (the Chebyshev pairing)
+    # and for s in any order
+    k = len(values)
+    s_values = data.draw(st.lists(WEIGHT, min_size=k, max_size=k), label="s")
+    if data.draw(st.booleans(), label="sorted s"):
+        s_values.sort()
+    light = sorted(data.draw(st.lists(WEIGHT, min_size=k, max_size=k), label="light"))
+    cap = _sphere_cap(values, s_values, light)
+    x = max(values[-1] if cap is None else cap, values[-1]) * (1.0 + beyond)
+    gaps = [x - v for v in values]
+    squares = math.fsum(g * g for g in gaps)
+    relaxed = math.fsum(g * g * s for g, s in zip(gaps, s_values)) * math.fsum(
+        g * c for g, c in zip(gaps, light)
+    )
+    assert relaxed <= squares * squares * (1.0 + 1e-9)
