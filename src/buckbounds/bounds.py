@@ -7,9 +7,11 @@ turn an inequality into the largest admissible candidate.  Weight sequences
 delta must be positive and non-increasing; ``optimize_delta`` produces the
 minimizing one by pool-adjacent-violators.
 
-The sharp and spherical solvers scan geometrically from eigenvalue k up to a
-limit that their own inequality puts on every feasible candidate, then bisect
-the last sign change.  ``BracketError`` means no sign change below that limit.
+The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
+to just past a limit that their own inequality puts on every feasible
+candidate, walk it down from the top probe to the first sign change met,
+which is the last one on the grid, and bisect it; no probe below that sign
+change is evaluated.  ``BracketError`` means no sign change below the limit.
 
 The sharp limit is the largest root of cor11.  For x >= eigenvalue k the gaps
 g = x - lam are nonnegative and nonincreasing along the prefix, while
@@ -36,6 +38,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul, truediv
 
 from .errors import (
@@ -65,6 +68,13 @@ def euclidean_coefficient(n, l):
     """
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
+    return _coefficient(n, l)
+
+
+@lru_cache
+def _coefficient(n, l):
+    # euclidean_coefficient for validated integers, built once per (n, l):
+    # a sharp solve asks for it three times.
     value = Fraction(6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n, 3)
     if value <= 0:
         raise InternalConsistencyError(f"coefficient {value} at n={n}, l={l} is not positive")
@@ -450,24 +460,29 @@ def _largest_quadratic_root(k, linear, constant):
 
 def _largest_root(f, start, limit):
     # Probe geometrically from start to the first probe past limit * step,
-    # keep the last sign change, then bisect it.  The caller's limit bounds
-    # every feasible candidate; the extra step keeps a root that sits at the
-    # limit (k = 1 for the sharp form) inside the scan despite roundoff, and
-    # the cap at the largest float ends the scan when the limit overflows.
+    # then bisect the last sign change.  The caller's limit bounds every
+    # feasible candidate; the extra step keeps a root that sits at the limit
+    # (k = 1 for the sharp form) inside the scan despite roundoff, and the cap
+    # at the largest float ends the scan when the limit overflows.
     # Sub-doubling spacing matters: a feasible window can open just above
     # start (where f sits at roundoff from a saturated prefix) and close
     # before 2 * start, which factor-2 probes would skip.
+    # f is evaluated lazily from the top probe down, and the walk stops at the
+    # first pair with f(lower) <= 0 < f(upper): the last sign change, the one
+    # a full upward scan would keep, so no probe below it is evaluated.
     step = 2.0 ** (1.0 / PROBES_PER_DOUBLING)
     end = min(max(start, limit) * step, sys.float_info.max)
     probes = [start]
     while probes[-1] <= end:
         probes.append(start * step ** len(probes))
-    signs = [f(x) for x in probes]
-    lo = hi = None
-    for left, right, f_left, f_right in zip(probes, probes[1:], signs, signs[1:]):
-        if f_left <= 0.0 < f_right:
-            lo, hi = left, right
-    if lo is None:
+    hi = probes[-1]
+    f_hi = f(hi)
+    for lo in reversed(probes[:-1]):
+        f_lo = f(lo)
+        if f_lo <= 0.0 < f_hi:
+            break
+        hi, f_hi = lo, f_lo
+    else:
         raise BracketError(
             f"no sign change between {start} and {probes[-1]}; "
             "the inequality brackets no candidate"
@@ -586,10 +601,19 @@ def next_bound_sphere(spectrum, k):
         # Positive finite factors: a weight of 0 or inf is an underflow or
         # overflow.
         if not (0.0 < min(a) and max(a) < math.inf and 0.0 < min(b) and max(b) < math.inf):
-            raise NumericalError(f"the spherical weights at {x} leave the float range")
+            raise _out_of_range(x)
         delta = _pool_adjacent_violators(a, b)
-        lhs = math.fsum(map(mul, squares, lhs_weights))
-        return lhs, math.fsum(map(mul, delta, a)) + math.fsum(map(truediv, b, delta))
+        # A pooled block whose sum of a overflows gets delta 0, one whose sum
+        # of b overflows gets inf (nan when both do); fsum raises on a finite
+        # sum past the float range.
+        try:
+            lhs = math.fsum(map(mul, squares, lhs_weights))
+            rhs = math.fsum(map(mul, delta, a)) + math.fsum(map(truediv, b, delta))
+        except (ZeroDivisionError, OverflowError):
+            raise _out_of_range(x) from None
+        if not rhs < math.inf:
+            raise _out_of_range(x)
+        return lhs, rhs
 
     # A zero last gap leaves the (k-1)-th inequality at eigenvalue k, which
     # every buckling spectrum satisfies.
@@ -612,6 +636,10 @@ def next_bound_sphere(spectrum, k):
     if cap is not None:
         limit = min(limit, cap)
     return _largest_root(shortfall, values[-1], limit)
+
+
+def _out_of_range(x):
+    return NumericalError(f"the spherical weights at {x} leave the float range")
 
 
 def _sphere_cap(values, s_values, light):

@@ -5,8 +5,9 @@ package: symbolic algebra instead of integer tuple recursion, finite
 differences instead of exact Galerkin assembly, per-entry Fraction
 integrals instead of integer Hilbert and Kronecker products, dense grid
 search and block-partition enumeration instead of a pool-adjacent-violators
-pass, and a fine geometric scan plus bisection instead of doubling brackets.
-Nothing in this module imports from the package.
+pass, and a fine upward geometric scan plus bisection instead of doubling
+brackets or a downward walk.  Nothing in this module imports from the
+package.
 """
 
 import math
@@ -273,6 +274,40 @@ def scan_bisect_root(f, start, steps_per_doubling=16, max_doublings=64):
         if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def full_scan_root(f, start, limit):
+    """Forward reference for the bound solvers' bracket-and-bisect root.
+
+    Every probe start * 2**(j/16) up to the first one past
+    max(start, limit) * 2**(1/16) (capped at the largest float) is
+    evaluated from start upward, and the last pair with
+    f(left) <= 0 < f(right) is bisected to relative width 1e-13.  Returns
+    (root, probes, bracket, bisections); root and bracket are None when no
+    pair brackets, and bisections counts the evaluations after the scan.
+    """
+    factor = 2.0 ** (1.0 / 16)
+    end = min(max(start, limit) * factor, 1.7976931348623157e308)
+    probes = [start]
+    while probes[-1] <= end:
+        probes.append(start * factor ** len(probes))
+    values = [f(x) for x in probes]
+    bracket = None
+    for j in range(len(probes) - 1):
+        if values[j] <= 0.0 < values[j + 1]:
+            bracket = (probes[j], probes[j + 1])
+    if bracket is None:
+        return None, probes, None, 0
+    lo, hi = bracket
+    bisections = 0
+    while bisections < 200 and hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        bisections += 1
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), probes, bracket, bisections
 
 
 def _euclidean_coefficient(n, l):

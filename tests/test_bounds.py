@@ -29,6 +29,7 @@ from buckbounds import (
     read_spectrum,
     thm11_optimal_delta,
 )
+from buckbounds import bounds
 from buckbounds.bounds import _sphere_cap, _sphere_prefix
 from buckbounds.errors import BracketError
 from buckbounds.polyrec import s_term
@@ -123,6 +124,15 @@ def test_coefficient_validation():
         euclidean_coefficient(1, 2)
     with pytest.raises(InvalidParameterError):
         euclidean_coefficient(2, 1)
+
+
+def test_coefficient_is_built_once_and_validated_every_call():
+    # the cache sits behind the integer checks: 2.0 == 2 and True == 1 hash
+    # like the valid key, and must still be rejected after it is cached
+    assert euclidean_coefficient(2, 2) is euclidean_coefficient(2, 2)
+    for n, l in ((2.0, 2), (True, 2), (2, 2.0), (2, True)):
+        with pytest.raises(InvalidParameterError):
+            euclidean_coefficient(n, l)
 
 
 # -- inequality evaluators, hand instances
@@ -485,6 +495,27 @@ def test_sphere_overflow_is_a_numerical_error():
             next_bound_sphere(Spectrum(values=(1e80,), n=n, l=2), 1)
 
 
+def test_sphere_overflowed_pooled_sum_is_a_numerical_error():
+    # each weight is finite, but the pooled block's sum of g**2 * s_term
+    # overflows, which gave delta 0 and a ZeroDivisionError
+    spectrum = Spectrum(
+        values=(3.4673685045253094e61, 3.814105354977841e61, 4.5075790558829025e61), n=3, l=2
+    )
+    with pytest.raises(NumericalError, match="float range"):
+        next_bound_sphere(spectrum, 3)
+
+
+def test_sphere_infinite_pooled_delta_is_a_numerical_error(monkeypatch):
+    # a pooled block whose sum of b overflows gets delta inf (nan when its
+    # sum of a overflows too); neither may reach the shortfall
+    for weight in (math.inf, math.nan):
+        monkeypatch.setattr(
+            bounds, "_pool_adjacent_violators", lambda a, b, weight=weight: [weight] * len(a)
+        )
+        with pytest.raises(NumericalError, match="float range"):
+            next_bound_sphere(Spectrum(values=(9.0, 16.0), n=3, l=3), 2)
+
+
 def test_chain_bounds_known_prefix():
     chain = chain_bounds(1.0, 4, 2, 2, "cor11")
     assert chain[0] == 1.0
@@ -681,11 +712,26 @@ FROZEN_SHARP_CHAIN = [
 ]
 
 
+# Where the walk from the top probe passes many probes before its bracket:
+# sphere bounds after the Weyl-like prefix 20 i**(2 (l-1) / n), i = 1..40,
+# and step 39 of the sharp chain from 12.5 at n=2, l=3.
+FROZEN_WEYL_SPHERE = {
+    (2, 2): 168118.9753796063,
+    (3, 3): 42930.19664684257,
+    (4, 4): 47639.41948306562,
+}
+FROZEN_LONG_CHAIN_STEP = 1076277.1399452365
+
+
 def test_solver_outputs_are_frozen():
     for (solver, n, l), expected in FROZEN_NEXT.items():
         spectrum = Spectrum(values=FROZEN_PREFIX, n=n, l=l)
         assert tuple(solver(spectrum, k) for k in (1, 10, 40)) == expected, (solver, n, l)
     assert chain_bounds(12.5, 12, 3, 3, "sharp") == FROZEN_SHARP_CHAIN
+    for (n, l), expected in FROZEN_WEYL_SPHERE.items():
+        weyl = tuple(20.0 * i ** (2.0 * (l - 1) / n) for i in range(1, 41))
+        assert next_bound_sphere(Spectrum(values=weyl, n=n, l=l), 40) == expected, (n, l)
+    assert chain_bounds(12.5, 40, 2, 3, "sharp")[39] == FROZEN_LONG_CHAIN_STEP
 
 
 # -- order-2 comparison forms

@@ -265,6 +265,19 @@ def test_bound_next_far_out_of_range(capsys, tmp_path):
         assert err.startswith(err_prefix) and err.count("\n") == (code != 0)
 
 
+def test_bound_next_sphere_overflowed_pooled_sum(capsys, tmp_path):
+    # the pooled weight sum overflows although every weight is finite
+    path = tmp_path / "pooled.csv"
+    path.write_text(
+        "# n=3 l=2\n3.4673685045253094e+61\n3.814105354977841e+61\n4.5075790558829025e+61\n",
+        encoding="ascii",
+    )
+    argv = ["bound", "next", "--method", "sphere", "--spectrum", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
 def test_bound_next_bracket_failure_is_numerical(capsys, spectra, monkeypatch):
     def no_bracket(spectrum, k):
         raise BracketError("no sign change")

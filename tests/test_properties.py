@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from buckbounds import (
     optimize_delta,
     parse_spectrum,
 )
-from buckbounds.bounds import _sphere_cap
+from buckbounds.bounds import _largest_root, _sphere_cap
+from buckbounds.errors import BracketError
 
 import oracles
 
 EDGES = st.lists(st.floats(min_value=0.3, max_value=3.0), min_size=1, max_size=2).map(tuple)
 WEIGHT = st.floats(min_value=1e-6, max_value=1e6)
+LEVEL = st.sampled_from([-1.0, 0.0, 1.0, math.nan])
 PREFIX = st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1, max_size=40).map(sorted)
 
 
@@ -176,3 +179,43 @@ def test_sphere_cap_bounds_the_constant_delta_form(values, data, beyond):
         g * c for g, c in zip(gaps, light)
     )
     assert relaxed <= squares * squares * (1.0 + 1e-9)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    start=st.floats(min_value=1e-3, max_value=1e3),
+    span=st.floats(min_value=-1.0, max_value=10.0),
+    cuts=st.lists(st.floats(min_value=0.0, max_value=11.0), max_size=6),
+    levels=st.lists(LEVEL, min_size=7, max_size=7),
+)
+# a window that opens just above start and closes before the first probe
+@example(start=1.0, span=3.0, cuts=[1e-7, 1e-4], levels=[1.0, -1.0] + [1.0] * 5)
+@example(start=1.0, span=3.0, cuts=[1e-4], levels=[0.0] + [1.0] * 6)
+# several sign changes, nan probes between them, and none at all
+@example(start=2.0, span=6.0, cuts=[1.0, 2.0, 3.0, 4.0], levels=[-1.0, 1.0, 0.0, 1.0, math.nan] + [1.0] * 2)
+@example(start=2.0, span=6.0, cuts=[], levels=[1.0] * 7)
+def test_largest_root_walk_matches_the_full_scan(start, span, cuts, levels):
+    # the walk down from the top probe meets the last sign change first, so
+    # it bisects the bracket the full upward scan keeps and evaluates no
+    # probe below it
+    breaks = sorted(start * 2.0**c for c in cuts)
+
+    def step_function(x):
+        return levels[bisect_right(breaks, x)]
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return step_function(x)
+
+    limit = start * 2.0**span
+    root, probes, bracket, bisections = oracles.full_scan_root(step_function, start, limit)
+    if root is None:
+        with pytest.raises(BracketError):
+            _largest_root(counted, start, limit)
+        assert len(calls) == len(probes)
+        return
+    assert _largest_root(counted, start, limit) == root
+    assert min(calls) == bracket[0]
+    assert len(calls) == sum(p >= bracket[0] for p in probes) + bisections
