@@ -7,6 +7,22 @@ turn an inequality into the largest admissible candidate.  Weight sequences
 delta must be positive and non-increasing; ``optimize_delta`` produces the
 minimizing one by pool-adjacent-violators.
 
+The Euclidean inequalities (thm11, its square-root form eq112 and the
+quadratic corollary cor11) are homogeneous of degree 2 in the eigenvalues,
+so their evaluators and solvers work in power-of-two units.  The shift
+2 (l-1) w is chosen to bring the candidate, or eigenvalue k for a solver,
+near 1.  The prefix, the candidate and the gaps g then carry 2**shift, the
+heavy powers h = lam**((l-2)/(l-1)) carry 4**((l-2) w), the light powers
+c = lam**(1/(l-1)) carry 4**w, and delta carries 4**(-(l-2) w); the powers
+are taken of the raw eigenvalues and scaled by ``ldexp``.  Every term of
+every side (g**2, g lam, delta g**2 h, g c / delta) then carries exactly
+4**shift, and so does eq112's sqrt(sum g**2 h) sqrt(sum g c), whose factors
+carry even powers of two.  A power of two is exact, so every result keeps
+the bits of the raw evaluation wherever that stays in the float range, and
+far from 1 in scale nothing overflows in units: a report is decided in
+units and scaled back by 4**-shift, a side past the float range becoming
++-inf, and the minimizing delta is scaled back by 4**((l-2) w).
+
 The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
 to just past a limit that their own inequality puts on every feasible
 candidate, walk it down from the top probe to the first sign change met,
@@ -73,8 +89,9 @@ def euclidean_coefficient(n, l):
 
 @lru_cache
 def _coefficient(n, l):
-    # euclidean_coefficient for validated integers, built once per (n, l):
-    # a sharp solve asks for it three times.
+    # euclidean_coefficient for validated integers, built once per (n, l).
+    # Every Euclidean evaluation and solve reads it, a sharp solve three
+    # times (its powers, its first limit and the cor11 cap).
     value = Fraction(6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n, 3)
     if value <= 0:
         raise InternalConsistencyError(f"coefficient {value} at n={n}, l={l} is not positive")
@@ -212,18 +229,31 @@ class BoundReport:
         return asdict(self)
 
 
-def _report(method, k, lhs, rhs):
+def _report(method, k, lhs, rhs, shift=0):
+    # lhs and rhs come multiplied by 4**shift (module docstring).  The rule
+    # residual <= 1e-9 * max(1, |lhs|, |rhs|) holds when the residual is
+    # within 1e-9 of the larger side, which is decided in units, or within
+    # the absolute floor 1e-9, which is decided on the residual scaled back.
     residual = lhs - rhs
-    tolerance = RESIDUAL_TOLERANCE * max(1.0, abs(lhs), abs(rhs))
+    relative = RESIDUAL_TOLERANCE * max(abs(lhs), abs(rhs))
+    raw_residual = _ldexp(residual, -2 * shift)
     return BoundReport(
         method=method,
         k=k,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=tolerance,
-        satisfied=residual <= tolerance,
+        lhs=_ldexp(lhs, -2 * shift),
+        rhs=_ldexp(rhs, -2 * shift),
+        residual=raw_residual,
+        tolerance=max(RESIDUAL_TOLERANCE, _ldexp(relative, -2 * shift)),
+        satisfied=residual <= relative or raw_residual <= RESIDUAL_TOLERANCE,
     )
+
+
+def _ldexp(x, exp):
+    # x * 2**exp, or +-inf past the float range where math.ldexp raises.
+    try:
+        return math.ldexp(x, exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _as_delta(delta, k):
@@ -252,23 +282,36 @@ def _check_candidate(spectrum, k, candidate):
     return candidate
 
 
-def _euclidean_prefix(spectrum, k):
-    # The first k eigenvalues, the coefficient as a float, and the powers
-    # lam**((l-2)/(l-1)) and lam**(1/(l-1)) of each eigenvalue.
+def _euclidean_units(spectrum, k, candidate=None):
+    # The Euclidean units (module docstring): shift = 2 (l-1) w brings the
+    # candidate, which is validated, or eigenvalue k without one near 1; then
+    # the first k eigenvalues and the candidate's gaps to them (None without
+    # one), each times 2**shift.
     l = spectrum.l
-    values = spectrum.values[:k]
-    e_heavy = (l - 2) / (l - 1)
-    e_light = 1 / (l - 1)
-    heavy = [v**e_heavy for v in values]
-    light = [v**e_light for v in values]
-    return values, float(euclidean_coefficient(spectrum.n, l)), heavy, light
+    top = spectrum.values[k - 1] if candidate is None else _check_candidate(spectrum, k, candidate)
+    shift = -2 * (l - 1) * round(math.frexp(top)[1] / (2 * (l - 1)))
+    scaled = [math.ldexp(v, shift) for v in spectrum.values[:k]]
+    x = math.ldexp(top, shift)
+    return shift, scaled, None if candidate is None else [x - v for v in scaled]
+
+
+def _euclidean_powers(spectrum, k, candidate):
+    # _euclidean_units, then tilt = 2 (l-2) w, the coefficient as a float,
+    # and the heavy powers lam**((l-2)/(l-1)) * 2**tilt and light powers
+    # lam**(1/(l-1)) * 4**w of the first k eigenvalues, each taken of the raw
+    # eigenvalue.  delta carries 2**-tilt in these units.
+    shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
+    l = spectrum.l
+    tilt = (l - 2) * shift // (l - 1)
+    heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), tilt) for v in spectrum.values[:k]]
+    light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in spectrum.values[:k]]
+    return shift, tilt, scaled, gaps, float(euclidean_coefficient(spectrum.n, l)), heavy, light
 
 
 def _quadratic_constant(spectrum):
     # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
-    # of the powers that _euclidean_prefix computes.
-    n = spectrum.n
-    return 4.0 * float(euclidean_coefficient(n, spectrum.l)) / (n * n)
+    # of the powers that _euclidean_powers computes.
+    return 4.0 * float(euclidean_coefficient(spectrum.n, spectrum.l)) / spectrum.n**2
 
 
 def _sqrt_form_sums(gaps, heavy, light):
@@ -276,6 +319,13 @@ def _sqrt_form_sums(gaps, heavy, light):
     # sum g * light, each gap squared once.
     squares = [g * g for g in gaps]
     return math.fsum(squares), math.fsum(map(mul, squares, heavy)), math.fsum(map(mul, gaps, light))
+
+
+def _sqrt_form_sides(n, coeff, gaps, heavy, light):
+    # eval_eq112's lhs n sum g**2 and rhs 2 sqrt(coeff) sqrt(sum g**2 heavy)
+    # sqrt(sum g light).
+    squares, t_heavy, t_light = _sqrt_form_sums(gaps, heavy, light)
+    return n * squares, 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
 
 
 def _sphere_prefix(spectrum, k):
@@ -305,15 +355,18 @@ def eval_thm11(spectrum, k, candidate, delta):
     coefficient from ``euclidean_coefficient`` times lam**((l-2)/(l-1)) and
     each plain gap to lam**(1/(l-1)) / delta.
     """
-    candidate = _check_candidate(spectrum, k, candidate)
-    delta = _as_delta(delta, k)
-    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
-    gaps = [candidate - v for v in values]
+    shift, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
+    delta = [_ldexp(d, -tilt) for d in _as_delta(delta, k)]
     lhs = spectrum.n * math.fsum(g * g for g in gaps)
-    rhs = math.fsum(
-        d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)
-    ) + math.fsum(g / d * c for d, g, c in zip(delta, gaps, light))
-    return _report("thm11", k, lhs, rhs)
+    try:
+        rhs = math.fsum(
+            d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)
+        ) + math.fsum(g / d * c for d, g, c in zip(delta, gaps, light))
+    except ZeroDivisionError:
+        # a delta that underflows to 0 in units makes its term g c / delta
+        # overflow there, as one that overflows does its other term
+        rhs = math.inf
+    return _report("thm11", k, lhs, rhs, shift)
 
 
 def eval_eq112(spectrum, k, candidate):
@@ -323,22 +376,16 @@ def eval_eq112(spectrum, k, candidate):
     residual here equals the weighted residual at the optimal constant
     delta.
     """
-    candidate = _check_candidate(spectrum, k, candidate)
-    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
-    squares, t_heavy, t_light = _sqrt_form_sums([candidate - v for v in values], heavy, light)
-    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
-    return _report("eq112", k, spectrum.n * squares, rhs)
+    shift, _, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
+    return _report("eq112", k, *_sqrt_form_sides(spectrum.n, coeff, gaps, heavy, light), shift)
 
 
 def eval_cor11(spectrum, k, candidate):
     """Score the quadratic corollary: sum of squared gaps vs C * sum(gap * lam)."""
-    candidate = _check_candidate(spectrum, k, candidate)
-    big_c = _quadratic_constant(spectrum)
-    values = spectrum.values[:k]
-    gaps = [candidate - v for v in values]
+    shift, values, gaps = _euclidean_units(spectrum, k, candidate)
     lhs = math.fsum(g * g for g in gaps)
-    rhs = big_c * math.fsum(g * v for g, v in zip(gaps, values))
-    return _report("cor11", k, lhs, rhs)
+    rhs = _quadratic_constant(spectrum) * math.fsum(g * v for g, v in zip(gaps, values))
+    return _report("cor11", k, lhs, rhs, shift)
 
 
 def optimize_delta(a, b):
@@ -398,15 +445,13 @@ def thm11_optimal_delta(spectrum, k, candidate):
     indices are excluded from the optimization and inherit the last
     optimized value (1.0 when every gap vanishes).
     """
-    candidate = _check_candidate(spectrum, k, candidate)
-    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
-    gaps = [candidate - v for v in values]
+    _, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
     kept = sum(1 for g in gaps if g > 0.0)
     if kept == 0:
         return DeltaSequence((1.0,) * k)
     a = [g * g * coeff * h for g, h in zip(gaps[:kept], heavy)]
     b = [g * c for g, c in zip(gaps[:kept], light)]
-    head = list(optimize_delta(a, b))
+    head = [math.ldexp(d, tilt) for d in optimize_delta(a, b)]
     tail = [head[-1]] * (k - kept)
     return DeltaSequence(tuple(head + tail))
 
@@ -418,17 +463,13 @@ def next_bound_cor11(spectrum, k):
     k x**2 - (2 + C) S1 x + (1 + C) S2 <= 0 where S1, S2 are the power sums
     of the first k eigenvalues.  A negative discriminant or a largest root
     below eigenvalue k means the input is not a buckling spectrum prefix.
-    The quadratic is homogeneous, so it is solved for the prefix scaled by
-    the power of two that brings eigenvalue k near 1, where its squares stay
-    in the float range; the scaling is exact, and only a bound beyond the
-    float range raises ``NumericalError``.
+    It is solved in the Euclidean units, so only a bound beyond the float
+    range raises ``NumericalError``.
     """
     _check_k(spectrum, k)
     big_c = _quadratic_constant(spectrum)
     top = spectrum.values[k - 1]
-    shift = math.frexp(top)[1]
-    scale = math.ldexp(1.0, -shift)
-    values = [v * scale for v in spectrum.values[:k]]
+    shift, values, _ = _euclidean_units(spectrum, k)
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
     root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
@@ -438,10 +479,10 @@ def next_bound_cor11(spectrum, k):
         )
     if root < values[-1] * (1.0 - 1e-12):
         raise InfeasibleSpectrumError(
-            f"largest root {math.ldexp(root, shift)} lies below eigenvalue {k} = {top}"
+            f"largest root {math.ldexp(root, -shift)} lies below eigenvalue {k} = {top}"
         )
     try:
-        return math.ldexp(max(root, values[-1]), shift)
+        return math.ldexp(max(root, values[-1]), -shift)
     except OverflowError:
         raise NumericalError(
             f"the quadratic bound after eigenvalue {k} = {top} exceeds the float range"
@@ -507,31 +548,18 @@ def next_bound_sharp(spectrum, k):
     spectrum prefix and is rejected before probing.
     """
     _check_k(spectrum, k)
-    values, coeff, heavy, light = _euclidean_prefix(spectrum, k)
-    scale = 2.0 * math.sqrt(coeff) / spectrum.n
-    # The form is homogeneous of degree 2 in the prefix, so it is evaluated
-    # for the prefix and x times c = 4**((l-1) w), which brings eigenvalue k
-    # near 1 where the squared gaps stay in the float range.  Gaps scale by c,
-    # the heavy powers by 4**((l-2) w) and the light ones by 4**w; every
-    # exponent under a square root is even, so the shortfall scales by
-    # exactly c**2.
-    l = spectrum.l
-    w = -round(math.frexp(values[-1])[1] / (2 * (l - 1)))
-    shift = 2 * (l - 1) * w
-    scaled = [math.ldexp(v, shift) for v in values]
-    heavy = [math.ldexp(h, 2 * (l - 2) * w) for h in heavy]
-    light = [math.ldexp(c, 2 * w) for c in light]
-    # eval_eq112's test at eigenvalue k without its absolute floor, in units
-    # of c**2: a purely relative test gives the same verdict at every scale.
-    squares, t_heavy, t_light = _sqrt_form_sums([scaled[-1] - v for v in scaled], heavy, light)
-    lhs = spectrum.n * squares
-    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
+    values = spectrum.values[:k]
+    shift, _, scaled, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, values[-1])
+    # eval_eq112's test at eigenvalue k without its absolute floor: a purely
+    # relative test gives the same verdict at every scale.
+    lhs, rhs = _sqrt_form_sides(spectrum.n, coeff, gaps, heavy, light)
     size = max(abs(lhs), abs(rhs))
     if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
         raise InfeasibleSpectrumError(
             f"the square-root form fails at eigenvalue {k} = {values[-1]} "
             f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
         )
+    scale = 2.0 * math.sqrt(coeff) / spectrum.n
 
     def shortfall(x):
         x = math.ldexp(x, shift)
@@ -703,6 +731,7 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
+    _require_int(spectrum.n, "n", 2)
     candidate = _check_candidate(spectrum, k, candidate)
     delta_scalar = float(delta_scalar)
     if not math.isfinite(delta_scalar) or delta_scalar <= 0.0:

@@ -161,6 +161,27 @@ def test_eval_report_fields():
     assert keys == ["method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied"]
 
 
+def test_evaluators_decide_in_units_far_from_one():
+    # the raw squared gaps of (1e200, 2e200) overflow, which made every
+    # residual nan and every verdict False; in units the rhs wins, and the
+    # residual past the float range is -inf
+    spectrum = Spectrum(values=(1e200, 2e200), n=2, l=2)
+    reports = (
+        eval_thm11(spectrum, 2, 2e200, (1.0, 1.0)),
+        eval_eq112(spectrum, 2, 2e200),
+        eval_cor11(spectrum, 2, 2e200),
+    )
+    for report in reports:
+        assert report.satisfied, report.method
+        assert (report.lhs, report.residual) == (math.inf, -math.inf), report.method
+    assert all(math.isfinite(d) for d in thm11_optimal_delta(spectrum, 2, 2e200))
+    # a delta that leaves the float range in units overflows one rhs term
+    tiny = Spectrum(values=(1e-301, 2e-301), n=3, l=6)
+    assert eval_thm11(tiny, 2, 3e-301, (1e-90, 1e-90)).satisfied
+    huge = Spectrum(values=(1e300, 1.5e300), n=3, l=6)
+    assert eval_thm11(huge, 2, 2e300, (1e300, 1e300)).satisfied
+
+
 def test_candidate_must_dominate_kth_eigenvalue():
     spectrum = Spectrum(values=(1.0, 2.0), n=2, l=2)
     with pytest.raises(InvalidParameterError):
@@ -364,6 +385,16 @@ def test_cor11_is_exact_at_any_float_scale():
     assert tiny == pytest.approx(expected, rel=1e-14)
     with pytest.raises(NumericalError):
         next_bound_cor11(Spectrum(values=(1e308,), n=2, l=2), 1)
+
+
+def test_solvers_bound_subnormal_prefixes():
+    # the old cor11 scale ldexp(1.0, -frexp(lambda_k)[1]) overflowed for a
+    # subnormal eigenvalue k, and both solvers raised OverflowError
+    for values, n, l in (((5e-324,), 2, 2), ((1e-310, 2e-310), 3, 3)):
+        spectrum = Spectrum(values=values, n=n, l=l)
+        for solver in (next_bound_cor11, next_bound_sharp):
+            bound = solver(spectrum, len(values))
+            assert math.isfinite(bound) and bound >= values[-1], (solver, values)
 
 
 def test_sharp_first_bound_matches_closed_form():
@@ -803,6 +834,13 @@ def test_evaluators_match_literal_formulas_bit_for_bit():
         assert (eq112.lhs, eq112.rhs) == oracles.eq112_sides(lams, n, l, k, candidate)
         thm12 = eval_thm12(spectrum, k, candidate, delta)
         assert (thm12.lhs, thm12.rhs) == oracles.thm12_sides(lams, n, l, k, candidate, delta)
+
+
+def test_l2_priors_require_n_at_least_two():
+    # at n = 1 the prior19 weight divides by d v + n - 2, which is 0 at v = 1
+    spectrum = Spectrum(values=(1.0, 2.0), n=1, l=2)
+    with pytest.raises(InvalidParameterError, match="n must be >= 2"):
+        eval_l2_priors(spectrum, 2, 3.0)
 
 
 def test_l2_priors_require_order_two():

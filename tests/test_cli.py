@@ -325,6 +325,10 @@ def test_bound_chain_output(capsys):
     argv[3] = "1e160"
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, "1e+160\n4.333333333333e+160\n9.888888888889e+160\n")
+    # a subnormal start used to end in an OverflowError traceback
+    argv[3] = "5e-324"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, "4.940656458412e-324\n1.976262583365e-323\n4.446590812571e-323\n", "")
 
 
 def test_bound_chain_rejects_bad_n_and_l(capsys):
@@ -409,6 +413,19 @@ def test_compare_l2_requires_order_two(capsys, spectra):
     argv = ["compare-l2", "--spectrum", spectra["sphere"], "--candidate", "20.0"]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_compare_l2_rejects_n_one_like_bound_next(capsys, tmp_path):
+    # compare-l2 used to end in a ZeroDivisionError traceback here
+    path = tmp_path / "line.csv"
+    path.write_text("# n=1 l=2\n1.0\n2.0\n", encoding="ascii")
+    for argv in (
+        ["compare-l2", "--spectrum", str(path), "--candidate", "3"],
+        ["bound", "next", "--method", "cor11", "--spectrum", str(path)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: usage: n must be >= 2") and err.count("\n") == 1
 
 
 def test_compare_l2_non_ascii_file(capsys, tmp_path):

@@ -3,18 +3,22 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from buckbounds import (
     Domain,
     Spectrum,
     assemble_forms,
+    eval_cor11,
+    eval_eq112,
+    eval_thm11,
     format_spectrum_csv,
     next_bound_cor11,
     next_bound_sharp,
     optimize_delta,
     parse_spectrum,
+    thm11_optimal_delta,
 )
 from buckbounds.bounds import _largest_root, _sphere_cap
 from buckbounds.errors import BracketError
@@ -113,6 +117,72 @@ def test_cor11_bound_is_bitwise_scale_covariant(n, l, first, steps, s):
     c = 2.0**s
     scaled = next_bound_cor11(Spectrum(values=tuple(c * v for v in values), n=n, l=l), k)
     assert scaled == c * base
+
+
+
+def _times_power_of_two(x, e):
+    # x * 2**e, or +-inf where that leaves the float range
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    l=st.integers(2, 6),
+    values=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=1, max_size=8).map(sorted),
+    beyond=st.floats(min_value=0.1, max_value=2.0),
+    weights=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=8, max_size=8),
+    t=st.integers(0, 300),
+)
+@example(n=2, l=2, values=[1.0, 2.0], beyond=1.0, weights=[1.0] * 8, t=300)
+@example(n=3, l=4, values=[2.0, 3.0, 5.0], beyond=0.5, weights=[2.0] * 8, t=300)
+def test_euclidean_evaluators_are_scale_covariant(n, l, values, beyond, weights, t):
+    # thm11, eq112 and cor11 are homogeneous of degree 2: scaling the prefix
+    # and the candidate by c = 4**((l-1) t) and delta by 4**(-(l-2) t) scales
+    # every report field by c**2 (to +-inf where that overflows), keeps the
+    # verdict, and scales the optimal delta by 4**(-(l-2) t).  t is capped
+    # where c times the candidate would overflow.
+    k = len(values)
+    candidate = values[-1] * (1.0 + beyond)
+    t = min(t, (1020 - math.frexp(candidate)[1]) // (2 * (l - 1)))
+    up = 2 * (l - 1) * t
+    delta = sorted(weights[:k], reverse=True)
+    spectrum = Spectrum(values=tuple(values), n=n, l=l)
+    scaled = Spectrum(values=tuple(math.ldexp(v, up) for v in values), n=n, l=l)
+    scaled_candidate = math.ldexp(candidate, up)
+    scaled_delta = [math.ldexp(d, -2 * (l - 2) * t) for d in delta]
+    pairs = [
+        (eval_thm11(spectrum, k, candidate, delta), eval_thm11(scaled, k, scaled_candidate, scaled_delta)),
+        (eval_eq112(spectrum, k, candidate), eval_eq112(scaled, k, scaled_candidate)),
+        (eval_cor11(spectrum, k, candidate), eval_cor11(scaled, k, scaled_candidate)),
+    ]
+    assume(all(min(abs(base.lhs), abs(base.rhs)) >= 1.0 for base, _ in pairs))
+    for base, report in pairs:
+        assert report.satisfied == base.satisfied, report.method
+        assert report.lhs == _times_power_of_two(base.lhs, 2 * up)
+        # The powers lam**((l-2)/(l-1)) and lam**(1/(l-1)) are taken of the
+        # raw eigenvalues, and pow with an inexact exponent is not exactly
+        # covariant; at l = 2 they are 1 and lam, and cor11 has none.
+        exact = l == 2 or report.method == "cor11"
+        size = max(abs(base.lhs), abs(base.rhs))
+        for name in ("rhs", "residual", "tolerance"):
+            got = getattr(report, name)
+            expected = _times_power_of_two(getattr(base, name), 2 * up)
+            if exact or math.isinf(expected):
+                assert got == expected, (report.method, name)
+            else:
+                scale = _times_power_of_two(size, 2 * up)
+                assert abs(got - expected) <= 1e-12 * scale, (report.method, name)
+    base_delta = thm11_optimal_delta(spectrum, k, candidate).values
+    scaled_delta = thm11_optimal_delta(scaled, k, scaled_candidate).values
+    expected = [math.ldexp(d, -2 * (l - 2) * t) for d in base_delta]
+    if l == 2:
+        assert scaled_delta == tuple(expected)
+    else:
+        assert scaled_delta == pytest.approx(expected, rel=1e-12)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
