@@ -44,6 +44,33 @@ constant-delta value 2 sqrt(sum g**2 s sum g c), so every spherical candidate
 has sum g**2 <= sum g u: u = s c by the same pairing when the s_terms are
 nondecreasing along the prefix, u = max(s) c otherwise.  Its limit is the
 largest root of that quadratic.
+
+The sharp solver decides each probe and bisection sign in O(1) and proves
+it equal to the sign of the fsum loop, which stays as the referee.  In the
+units, with d = lam_k - lam >= 0 and y = x - lam_k >= 0,
+
+    sum g**2 = k y**2 + 2 y D1 + D2,  sum g**2 h = H0 y**2 + 2 y HD1 + HD2,
+    sum g c = C0 y + CD1,
+
+where D1 = sum d, D2 = sum d**2, H0 = sum h, HD1 = sum h d, HD2 = sum h d**2,
+C0 = sum c and CD1 = sum c d are fsums taken once per solve.  Every term is
+nonnegative, so nothing cancels.  With u = 2**-53, gamma_j = j u / (1 - j u),
+and every operation, sqrt and fsum rounding once, count the roundings of y,
+d, each product and each sum: the computed S = sum g**2, sum g**2 h and
+sum g c carry relative errors below gamma_6, gamma_7 and gamma_4 (the loop's
+below gamma_4, gamma_5 and gamma_3), and R = scale sqrt(sum g**2 h)
+sqrt(sum g c) below gamma_11 (the loop's below gamma_9).  So both the fast
+value S - R and the loop's value lie within gamma_12 (S* + R*) of the exact
+shortfall S* - R* with the same float h, c and scale, one unit of gamma_12
+covering underflow (below).  The fast value f is returned when |f| > 2**-48 (S + R),
+and 2**-48 = 32 u exceeds 2 gamma_12 / ((1 - u) (1 - gamma_12)), so then
+|S* - R*| > gamma_12 (S* + R*) and the loop has the same sign, which is all
+``_largest_root`` reads: every bound stays bit-identical.  Otherwise the
+loop runs.  It also runs where S + R + sum g**2 h + sum g c exceeds 2**1000,
+which keeps every loop sum finite, and where a sum falls below the floor
+2**-1018 k (2 + max h) (1 + y): a product that underflows errs by at most
+2**-1075, later factors scale that by less than 2 k (2 + max h + y) per sum,
+and above the floor the total stays below u / 8 of the sum.
 """
 
 from __future__ import annotations
@@ -71,6 +98,11 @@ from .polyrec import _require_int, s_term
 RESIDUAL_TOLERANCE = 1e-9
 PROBES_PER_DOUBLING = 16
 BISECT_RELATIVE = 1e-13
+# The sharp solver's sign certificate (module docstring): a fast shortfall
+# decides its sign when it exceeds this share of its two sides' sum and its
+# sums stay below the cap.
+_SHARP_MARGIN = 2.0**-48
+_SHARP_SIZE_CAP = 2.0**1000
 
 _PROVENANCES = ("computed", "synthetic", "file")
 _HEADER_RE = re.compile(r"^#\s*n=(\d+)\s+l=(\d+)\s*$")
@@ -310,8 +342,16 @@ def _euclidean_powers(spectrum, k, candidate):
 
 def _quadratic_constant(spectrum):
     # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
-    # of the powers that _euclidean_powers computes.
-    return 4.0 * float(euclidean_coefficient(spectrum.n, spectrum.l)) / spectrum.n**2
+    # of the powers that _euclidean_powers computes; validated like
+    # euclidean_coefficient on every call, built once per (n, l).
+    _require_int(spectrum.n, "n", 2)
+    _require_int(spectrum.l, "l", 2)
+    return _quadratic_constant_of(spectrum.n, spectrum.l)
+
+
+@lru_cache
+def _quadratic_constant_of(n, l):
+    return 4.0 * float(_coefficient(n, l)) / n**2
 
 
 def _sqrt_form_sums(gaps, heavy, light):
@@ -467,9 +507,13 @@ def next_bound_cor11(spectrum, k):
     range raises ``NumericalError``.
     """
     _check_k(spectrum, k)
-    big_c = _quadratic_constant(spectrum)
-    top = spectrum.values[k - 1]
     shift, values, _ = _euclidean_units(spectrum, k)
+    return _cor11_root(k, _quadratic_constant(spectrum), shift, values, spectrum.values[k - 1])
+
+
+def _cor11_root(k, big_c, shift, values, top):
+    # next_bound_cor11 from the quadratic constant C, the first k eigenvalues
+    # in the Euclidean units of eigenvalue k, and eigenvalue k = top itself.
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
     root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
@@ -560,9 +604,31 @@ def next_bound_sharp(spectrum, k):
             f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
         )
     scale = 2.0 * math.sqrt(coeff) / spectrum.n
+    # The gaps at eigenvalue k are d = lambda_k - lambda >= 0, and these are
+    # the centered power sums of the sign certificate (module docstring).
+    last = scaled[-1]
+    d2, hd2, cd1 = _sqrt_form_sums(gaps, heavy, light)
+    d1, h0, c0 = math.fsum(gaps), math.fsum(heavy), math.fsum(light)
+    hd1 = math.fsum(map(mul, heavy, gaps))
+    floor = math.ldexp(k * (2.0 + max(heavy)), -1018)
 
     def shortfall(x):
         x = math.ldexp(x, shift)
+        y = x - last
+        yy = y * y
+        squares = k * yy + 2.0 * y * d1 + d2
+        t_heavy = yy * h0 + 2.0 * y * hd1 + hd2
+        t_light = c0 * y + cd1
+        sharp = scale * math.sqrt(t_heavy) * math.sqrt(t_light)
+        value = squares - sharp
+        total = squares + sharp
+        if (
+            abs(value) > _SHARP_MARGIN * total
+            and total + t_heavy + t_light <= _SHARP_SIZE_CAP
+            and min(squares, t_heavy, t_light) >= floor * (1.0 + y)
+        ):
+            return value
+        # no certified sign: the fsum loop decides
         squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in scaled], heavy, light)
         return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
@@ -571,9 +637,10 @@ def next_bound_sharp(spectrum, k):
     # pairing (module docstring) so does the largest root of cor11, which is
     # tighter; cor11 can still reject a prefix whose check above passed by
     # roundoff, and then the first cap stands.
-    limit = math.fsum(values) / k + _quadratic_constant(spectrum) * values[-1]
+    big_c = _quadratic_constant(spectrum)
+    limit = math.fsum(values) / k + big_c * values[-1]
     try:
-        limit = min(limit, next_bound_cor11(spectrum, k))
+        limit = min(limit, _cor11_root(k, big_c, shift, scaled, values[-1]))
     except (InfeasibleSpectrumError, NumericalError):
         pass
     return _largest_root(shortfall, values[-1], limit)

@@ -422,6 +422,88 @@ def sphere_bound_oracle(lams, n, l, k):
     return scan_bisect_root(excess, lams[k - 1])
 
 
+class InfeasibleSpectrumError(Exception):
+    """The referee's rejection of a prefix, named like the package's error."""
+
+
+class BracketError(Exception):
+    """The referee found no sign change, named like the package's error."""
+
+
+def _sharp_units(lams, l):
+    # The package's Euclidean units of the last eigenvalue: the shift
+    # 2 (l-1) w that brings it near 1, the prefix times 2**shift, and the
+    # powers of the raw eigenvalues times 4**((l-2) w) and 4**w.
+    shift = -2 * (l - 1) * round(math.frexp(lams[-1])[1] / (2 * (l - 1)))
+    scaled = [math.ldexp(v, shift) for v in lams]
+    heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), (l - 2) * shift // (l - 1)) for v in lams]
+    light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in lams]
+    return shift, scaled, heavy, light
+
+
+def _sharp_sums(lams, l):
+    # x -> (sum g**2, sum g**2 h, sum g c) in those units, one fsum loop each.
+    shift, scaled, heavy, light = _sharp_units(lams, l)
+
+    def sums(x):
+        gaps = [math.ldexp(x, shift) - v for v in scaled]
+        squares = [g * g for g in gaps]
+        return (
+            math.fsum(squares),
+            math.fsum(q * h for q, h in zip(squares, heavy)),
+            math.fsum(g * c for g, c in zip(gaps, light)),
+        )
+
+    return sums
+
+
+def sharp_shortfall_by_loop(lams, n, l):
+    """x -> sum g**2 - 2 sqrt(coeff) / n sqrt(sum g**2 h) sqrt(sum g c) by the loop."""
+    sums = _sharp_sums(lams, l)
+    scale = 2.0 * math.sqrt(_euclidean_coefficient(n, l)) / n
+
+    def shortfall(x):
+        squares, heavy, light = sums(x)
+        return squares - scale * math.sqrt(heavy) * math.sqrt(light)
+
+    return shortfall
+
+
+def sharp_bound_by_loop(lams, n, l):
+    """The square-root bound after the whole prefix, every shortfall an fsum loop.
+
+    It follows the package's sharp solver step by step, in the same units
+    and the same operation order, so it must agree bit for bit: the purely
+    relative check at the last eigenvalue, the cap that is the smaller of
+    mean + C lam_k and the cor11 root (C = 4 coeff / n**2), and the forward
+    scan of ``full_scan_root``.  It raises the two error classes above.
+    """
+    k = len(lams)
+    coeff = _euclidean_coefficient(n, l)
+    squares, heavy, light = _sharp_sums(lams, l)(lams[-1])
+    lhs = n * squares
+    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(heavy) * math.sqrt(light)
+    if not lhs - rhs <= 1e-9 * max(abs(lhs), abs(rhs)):
+        raise InfeasibleSpectrumError(f"the square-root form fails at {lams[-1]}")
+    big_c = 4.0 * coeff / n**2
+    limit = math.fsum(lams) / k + big_c * lams[-1]
+    shift, scaled, _, _ = _sharp_units(lams, l)
+    linear = (2.0 + big_c) * math.fsum(scaled)
+    constant = (1.0 + big_c) * math.fsum(v * v for v in scaled)
+    disc = linear * linear - 4.0 * k * constant
+    if disc >= 0.0:
+        root = (linear + math.sqrt(disc)) / (2.0 * k)
+        if root >= scaled[-1] * (1.0 - 1e-12):
+            try:
+                limit = min(limit, math.ldexp(max(root, scaled[-1]), -shift))
+            except OverflowError:
+                pass
+    root, _, _, _ = full_scan_root(sharp_shortfall_by_loop(lams, n, l), lams[-1], limit)
+    if root is None:
+        raise BracketError(f"no sign change above {lams[-1]}")
+    return root
+
+
 def interval_order2_eigenvalue(index):
     """1D clamped buckling eigenvalues from the frequency equation.
 

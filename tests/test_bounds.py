@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from buckbounds import (
     DeltaSequence,
@@ -763,6 +765,152 @@ def test_solver_outputs_are_frozen():
         weyl = tuple(20.0 * i ** (2.0 * (l - 1) / n) for i in range(1, 41))
         assert next_bound_sphere(Spectrum(values=weyl, n=n, l=l), 40) == expected, (n, l)
     assert chain_bounds(12.5, 40, 2, 3, "sharp")[39] == FROZEN_LONG_CHAIN_STEP
+
+
+# The sharp solver decides most shortfall signs from centered power sums
+# and falls back to the fsum loop of _sqrt_form_sums where its certificate
+# fails; the referee oracle runs the loop everywhere.
+PREFIXES = st.lists(
+    st.one_of(st.floats(1.0, 64.0), st.sampled_from((1.0, 2.0, 8.0))), min_size=1, max_size=40
+)
+
+
+def _sharp_or_error(solve):
+    try:
+        return solve()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _scaled_prefix(values, t):
+    return tuple(sorted(math.ldexp(v, t) for v in values))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(2, 8), l=st.integers(2, 6), values=PREFIXES, t=st.integers(-600, 600))
+@example(n=2, l=2, values=FROZEN_PREFIX[:1], t=0)
+@example(n=3, l=3, values=FROZEN_PREFIX[:10], t=0)
+@example(n=4, l=4, values=FROZEN_PREFIX, t=0)
+@example(n=2, l=2, values=FROZEN_PREFIX, t=600)
+@example(n=5, l=6, values=FROZEN_PREFIX[:20], t=-600)
+@example(n=2, l=2, values=(1e-200, 2e-200), t=0)
+@example(n=2, l=2, values=(5e-324,), t=0)
+@example(n=3, l=3, values=(1e-310, 2e-310), t=0)
+@example(n=3, l=2, values=(2.0, 2.0, 2.0), t=0)
+def test_sharp_bound_matches_the_loop_referee(n, l, values, t):
+    values = _scaled_prefix(values, t)
+    spectrum = Spectrum(values=values, n=n, l=l)
+    ours = _sharp_or_error(lambda: next_bound_sharp(spectrum, spectrum.k))
+    assert ours == _sharp_or_error(lambda: oracles.sharp_bound_by_loop(values, n, l))
+
+
+def _sharp_shortfall(spectrum):
+    # The shortfall next_bound_sharp hands to _largest_root (None when it
+    # rejects the prefix first) and its bound (None when it raises).
+    captured = []
+    walk = bounds._largest_root
+
+    def capture(f, start, limit):
+        captured.append(f)
+        return walk(f, start, limit)
+
+    bounds._largest_root = capture
+    try:
+        root = next_bound_sharp(spectrum, spectrum.k)
+    except (InfeasibleSpectrumError, BracketError):
+        root = None
+    finally:
+        bounds._largest_root = walk
+    return (captured[0] if captured else None), root
+
+
+def _shortfall_and_path(shortfall, x):
+    # shortfall(x), and whether it came without the fsum loop
+    calls = []
+    sums = bounds._sqrt_form_sums
+
+    def loop(*args):
+        calls.append(args)
+        return sums(*args)
+
+    bounds._sqrt_form_sums = loop
+    try:
+        return shortfall(x), not calls
+    finally:
+        bounds._sqrt_form_sums = sums
+
+
+def _sign(value):
+    return (value > 0.0) - (value < 0.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    l=st.integers(2, 6),
+    values=PREFIXES,
+    t=st.integers(-600, 600),
+    spans=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+    nears=st.lists(st.tuples(st.floats(9.0, 15.0), st.booleans()), min_size=1, max_size=16),
+    ulps=st.lists(st.integers(-16, 16), min_size=1, max_size=16),
+)
+@example(n=3, l=3, values=FROZEN_PREFIX, t=0, spans=[0.0, 0.5], nears=[(15.0, True)], ulps=[0, 1])
+def test_sharp_fast_signs_match_the_loop(n, l, values, t, spans, nears, ulps):
+    # Random candidates at or above eigenvalue k, and candidates within
+    # 1e-15 to 1e-9 relative of the bound or a few ulps from it, where the
+    # certificate is tested hardest: every sign decided without the loop is
+    # the loop's sign, and every other value is the loop's value.
+    values = _scaled_prefix(values, t)
+    shortfall, root = _sharp_shortfall(Spectrum(values=values, n=n, l=l))
+    if shortfall is None:
+        return
+    xs = [values[-1] * 2.0**s for s in spans]
+    if root is not None:
+        xs += [root * (1.0 + (1.0 if up else -1.0) * 10.0**-e) for e, up in nears]
+        xs += [root + j * math.ulp(root) for j in ulps]
+    loop = oracles.sharp_shortfall_by_loop(values, n, l)
+    for x in (x for x in xs if x >= values[-1]):
+        value, fast = _shortfall_and_path(shortfall, x)
+        if fast:
+            assert _sign(value) == _sign(loop(x)) != 0, (x, value, loop(x))
+        else:
+            assert value == loop(x), (x, value, loop(x))
+
+
+def test_sharp_solver_decides_most_signs_without_the_loop(monkeypatch):
+    # The frozen sharp solves run the fsum loop for at most a quarter of
+    # their shortfall evaluations, counting the two loop calls each solve
+    # makes for its check at eigenvalue k and its power sums.
+    calls = {"loop": 0, "shortfall": 0}
+    sums, walk = bounds._sqrt_form_sums, bounds._largest_root
+
+    def loop(*args):
+        calls["loop"] += 1
+        return sums(*args)
+
+    def counted_walk(f, start, limit):
+        def counted(x):
+            calls["shortfall"] += 1
+            return f(x)
+
+        return walk(counted, start, limit)
+
+    monkeypatch.setattr(bounds, "_sqrt_form_sums", loop)
+    monkeypatch.setattr(bounds, "_largest_root", counted_walk)
+    for (solver, n, l), expected in FROZEN_NEXT.items():
+        if solver is next_bound_sharp:
+            spectrum = Spectrum(values=FROZEN_PREFIX, n=n, l=l)
+            assert tuple(solver(spectrum, k) for k in (1, 10, 40)) == expected, (n, l)
+    assert calls["shortfall"] > 0
+    assert calls["loop"] <= calls["shortfall"] / 4, calls
+
+
+def test_quadratic_constant_is_built_once_and_validated_every_call():
+    spectrum = Spectrum(values=(1.0, 2.0), n=3, l=4)
+    assert bounds._quadratic_constant(spectrum) is bounds._quadratic_constant(spectrum)
+    assert bounds._quadratic_constant(spectrum) == 4.0 * float(euclidean_coefficient(3, 4)) / 9
+    with pytest.raises(InvalidParameterError):
+        bounds._quadratic_constant(Spectrum(values=(1.0,), n=1, l=2))
 
 
 # -- order-2 comparison forms
