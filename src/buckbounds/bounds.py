@@ -8,8 +8,9 @@ delta must be positive and non-increasing; ``optimize_delta`` produces the
 minimizing one by pool-adjacent-violators.
 
 The Euclidean inequalities (thm11, its square-root form eq112 and the
-quadratic corollary cor11) are homogeneous of degree 2 in the eigenvalues,
-so their evaluators and solvers work in power-of-two units.  The shift
+quadratic corollary cor11, whose form the order-2 priors prior16 and prior18
+share) are homogeneous of degree 2 in the eigenvalues, so their evaluators
+and solvers work in power-of-two units.  The shift
 2 (l-1) w is chosen to bring the candidate, or eigenvalue k for a solver,
 near 1.  The prefix, the candidate and the gaps g then carry 2**shift, the
 heavy powers h = lam**((l-2)/(l-1)) carry 4**((l-2) w), the light powers
@@ -29,21 +30,24 @@ candidate, walk it down from the top probe to the first sign change met,
 which is the last one on the grid, and bisect it; no probe below that sign
 change is evaluated.  ``BracketError`` means no sign change below the limit.
 
-The sharp limit is the largest root of cor11.  For x >= eigenvalue k the gaps
-g = x - lam are nonnegative and nonincreasing along the prefix, while
-h = lam**((l-2)/(l-1)) and c = lam**(1/(l-1)) are nondecreasing with h c = lam,
-so the Chebyshev pairing
+Both limits follow from one rule.  For x >= eigenvalue k write x = lam_k + y;
+the gaps are g = y + e with e = lam_k - lam >= 0.  If every feasible
+candidate has sum g**2 <= sum g u for some u >= 0, then
+sum g**2 >= (sum g)**2 / k gives y <= max(u) - mean(e), and y is at most the
+largest root of k y**2 - (sum u - 2 sum e) y + sum e (e - u) when that
+quadratic has a real root; ``_scan_limit`` returns lam_k plus the smaller.
+For the sharp form u = C lam with C = 4 coeff / n**2, which is cor11: the
+gaps are nonincreasing along the prefix, while h = lam**((l-2)/(l-1)) and
+c = lam**(1/(l-1)) are nondecreasing with h c = lam, so the Chebyshev pairing
 
     sum g**2 sum g lam - sum g**2 h sum g c
         = 1/2 sum_ij g_i g_j (h_j - h_i)(g_i c_j - g_j c_i) >= 0
 
 turns n sum g**2 <= 2 sqrt(coeff) sqrt(sum g**2 h) sqrt(sum g c) into
-n sum g**2 <= 2 sqrt(coeff) sqrt(sum g**2) sqrt(sum g lam), which is cor11.
-The spherical lhs weights are at least 2 and its optimized rhs is at most the
-constant-delta value 2 sqrt(sum g**2 s sum g c), so every spherical candidate
-has sum g**2 <= sum g u: u = s c by the same pairing when the s_terms are
-nondecreasing along the prefix, u = max(s) c otherwise.  Its limit is the
-largest root of that quadratic.
+n sum g**2 <= 2 sqrt(coeff) sqrt(sum g**2) sqrt(sum g lam).  The spherical
+lhs weights are at least 2 and its optimized rhs is at most the constant-delta
+value 2 sqrt(sum g**2 s sum g c), so u = s c by the same pairing when the
+s_terms are nondecreasing along the prefix, u = max(s) c otherwise.
 
 The sharp solver decides each probe and bisection sign in O(1) and proves
 it equal to the sign of the fsum loop, which stays as the referee.  In the
@@ -122,8 +126,7 @@ def euclidean_coefficient(n, l):
 @lru_cache
 def _coefficient(n, l):
     # euclidean_coefficient for validated integers, built once per (n, l).
-    # Every Euclidean evaluation and solve reads it, a sharp solve three
-    # times (its powers, its first limit and the cor11 cap).
+    # Every Euclidean evaluation and solve reads it.
     value = Fraction(6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n, 3)
     if value <= 0:
         raise InternalConsistencyError(f"coefficient {value} at n={n}, l={l} is not positive")
@@ -361,13 +364,6 @@ def _sqrt_form_sums(gaps, heavy, light):
     return math.fsum(squares), math.fsum(map(mul, squares, heavy)), math.fsum(map(mul, gaps, light))
 
 
-def _sqrt_form_sides(n, coeff, gaps, heavy, light):
-    # eval_eq112's lhs n sum g**2 and rhs 2 sqrt(coeff) sqrt(sum g**2 heavy)
-    # sqrt(sum g light).
-    squares, t_heavy, t_light = _sqrt_form_sums(gaps, heavy, light)
-    return n * squares, 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
-
-
 def _sphere_prefix(spectrum, k):
     # The first k eigenvalues with their lhs weights, s_terms and plain-gap
     # weights root + (n-2)**2/4, where every root = lam**(1/(l-1)) must
@@ -417,15 +413,22 @@ def eval_eq112(spectrum, k, candidate):
     delta.
     """
     shift, _, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
-    return _report("eq112", k, *_sqrt_form_sides(spectrum.n, coeff, gaps, heavy, light), shift)
+    squares, t_heavy, t_light = _sqrt_form_sums(gaps, heavy, light)
+    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
+    return _report("eq112", k, spectrum.n * squares, rhs, shift)
 
 
 def eval_cor11(spectrum, k, candidate):
     """Score the quadratic corollary: sum of squared gaps vs C * sum(gap * lam)."""
+    return _quadratic_report("cor11", spectrum, k, candidate, _quadratic_constant(spectrum))
+
+
+def _quadratic_report(method, spectrum, k, candidate, big_c):
+    # The report on sum g**2 <= big_c sum g lam, decided in the Euclidean units.
     shift, values, gaps = _euclidean_units(spectrum, k, candidate)
     lhs = math.fsum(g * g for g in gaps)
-    rhs = _quadratic_constant(spectrum) * math.fsum(g * v for g, v in zip(gaps, values))
-    return _report("cor11", k, lhs, rhs, shift)
+    rhs = big_c * math.fsum(g * v for g, v in zip(gaps, values))
+    return _report(method, k, lhs, rhs, shift)
 
 
 def optimize_delta(a, b):
@@ -508,12 +511,8 @@ def next_bound_cor11(spectrum, k):
     """
     _check_k(spectrum, k)
     shift, values, _ = _euclidean_units(spectrum, k)
-    return _cor11_root(k, _quadratic_constant(spectrum), shift, values, spectrum.values[k - 1])
-
-
-def _cor11_root(k, big_c, shift, values, top):
-    # next_bound_cor11 from the quadratic constant C, the first k eigenvalues
-    # in the Euclidean units of eigenvalue k, and eigenvalue k = top itself.
+    big_c = _quadratic_constant(spectrum)
+    top = spectrum.values[k - 1]
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
     root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
@@ -541,6 +540,21 @@ def _largest_quadratic_root(k, linear, constant):
     if not disc >= 0.0:
         return None
     return (linear + math.sqrt(disc)) / (2.0 * k)
+
+
+def _scan_limit(top, below, u):
+    # The end of a bound solver's scan (module docstring): candidates
+    # x = top + y with gaps g = y + e, e = top - lambda >= 0 listed in below,
+    # and sum g**2 <= sum g u have y <= max(u) - mean(e), and y at most the
+    # largest root of k y**2 - (sum u - 2 sum e) y + sum e (e - u) when it has
+    # one.  This centered quadratic stays accurate when the root sits just
+    # above top.
+    k, spread = len(below), math.fsum(below)
+    root = _largest_quadratic_root(
+        k, math.fsum(u) - 2.0 * spread, math.fsum(e * (e - w) for e, w in zip(below, u))
+    )
+    first = max(u) - spread / k
+    return top + (first if root is None else min(first, root))
 
 
 def _largest_root(f, start, limit):
@@ -594,9 +608,12 @@ def next_bound_sharp(spectrum, k):
     _check_k(spectrum, k)
     values = spectrum.values[:k]
     shift, _, scaled, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, values[-1])
+    # The gaps at eigenvalue k are d = lambda_k - lambda >= 0, and these are
+    # the centered power sums of the sign certificate (module docstring).
+    d2, hd2, cd1 = _sqrt_form_sums(gaps, heavy, light)
     # eval_eq112's test at eigenvalue k without its absolute floor: a purely
     # relative test gives the same verdict at every scale.
-    lhs, rhs = _sqrt_form_sides(spectrum.n, coeff, gaps, heavy, light)
+    lhs, rhs = spectrum.n * d2, 2.0 * math.sqrt(coeff) * math.sqrt(hd2) * math.sqrt(cd1)
     size = max(abs(lhs), abs(rhs))
     if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
         raise InfeasibleSpectrumError(
@@ -604,10 +621,7 @@ def next_bound_sharp(spectrum, k):
             f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
         )
     scale = 2.0 * math.sqrt(coeff) / spectrum.n
-    # The gaps at eigenvalue k are d = lambda_k - lambda >= 0, and these are
-    # the centered power sums of the sign certificate (module docstring).
     last = scaled[-1]
-    d2, hd2, cd1 = _sqrt_form_sums(gaps, heavy, light)
     d1, h0, c0 = math.fsum(gaps), math.fsum(heavy), math.fsum(light)
     hd1 = math.fsum(map(mul, heavy, gaps))
     floor = math.ldexp(k * (2.0 + max(heavy)), -1018)
@@ -632,18 +646,11 @@ def next_bound_sharp(spectrum, k):
         squares, t_heavy, t_light = _sqrt_form_sums([x - v for v in scaled], heavy, light)
         return squares - scale * math.sqrt(t_heavy) * math.sqrt(t_light)
 
-    # Each power is at most its value at lambda_k, so sum g**2 <= C lambda_k sum g,
-    # and sum g**2 >= (sum g)**2 / k caps every feasible x.  By the Chebyshev
-    # pairing (module docstring) so does the largest root of cor11, which is
-    # tighter; cor11 can still reject a prefix whose check above passed by
-    # roundoff, and then the first cap stands.
+    # Every candidate satisfies cor11, sum g**2 <= sum g C lambda (module
+    # docstring), which ends the scan.
     big_c = _quadratic_constant(spectrum)
-    limit = math.fsum(values) / k + big_c * values[-1]
-    try:
-        limit = min(limit, _cor11_root(k, big_c, shift, scaled, values[-1]))
-    except (InfeasibleSpectrumError, NumericalError):
-        pass
-    return _largest_root(shortfall, values[-1], limit)
+    limit = _scan_limit(last, gaps, [big_c * v for v in scaled])
+    return _largest_root(shortfall, values[-1], _ldexp(limit, -shift))
 
 
 def eval_thm12(spectrum, k, candidate, delta):
@@ -723,14 +730,7 @@ def next_bound_sphere(spectrum, k):
         lhs, rhs = sides(x)
         return lhs - rhs
 
-    # lhs >= 2 sum g**2 and rhs <= its constant-delta value, so
-    # sum g**2 <= max(s) max(light) sum g caps x as in the sharp solver, and
-    # the quadratic of _sphere_cap caps it tighter.
-    limit = math.fsum(values) / k + max(s_values) * max(light)
-    cap = _sphere_cap(values, s_values, light)
-    if cap is not None:
-        limit = min(limit, cap)
-    return _largest_root(shortfall, values[-1], limit)
+    return _largest_root(shortfall, values[-1], _sphere_cap(values, s_values, light))
 
 
 def _out_of_range(x):
@@ -738,22 +738,15 @@ def _out_of_range(x):
 
 
 def _sphere_cap(values, s_values, light):
-    # The largest root of sum g**2 = sum g u, which bounds every candidate the
-    # spherical form admits (module docstring): u = s * light when the s_terms
-    # are nondecreasing along the prefix, max(s) * light otherwise.  With
-    # g = y + e, y = x - lambda_k and e = lambda_k - lambda, it is the root
-    # of k y**2 - (sum u - 2 sum e) y + sum e (e - u), which stays accurate
-    # when the cap sits just above lambda_k.  None when no root is found.
+    # _scan_limit of the spherical form (module docstring): every candidate
+    # has sum g**2 <= sum g u, with u = s * light when the s_terms are
+    # nondecreasing along the prefix and max(s) * light otherwise.
     if all(p <= q for p, q in zip(s_values, s_values[1:])):
         u = list(map(mul, s_values, light))
     else:
         top = max(s_values)
         u = [top * c for c in light]
-    below = [values[-1] - v for v in values]
-    linear = math.fsum(u) - 2.0 * math.fsum(below)
-    constant = math.fsum(e * (e - w) for e, w in zip(below, u))
-    y = _largest_quadratic_root(len(values), linear, constant)
-    return None if y is None else values[-1] + y
+    return _scan_limit(values[-1], [values[-1] - v for v in values], u)
 
 
 def chain_bounds(lambda1, count, n, l, method):
@@ -794,7 +787,9 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     prior16 and prior18 are the quadratic forms with coefficients
     4(n+2)/n**2 and 4(n+4/3)/n**2; prior18 is sharper since 4/3 < 2.
     prior19 is the spherical single-weight form and uses ``delta_scalar``.
-    Only meaningful at l = 2.
+    Only meaningful at l = 2.  prior16 and prior18 are decided in the
+    Euclidean units like ``eval_cor11``; prior19 raises ``NumericalError``
+    when delta * lam underflows to 0 at n = 2.
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
@@ -806,17 +801,21 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     n = spectrum.n
     values = spectrum.values[:k]
     gaps = [candidate - v for v in values]
-    sq = math.fsum(g * g for g in gaps)
-    cross = math.fsum(g * v for g, v in zip(gaps, values))
-    reports = [
-        _report("prior16", k, sq, 4.0 * (n + 2.0) / (n * n) * cross),
-        _report("prior18", k, sq, 4.0 * (n + 4.0 / 3.0) / (n * n) * cross),
-    ]
     d = delta_scalar
-    heavy = math.fsum(
-        g * g * (d * v + d * d * (v - (n - 2)) / (4.0 * (d * v + n - 2)))
-        for g, v in zip(gaps, values)
-    )
+    try:
+        # n - 2 is added as an exact integer, so d lam + (n - 2) is 0 only
+        # when d lam underflows
+        heavy = math.fsum(
+            g * g * (d * v + d * d * (v - (n - 2)) / (4.0 * (d * v + (n - 2))))
+            for g, v in zip(gaps, values)
+        )
+    except ZeroDivisionError:
+        raise NumericalError(
+            f"the prior19 weight delta * lam + n - 2 underflows to 0 at delta = {d}"
+        ) from None
     light = math.fsum(g * (v + (n - 2) ** 2 / 4.0) for g, v in zip(gaps, values)) / d
-    reports.append(_report("prior19", k, 2.0 * sq, heavy + light))
-    return reports
+    return [
+        _quadratic_report("prior16", spectrum, k, candidate, 4.0 * (n + 2.0) / (n * n)),
+        _quadratic_report("prior18", spectrum, k, candidate, 4.0 * (n + 4.0 / 3.0) / (n * n)),
+        _report("prior19", k, 2.0 * math.fsum(g * g for g in gaps), heavy + light),
+    ]

@@ -166,12 +166,14 @@ def test_eval_report_fields():
 def test_evaluators_decide_in_units_far_from_one():
     # the raw squared gaps of (1e200, 2e200) overflow, which made every
     # residual nan and every verdict False; in units the rhs wins, and the
-    # residual past the float range is -inf
+    # residual past the float range is -inf (prior16 and prior18 are cor11's
+    # form with other constants)
     spectrum = Spectrum(values=(1e200, 2e200), n=2, l=2)
     reports = (
         eval_thm11(spectrum, 2, 2e200, (1.0, 1.0)),
         eval_eq112(spectrum, 2, 2e200),
         eval_cor11(spectrum, 2, 2e200),
+        *eval_l2_priors(spectrum, 2, 2e200)[:2],
     )
     for report in reports:
         assert report.satisfied, report.method
@@ -512,6 +514,58 @@ def test_sharp_scan_ends_when_its_limit_overflows():
         next_bound_sharp(Spectrum(values=(1e308,), n=2, l=2), 1)
 
 
+def _sharp_cap(spectrum, k):
+    # where the sharp scan ends: _scan_limit with u = C lambda in the
+    # Euclidean units of eigenvalue k, scaled back
+    shift, scaled, gaps = bounds._euclidean_units(spectrum, k, spectrum.values[k - 1])
+    big_c = bounds._quadratic_constant(spectrum)
+    limit = bounds._scan_limit(scaled[-1], gaps, [big_c * v for v in scaled])
+    return bounds._ldexp(limit, -shift)
+
+
+def test_sharp_cap_bounds_the_oracle_and_is_the_cor11_bound():
+    # The oracle scans 64 doublings, so it sees every probe the cap drops;
+    # where cor11 has a bound the cap is that bound.
+    rng = np.random.default_rng(49)
+    checked = with_cor11 = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        l = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 12))
+        start = float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.0, float(rng.choice([0.2, 1.0])) * start, size=k - 1)
+        lams = tuple(float(v) for v in start + np.cumsum(np.concatenate([[0.0], gaps])))
+        spectrum = Spectrum(values=lams, n=n, l=l)
+        cap = _sharp_cap(spectrum, k)
+        try:
+            assert cap == pytest.approx(next_bound_cor11(spectrum, k), rel=1e-12)
+            with_cor11 += 1
+        except InfeasibleSpectrumError:
+            pass
+        try:
+            next_bound_sharp(spectrum, k)
+        except InfeasibleSpectrumError:
+            continue
+
+        def shortfall(x):
+            lhs, rhs = oracles.eq112_sides(lams, n, l, k, x)
+            return lhs - rhs
+
+        assert cap >= oracles.scan_bisect_root(shortfall, lams[-1]) * (1.0 - 1e-12)
+        checked += 1
+    assert checked > 30 and with_cor11 > 40
+
+
+def test_sharp_cap_is_finite_without_a_cor11_root():
+    # the cor11 quadratic of (1, 100) at n = 8 has a negative discriminant;
+    # the cap keeps its first term, max(u) - mean(e) above lambda_k
+    spectrum = Spectrum(values=(1.0, 100.0), n=8, l=2)
+    with pytest.raises(InfeasibleSpectrumError, match="negative discriminant"):
+        next_bound_cor11(spectrum, 2)
+    big_c = bounds._quadratic_constant(spectrum)
+    assert _sharp_cap(spectrum, 2) == pytest.approx(100.0 * (1.0 + big_c) - 49.5, rel=1e-15)
+
+
 def test_sphere_rejects_prefix_infeasible_at_its_last_eigenvalue():
     # the k=1 bound from 30.0 is 31.85, so 41.0 cannot be eigenvalue 2;
     # probing used to end in BracketError
@@ -681,8 +735,8 @@ def test_sphere_bound_matches_oracle_up_to_n8_k6():
 
 
 def test_sphere_cap_bounds_the_oracle():
-    # the solver scans only up to the quadratic root of _sphere_cap; the
-    # oracle scans 64 doublings, so it sees every probe the cap drops
+    # the solver scans only up to _sphere_cap; the oracle scans 64
+    # doublings, so it sees every probe the cap drops
     rng = np.random.default_rng(48)
     checked = 0
     for _ in range(40):
@@ -879,7 +933,7 @@ def test_sharp_fast_signs_match_the_loop(n, l, values, t, spans, nears, ulps):
 
 def test_sharp_solver_decides_most_signs_without_the_loop(monkeypatch):
     # The frozen sharp solves run the fsum loop for at most a quarter of
-    # their shortfall evaluations, counting the two loop calls each solve
+    # their shortfall evaluations, counting the one loop call each solve
     # makes for its check at eigenvalue k and its power sums.
     calls = {"loop": 0, "shortfall": 0}
     sums, walk = bounds._sqrt_form_sums, bounds._largest_root
@@ -903,6 +957,16 @@ def test_sharp_solver_decides_most_signs_without_the_loop(monkeypatch):
             assert tuple(solver(spectrum, k) for k in (1, 10, 40)) == expected, (n, l)
     assert calls["shortfall"] > 0
     assert calls["loop"] <= calls["shortfall"] / 4, calls
+
+
+def test_sharp_solver_sums_its_prefix_once_at_eigenvalue_k(monkeypatch):
+    # the check at eigenvalue k reads the centered power sums D2, HD2, CD1
+    calls = []
+    sums = bounds._sqrt_form_sums
+    monkeypatch.setattr(bounds, "_sqrt_form_sums", lambda *args: calls.append(args) or sums(*args))
+    monkeypatch.setattr(bounds, "_largest_root", lambda f, start, limit: start)
+    next_bound_sharp(Spectrum(values=FROZEN_PREFIX, n=3, l=3), 40)
+    assert len(calls) == 1
 
 
 def test_quadratic_constant_is_built_once_and_validated_every_call():
@@ -947,6 +1011,24 @@ def test_l2_priors_zero_gap():
     spectrum = Spectrum(values=(4.0, 4.0), n=3, l=2)
     for report in eval_l2_priors(spectrum, 2, 4.0, 2.0):
         assert report.residual == 0.0
+
+
+def test_l2_prior19_adds_n_minus_two_exactly():
+    # the weight's denominator 4 (d lam + (n - 2)) keeps d lam below the
+    # rounding unit of n; (d lam + n) - 2 cancelled it to 0 at n = 2
+    spectrum = Spectrum(values=(1.0, 2.0), n=2, l=2)
+    assert eval_l2_priors(spectrum, 2, 3.0, 1e-17)[2].satisfied
+    # at candidate 1e20 and delta 1e-10 both rhs terms count
+    d, candidate = 1e-10, 1e20
+    exact = sum(
+        Fraction(candidate - v) ** 2 * (Fraction(d) * v + Fraction(d) / 4)
+        + Fraction(candidate - v) * v / Fraction(d)
+        for v in spectrum.values
+    )
+    assert eval_l2_priors(spectrum, 2, candidate, d)[2].rhs == pytest.approx(exact, rel=1e-14)
+    tiny = Spectrum(values=(1e-200, 2e-200), n=2, l=2)
+    with pytest.raises(NumericalError, match="underflows to 0"):
+        eval_l2_priors(tiny, 2, 3e-200, 1e-200)
 
 
 def test_thm11_order_two_matches_literal_oracle():

@@ -409,6 +409,35 @@ def test_compare_l2_output(capsys, spectra):
     )
 
 
+def test_compare_l2_far_from_unit_scale(capsys, tmp_path):
+    # prior16 and prior18 overflow to inf as cor11 does, and are satisfied
+    path = tmp_path / "huge.csv"
+    path.write_text("# n=2 l=2\n1e200\n2e200\n", encoding="ascii")
+    argv = ["compare-l2", "--spectrum", str(path), "--candidate", "3e200"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "prior16: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+        "prior18: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+    ]
+
+
+def test_compare_l2_small_delta_lambda(capsys, tmp_path):
+    # delta * lambda = 1e-17 at n = 2 used to end in a ZeroDivisionError
+    # traceback; a product that underflows to 0 is a numerical failure
+    path = tmp_path / "tiny.csv"
+    path.write_text("# n=2 l=2\n1e-17\n2e-17\n", encoding="ascii")
+    argv = ["compare-l2", "--spectrum", str(path), "--candidate", "3e-17"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == ["prior16", "prior18", "prior19"]
+    path.write_text("# n=2 l=2\n1e-200\n2e-200\n", encoding="ascii")
+    argv = ["compare-l2", "--spectrum", str(path), "--candidate", "3e-200", "--delta", "1e-200"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
 def test_compare_l2_requires_order_two(capsys, spectra):
     argv = ["compare-l2", "--spectrum", spectra["sphere"], "--candidate", "20.0"]
     code, _, err = run_cli(argv, capsys)

@@ -233,16 +233,15 @@ def test_chebyshev_pairing_puts_the_sharp_form_inside_cor11(l, values, beyond):
 def test_sphere_cap_bounds_the_constant_delta_form(values, data, beyond):
     # 2 sum g**2 <= lhs and the optimized rhs <= 2 sqrt(sum g**2 s sum g c),
     # so a candidate of the spherical form has
-    # (sum g**2)**2 <= sum g**2 s sum g c; above the cap (above lambda_k when
-    # there is none) this fails, for nondecreasing s (the Chebyshev pairing)
-    # and for s in any order
+    # (sum g**2)**2 <= sum g**2 s sum g c; above the cap this fails, for
+    # nondecreasing s (the Chebyshev pairing) and for s in any order
     k = len(values)
     s_values = data.draw(st.lists(WEIGHT, min_size=k, max_size=k), label="s")
     if data.draw(st.booleans(), label="sorted s"):
         s_values.sort()
     light = sorted(data.draw(st.lists(WEIGHT, min_size=k, max_size=k), label="light"))
     cap = _sphere_cap(values, s_values, light)
-    x = max(values[-1] if cap is None else cap, values[-1]) * (1.0 + beyond)
+    x = max(cap, values[-1]) * (1.0 + beyond)
     gaps = [x - v for v in values]
     squares = math.fsum(g * g for g in gaps)
     relaxed = math.fsum(g * g * s for g, s in zip(gaps, s_values)) * math.fsum(
