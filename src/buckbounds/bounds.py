@@ -787,20 +787,19 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     prior16 and prior18 are the quadratic forms with coefficients
     4(n+2)/n**2 and 4(n+4/3)/n**2; prior18 is sharper since 4/3 < 2.
     prior19 is the spherical single-weight form and uses ``delta_scalar``.
-    Only meaningful at l = 2.  prior16 and prior18 are decided in the
-    Euclidean units like ``eval_cor11``; prior19 raises ``NumericalError``
-    when delta * lam underflows to 0 at n = 2.
+    Only meaningful at l = 2.  All three are decided in the Euclidean units
+    like ``eval_cor11``; prior19 raises ``NumericalError`` when delta * lam
+    underflows to 0 at n = 2.
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     _require_int(spectrum.n, "n", 2)
-    candidate = _check_candidate(spectrum, k, candidate)
+    shift, _, gaps = _euclidean_units(spectrum, k, candidate)
     delta_scalar = float(delta_scalar)
     if not math.isfinite(delta_scalar) or delta_scalar <= 0.0:
         raise InvalidParameterError(f"delta must be positive finite, got {delta_scalar}")
     n = spectrum.n
     values = spectrum.values[:k]
-    gaps = [candidate - v for v in values]
     d = delta_scalar
     try:
         # n - 2 is added as an exact integer, so d lam + (n - 2) is 0 only
@@ -813,9 +812,12 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
         raise NumericalError(
             f"the prior19 weight delta * lam + n - 2 underflows to 0 at delta = {d}"
         ) from None
-    light = math.fsum(g * (v + (n - 2) ** 2 / 4.0) for g, v in zip(gaps, values)) / d
+    # prior19's weights are not homogeneous in lam, so they are taken of the
+    # raw eigenvalues; the gaps carry 2**shift, and so does each light factor,
+    # so that every term carries 4**shift
+    light = math.fsum(g * _ldexp(v + (n - 2) ** 2 / 4.0, shift) for g, v in zip(gaps, values)) / d
     return [
         _quadratic_report("prior16", spectrum, k, candidate, 4.0 * (n + 2.0) / (n * n)),
         _quadratic_report("prior18", spectrum, k, candidate, 4.0 * (n + 4.0 / 3.0) / (n * n)),
-        _report("prior19", k, 2.0 * math.fsum(g * g for g in gaps), heavy + light),
+        _report("prior19", k, 2.0 * math.fsum(g * g for g in gaps), heavy + light, shift),
     ]

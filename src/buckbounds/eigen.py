@@ -92,7 +92,7 @@ def solve_generalized(a_matrix, b_matrix, count):
     """First ``count`` eigenpairs of A x = lambda B x with B positive definite.
 
     Postconditions are validated before returning: B-orthonormality of the
-    vectors to 1e-10 and pair residuals below 1e-8 times the norm of A.
+    vectors to 1e-10 and pair residuals below 1e-8 times max(|A|, 1).
     """
     a_mat = _as_symmetric(a_matrix, "A")
     b_mat = _as_symmetric(b_matrix, "B")
@@ -143,11 +143,23 @@ def solve_generalized(a_matrix, b_matrix, count):
         raise ConvergenceError(
             f"the residual check overflowed: |A| = {norm_a}, worst pair residual = {worst}"
         )
-    if worst > RESIDUAL_TOL * max(norm_a, 1.0):
+    threshold = RESIDUAL_TOL * max(norm_a, 1.0)
+    if worst > threshold:
         raise ConvergenceError(
-            f"pair residual {worst} exceeds {RESIDUAL_TOL} * |A| = {RESIDUAL_TOL * norm_a}"
+            f"pair residual {worst} exceeds {RESIDUAL_TOL} * max(|A|, 1) = {threshold}"
         )
     return EigenSolution(eigenvalues, vectors)
+
+
+def _check_request(domain, m, count):
+    # solve_buckling's argument checks, which a ladder also runs for every
+    # rung before it solves any.
+    if not isinstance(domain, Domain):
+        raise InvalidParameterError("domain must be a Domain instance")
+    _require_int(m, "m", 1)
+    _require_int(count, "count", 1)
+    if count > m**domain.dim:
+        raise InvalidParameterError(f"count={count} exceeds the basis size {m**domain.dim}")
 
 
 def solve_buckling(domain, l, m, count):
@@ -156,13 +168,12 @@ def solve_buckling(domain, l, m, count):
     Returns a computed Spectrum with the eigenvectors and assembled forms
     retained for later verification.  n is the domain dimension.
     """
-    if not isinstance(domain, Domain):
-        raise InvalidParameterError("domain must be a Domain instance")
-    _require_int(m, "m", 1)
-    _require_int(count, "count", 1)
-    if count > m**domain.dim:
-        raise InvalidParameterError(f"count={count} exceeds the basis size {m**domain.dim}")
-    forms = assemble_forms(domain, l, m)
+    _check_request(domain, m, count)
+    return _spectrum(assemble_forms(domain, l, m), count)
+
+
+def _spectrum(forms, count):
+    # The first count eigenpairs of the pencil (A_l, A_1) of assembled forms.
     solution = solve_generalized(forms.matrices[-1], forms.matrices[0], count)
     if float(solution.eigenvalues[0]) <= 0.0:
         raise InternalConsistencyError(
@@ -170,10 +181,10 @@ def solve_buckling(domain, l, m, count):
         )
     return Spectrum(
         values=tuple(float(v) for v in solution.eigenvalues),
-        n=domain.dim,
-        l=l,
+        n=forms.domain.dim,
+        l=forms.l,
         provenance="computed",
         vectors=solution.eigenvectors,
         forms=forms,
-        m=m,
+        m=forms.m,
     )

@@ -249,6 +249,19 @@ def assemble_forms(domain, l, m):
     return OperatorForms(domain=domain, l=l, m=m, n_basis=n_basis, matrices=matrices)
 
 
+def _leading_forms(forms, m):
+    # The forms of basis size m <= forms.m: the bases are nested, so they are
+    # the rows and columns a < m on an interval and a*M + c with a, c < m on
+    # a rectangle of size M, in that order.  Each entry is the same exact
+    # rational rounded once (den cancels), so the copy equals
+    # assemble_forms(forms.domain, forms.l, m) bit for bit.
+    index = np.arange(m)
+    if forms.domain.dim == 2:
+        index = np.add.outer(index * forms.m, index).ravel()
+    matrices = tuple(mat[np.ix_(index, index)] for mat in forms.matrices)
+    return OperatorForms(domain=forms.domain, l=forms.l, m=m, n_basis=index.size, matrices=matrices)
+
+
 def export_forms(forms, path):
     """Write a one-line JSON header, then each matrix as row-major binary64."""
     header = {

@@ -4,6 +4,11 @@ Checks are only asserted on computed spectra at the finest resolution that
 was solved; a violation smaller than the observed resolution-to-resolution
 drift of the same residual is classified inconclusive rather than failed,
 because it is indistinguishable from discretization error.
+
+A ladder of resolutions (``run_verification``'s coarse rungs and the sizes
+of ``convergence_study``) is assembled once, at its finest basis size: the
+bases are nested, so every coarser rung's forms are a leading sub-block of
+the finest rung's, equal bit for bit to assembling that rung directly.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from .bounds import (
     eval_thm11,
     thm11_optimal_delta,
 )
-from .eigen import solve_buckling
+from .eigen import _check_request, _spectrum, solve_buckling
 from .errors import InvalidParameterError
-from .galerkin import Domain
+from .galerkin import Domain, _leading_forms
 from .polyrec import _require_int
 
 NORMALIZATION_TOL = 1e-8
@@ -181,8 +186,20 @@ def convergence_study(domain, l, m_list, count):
         raise InvalidParameterError("m_list must be nonempty")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise InvalidParameterError(f"m_list must be strictly increasing, got {m_list}")
-    rows = [solve_buckling(domain, l, m, count).values for m in m_list]
-    return _table_from_rows(m_list, rows)
+    spectra = _solve_ladder(domain, l, m_list, [count] * len(m_list))
+    return _table_from_rows(m_list, [spectrum.values for spectrum in spectra])
+
+
+def _solve_ladder(domain, l, m_values, counts):
+    # Spectra of counts[i] eigenvalues at the increasing basis sizes
+    # m_values[i], from one assembly: the bases are nested, so every coarser
+    # rung's forms are a leading sub-block of the finest rung's.  Every rung
+    # is checked before any is solved.
+    rungs = list(zip(m_values, counts))
+    for mm, count in rungs:
+        _check_request(domain, mm, count)
+    finest = solve_buckling(domain, l, *rungs[-1])
+    return [_spectrum(_leading_forms(finest.forms, mm), c) for mm, c in rungs[:-1]] + [finest]
 
 
 @dataclass(frozen=True)
@@ -248,14 +265,14 @@ def run_verification(domain, l, m, k_max):
         )
     count = k_max + 1
     m_values = _ladder(m)
-    spectra = {mm: solve_buckling(domain, l, mm, min(count, mm**domain.dim)) for mm in m_values}
-    rows = [spectra[mm].values for mm in m_values]
+    spectra = _solve_ladder(domain, l, m_values, [min(count, mm**domain.dim) for mm in m_values])
+    rows = [spectrum.values for spectrum in spectra]
     table = _table_from_rows(m_values, [row[: min(len(r) for r in rows)] for row in rows])
-    finest = spectra[m]
+    finest = spectra[-1]
     reports = check_theorem11(finest, k_max)
     coarse_reports = {}
     if len(m_values) >= 2:
-        coarse = spectra[m_values[-2]]
+        coarse = spectra[-2]
         if coarse.k >= k_max + 1:
             coarse_reports = {
                 (r.method, r.k): r for r in check_theorem11(coarse, k_max)

@@ -167,13 +167,13 @@ def test_evaluators_decide_in_units_far_from_one():
     # the raw squared gaps of (1e200, 2e200) overflow, which made every
     # residual nan and every verdict False; in units the rhs wins, and the
     # residual past the float range is -inf (prior16 and prior18 are cor11's
-    # form with other constants)
+    # form with other constants; prior19's weights are raw, its gaps in units)
     spectrum = Spectrum(values=(1e200, 2e200), n=2, l=2)
     reports = (
         eval_thm11(spectrum, 2, 2e200, (1.0, 1.0)),
         eval_eq112(spectrum, 2, 2e200),
         eval_cor11(spectrum, 2, 2e200),
-        *eval_l2_priors(spectrum, 2, 2e200)[:2],
+        *eval_l2_priors(spectrum, 2, 2e200),
     )
     for report in reports:
         assert report.satisfied, report.method

@@ -410,15 +410,17 @@ def test_compare_l2_output(capsys, spectra):
 
 
 def test_compare_l2_far_from_unit_scale(capsys, tmp_path):
-    # prior16 and prior18 overflow to inf as cor11 does, and are satisfied
+    # every prior overflows to inf as cor11 does, and is satisfied; prior19's
+    # raw sides were inf - inf, a nan residual
     path = tmp_path / "huge.csv"
     path.write_text("# n=2 l=2\n1e200\n2e200\n", encoding="ascii")
     argv = ["compare-l2", "--spectrum", str(path), "--candidate", "3e200"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert out.splitlines()[:2] == [
+    assert out.splitlines() == [
         "prior16: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
         "prior18: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+        "prior19: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from buckbounds import (
+    ConvergenceError,
     Domain,
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -148,6 +149,19 @@ def test_solve_buckling_checks_count_before_assembling(monkeypatch):
     for count in (0, 1.0, 577, 1000):
         with pytest.raises(InvalidParameterError, match="count"):
             solve_buckling(Domain.rectangle(), 3, 24, count)
+
+
+def test_residual_failure_names_the_threshold_it_compares(monkeypatch):
+    # |A| < 1 here, so the residual is compared against 1e-8 * max(|A|, 1) = 1e-8
+    eigh = eigen.eigh
+
+    def shifted(*args, **kwargs):
+        values, vectors = eigh(*args, **kwargs)
+        return values + 1e-6, vectors
+
+    monkeypatch.setattr(eigen, "eigh", shifted)
+    with pytest.raises(ConvergenceError, match=r"exceeds 1e-08 \* max\(\|A\|, 1\) = 1e-08$"):
+        solve_generalized(0.1 * np.eye(3), np.eye(3), 2)
 
 
 def test_solve_generalized_validation():

@@ -18,6 +18,7 @@ from buckbounds import (
     export_forms,
     load_forms,
 )
+from buckbounds.galerkin import _leading_forms
 
 import oracles
 
@@ -201,17 +202,25 @@ def test_assembly_matches_per_entry_fraction_reference():
 
 
 def test_smaller_basis_is_the_leading_block():
-    # every entry is the same rational rounded once, whatever the basis size
-    for edges, l, m in (((0.85,), 3, 16), ((1.0, 1.0), 2, 7), ((0.9, 1.3), 3, 6)):
-        full = assemble_forms(Domain(edges), l, m)
-        for small in range(1, m):
-            sub = assemble_forms(Domain(edges), l, small)
-            if len(edges) == 1:
-                index = list(range(small))
-            else:
-                index = [a * m + c for a in range(small) for c in range(small)]
-            for ours, big in zip(sub.matrices, full.matrices):
-                assert np.array_equal(ours, big[np.ix_(index, index)]), (edges, l, small)
+    # every entry is the same rational rounded once, whatever the basis size,
+    # so _leading_forms of a larger basis gives a smaller basis's forms
+    cases = [((0.85,), 3, 16), ((1.0, 1.0), 2, 7), ((0.9, 1.3), 3, 6)]
+    cases += [(edges, l, 10) for edges in ((1.3,), (1.3, 0.7)) for l in range(2, 6)]
+    for edges, l, top in cases:
+        forms = {m: assemble_forms(Domain(edges), l, m) for m in range(1, top + 1)}
+        for m, full in forms.items():
+            for small in range(1, m):
+                sub, lead = forms[small], _leading_forms(full, small)
+                if len(edges) == 1:
+                    index = list(range(small))
+                else:
+                    index = [a * m + c for a in range(small) for c in range(small)]
+                assert (lead.domain, lead.l, lead.m) == (sub.domain, sub.l, sub.m)
+                assert lead.n_basis == sub.n_basis == len(index)
+                for ours, theirs, big in zip(lead.matrices, sub.matrices, full.matrices):
+                    assert np.array_equal(theirs, big[np.ix_(index, index)]), (edges, l, m, small)
+                    assert np.array_equal(ours, theirs), (edges, l, m, small)
+                    assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
 
 def test_assemble_validation():

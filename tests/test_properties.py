@@ -10,6 +10,7 @@ from buckbounds import (
     Domain,
     Spectrum,
     assemble_forms,
+    convergence_study,
     eval_cor11,
     eval_eq112,
     eval_thm11,
@@ -18,10 +19,11 @@ from buckbounds import (
     next_bound_sharp,
     optimize_delta,
     parse_spectrum,
+    solve_buckling,
     thm11_optimal_delta,
 )
 from buckbounds.bounds import _largest_root, _sphere_cap
-from buckbounds.errors import BracketError
+from buckbounds.errors import BracketError, NumericalError
 
 import oracles
 
@@ -45,6 +47,30 @@ def test_forms_equal_the_laplacian_expansion(edges, l, m):
         assert np.array_equal(ours, theirs)
         assert np.array_equal(np.signbit(ours), np.signbit(theirs))
         assert np.array_equal(ours, ours.T)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    edges=EDGES,
+    l=st.integers(2, 6),
+    m_list=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+    count=st.integers(1, 4),
+)
+def test_nested_rungs_are_direct_solves_and_never_rise(edges, l, m_list, count):
+    # a study solves its coarser rungs from the finest rung's forms; each rung
+    # must be the spectrum a direct solve gives, or fail where one fails, and
+    # Rayleigh-Ritz on nested bases never lets an estimate rise
+    domain = Domain(edges)
+    count = min(count, m_list[0] ** domain.dim)
+    try:
+        direct = tuple(solve_buckling(domain, l, m, count).values for m in m_list)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            convergence_study(domain, l, m_list, count)
+        return
+    table = convergence_study(domain, l, m_list, count)
+    assert table.eigenvalues == direct
+    assert all(table.monotone), table.eigenvalues
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

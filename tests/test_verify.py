@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from buckbounds import eigen
 from buckbounds import (
     Domain,
     InvalidParameterError,
@@ -134,6 +135,22 @@ def test_convergence_study_validation():
         convergence_study(Domain.interval(1.0), 2, (4, 4), 1)
     with pytest.raises(InvalidParameterError):
         convergence_study(Domain.interval(1.0), 2, (), 1)
+    # every rung is checked before the finest one is solved
+    with pytest.raises(InvalidParameterError, match="m must be an integer, got 2.5"):
+        convergence_study(Domain.interval(1.0), 2, (2, 2.5, 4), 1)
+    with pytest.raises(InvalidParameterError, match="count=2 exceeds the basis size 1"):
+        convergence_study(Domain.rectangle(1.0, 1.0), 2, (1, 2), 2)
+
+
+def test_a_ladder_assembles_once(monkeypatch):
+    # every coarser rung's forms are a leading block of the finest rung's
+    calls = []
+    assemble = eigen.assemble_forms
+    monkeypatch.setattr(eigen, "assemble_forms", lambda *a: calls.append(a) or assemble(*a))
+    square, interval = Domain.rectangle(1.0, 1.0), Domain.interval(1.0)
+    run_verification(square, 2, 8, 1)
+    convergence_study(interval, 3, (2, 4, 8), 2)
+    assert calls == [(square, 2, 8), (interval, 3, 8)]
 
 
 def test_run_verification_square_passes():
