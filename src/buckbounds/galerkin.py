@@ -2,13 +2,18 @@
 
 The 1D basis on [0, 1] is b_a(x) = x**l (1-x)**l * L_a(2x - 1) with L_a the
 Legendre polynomial of degree a, so b_a and its first l-1 derivatives vanish
-at both endpoints.  Shifted Legendre polynomials have integer coefficients,
-so the Gram block G_j[a, b] of the j-th derivatives is an integer Hilbert
-product C_j H C_j^T over one common denominator, with C_j a column shift of
-the basis coefficient matrix.  Every form is a weighted Kronecker sum of these
-equal-order blocks: on a box the order-k form is the sum, over per-axis
-orders j with |j| = k, of the multinomial k! / prod(j_i!) times the Kronecker
-product of the blocks G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+at both endpoints.  In t = 2x - 1 the basis is 4^-l (1 - t^2)^l L_a(t), and
+2^(m-1) 4^l b_a has integer coefficients on powers of the parity of a only
+(the even/odd split of Legendre bases, J. Shen, SIAM J. Sci. Comput. 15,
+1994).  So the Gram block G_j[a, b] of the j-th derivatives is zero for odd
+a + b, and its even-a and odd-a parts are two integer Hilbert products
+c H' c^T over about half the powers each, H' holding only the odd
+denominators p + q + 1; an exact right shift puts them over one common
+denominator, lcm(1..2w - 1) for w = 2l + m coefficients.  Every form is a
+weighted Kronecker sum of these equal-order blocks: on a box the order-k form
+is the sum, over per-axis orders j with |j| = k, of the multinomial
+k! / prod(j_i!) times the Kronecker product of the blocks G_(j_i) (Lynch,
+Rice & Thomas, Numer. Math. 6, 1964).
 Only the parity-even upper half of each form is computed: G_j[a, b] = 0 for
 odd a + b, and the first axis keeps a <= b; the lower half is written as the
 mirror image.  All of it is integer arithmetic; each matrix entry is rounded
@@ -110,28 +115,49 @@ def derivative_integral_table(basis, orders):
     """Exact 1D Gram blocks for the derivative orders j in ``orders``.
 
     Returns ``(blocks, den)``: the integral of b_a^(j) * b_b^(j) over [0, 1]
-    is ``blocks[j][a, b] / den``, with each block an m x m integer array.
-    Orders run from 0 to l; beyond l the integration-by-parts identities
-    used downstream stop holding at the boundary, so larger orders are
-    refused.  Block j is C_j H C_j^T, where column p of C_j is column p + j
-    of the integer coefficient matrix times (p + j)! / p!, and H is the
-    Hilbert matrix 1/(p + q + 1) scaled to integers by den.  Entries with odd
-    a + b vanish by the x -> 1-x symmetry of the basis and come out as exact
-    zeros.
+    is ``blocks[j][a, b] / den``, with each block an m x m integer array and
+    den = lcm(1, ..., 2(2l + m) - 1).  Only ``basis.l`` and ``basis.m`` are
+    read.  Orders run from 0 to l; beyond l the integration-by-parts
+    identities used downstream stop holding at the boundary, so larger
+    orders are refused, all of them before any block is built.
+
+    The integrals are taken in t = 2x - 1, where the integer row
+    2^(m-1-a) (1 - t^2)^l 2^a L_a(t) = 2^(m-1) 4^l b_a holds only powers of
+    the parity of a, 2^a L_a(t) being sum_k (-1)^k C(a,k) C(2a-2k,a)
+    t^(a-2k).  Since d/dx = 2 d/dt, row a of order j has the coefficient of
+    t^(p+j) times (p + j)! / p! * 2^j at t^p.  Half the integral over
+    [-1, 1] of t^(p+q) is 1/(p + q + 1) for even p + q and 0 otherwise, so
+    entries with odd a + b are exact zeros, and the even and the odd a
+    each make one product c H' c^T over about half the powers, with the
+    Hilbert entries H'[p, q] = odd / (p + q + 1) over the odd part of den.
+    That sum is the integral times odd * 2^(4l + 2(m-1)); a right shift by
+    4l + 2(m-1) - v_2(den) turns it into the integral times den, dropping
+    only zero bits.
     """
-    width = len(basis.functions[-1].coefficients)
-    den = lcm(*range(1, 2 * width))  # clears every monomial integral 1/(p + q + 1)
-    hilbert = den // np.add.outer(range(1, width + 1), range(width)).astype(object)
-    coeffs = [f.coefficients + (0,) * (width - len(f.coefficients)) for f in basis.functions]
-    coeffs = np.array(coeffs, dtype=object)
-    blocks = {}
-    for j in set(orders):
+    l, m = basis.l, basis.m
+    orders = set(orders)
+    for j in orders:
         _require_int(j, "order", 0)
-        if j > basis.l:
-            raise InvalidParameterError(f"order {j} exceeds the boundary order l={basis.l}")
-        shifted = coeffs[:, j:] * np.array([perm(p, j) for p in range(j, width)], dtype=object)
-        blocks[j] = shifted @ hilbert[: width - j, : width - j] @ shifted.T
-    return blocks, den
+        if j > l:
+            raise InvalidParameterError(f"order {j} exceeds the boundary order l={l}")
+    width = 2 * l + m  # powers t^0 .. t^(2l + m - 1)
+    den = lcm(*range(1, 2 * width))
+    v = (2 * width - 1).bit_length() - 1  # den is its odd part times 2^v
+    # H'[p, q] for even p + q, a Hankel matrix: entry (p + q) / 2 of this vector
+    hilbert = np.array([(den >> v) // (2 * n + 1) for n in range(width)], dtype=object)
+    rows = np.zeros((m, width), dtype=object)  # 2^(m-1-a) 2^a L_a(t), then times (1 - t^2)^l
+    for a in range(m):
+        for k in range(a // 2 + 1):
+            rows[a, a - 2 * k] = (-1) ** k * comb(a, k) * comb(2 * (a - k), a) << m - 1 - a
+    for _ in range(l):
+        rows[:, 2:] = rows[:, 2:] - rows[:, :-2]
+    blocks = {j: np.zeros((m, m), dtype=object) for j in orders}
+    for j, block in blocks.items():
+        for g in (0, 1):  # rows a = g (mod 2) of order j hold the powers p = g + j (mod 2)
+            p = np.arange((g + j) % 2, width - j, 2)
+            c = rows[g::2, p + j] * np.array([perm(q, j) << j for q in p + j], dtype=object)
+            block[g::2, g::2] = c @ hilbert[np.add.outer(p, p) // 2] @ c.T
+    return {j: block >> 4 * l + 2 * (m - 1) - v for j, block in blocks.items()}, den
 
 
 @dataclass(frozen=True)

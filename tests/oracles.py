@@ -3,7 +3,8 @@
 Every routine here reaches a result along a different route from the
 package: symbolic algebra instead of integer tuple recursion, finite
 differences instead of exact Galerkin assembly, per-entry Fraction
-integrals instead of integer Hilbert and Kronecker products, dense grid
+integrals instead of integer Hilbert and Kronecker products, full Hilbert
+products of x-coefficients instead of parity halves in t = 2x - 1, dense grid
 search and block-partition enumeration instead of a pool-adjacent-violators
 pass, and a fine upward geometric scan plus bisection instead of doubling
 brackets or a downward walk.  Nothing in this module imports from the
@@ -141,6 +142,28 @@ def reference_forms(edges, l, m):
     return matrices
 
 
+def hilbert_table(basis, orders):
+    """The 1D Gram blocks ``(blocks, den)`` as full products in x.
+
+    Block j is C_j H C_j^T, where column p of C_j is column p + j of the
+    integer x-coefficient matrix of ``basis.functions`` times (p + j)! / p!,
+    and H is the Hilbert matrix 1/(p + q + 1) over all powers, scaled to
+    integers by den = lcm(1, ..., 2w - 1) for w coefficients.  Orders are
+    not validated.
+    """
+    width = len(basis.functions[-1].coefficients)
+    den = math.lcm(*range(1, 2 * width))  # clears every monomial integral 1/(p + q + 1)
+    hilbert = den // np.add.outer(range(1, width + 1), range(width)).astype(object)
+    coeffs = [f.coefficients + (0,) * (width - len(f.coefficients)) for f in basis.functions]
+    coeffs = np.array(coeffs, dtype=object)
+    blocks = {}
+    for j in set(orders):
+        factors = np.array([math.perm(p, j) for p in range(j, width)], dtype=object)
+        shifted = coeffs[:, j:] * factors
+        blocks[j] = shifted @ hilbert[: width - j, : width - j] @ shifted.T
+    return blocks, den
+
+
 def fd_square_buckling(cells, count=1):
     """Clamped buckling eigenvalues on the unit square by finite differences.
 
@@ -190,6 +213,8 @@ def grid_search_delta(a, b, rounds=60, points=13):
     is convex in s, so the window shrinks around interior argmins; an
     argmin on a window edge widens that axis instead, since the optimum may
     sit outside (the s_j = 0 edge is a real constraint and never widens).
+    The search stops after ``rounds`` rounds, or sooner once every axis
+    window is at most 2^-52 times the largest sqrt(b_i / a_i).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -216,6 +241,8 @@ def grid_search_delta(a, b, rounds=60, points=13):
         half = np.where(at_high | at_low, 2.0 * width, 1.5 * spacing)
         lows = np.maximum(0.0, best - half)
         highs = best + half
+        if np.all(highs - lows <= 2.0**-52 * top):
+            break
     delta = np.cumsum(best[::-1])[::-1]
     objective = float((delta * a).sum() + (b / delta).sum())
     return tuple(delta), objective

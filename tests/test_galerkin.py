@@ -18,7 +18,8 @@ from buckbounds import (
     export_forms,
     load_forms,
 )
-from buckbounds.galerkin import _leading_forms
+from buckbounds import galerkin
+from buckbounds.galerkin import DEGREE_CAP, _leading_forms
 
 import oracles
 
@@ -103,6 +104,32 @@ def test_table_order_cap():
     for order in (3, -1):
         with pytest.raises(InvalidParameterError):
             derivative_integral_table(basis, [0, order])
+
+
+def test_table_validates_every_order_before_any_block(monkeypatch):
+    def built(*args):
+        raise AssertionError("a block was built before every order was checked")
+
+    monkeypatch.setattr(galerkin, "perm", built)
+    basis = build_basis_1d(2, 4)
+    for orders, message in (([0, 1, 3], "exceeds the boundary order"), ([1, 2, 0.5], "integer")):
+        with pytest.raises(InvalidParameterError, match=message):
+            derivative_integral_table(basis, orders)
+
+
+def test_table_matches_full_hilbert_route():
+    # Every block, block 0 at large m included (no interval form reads it),
+    # equals the x-coefficient Hilbert product the parity split replaced.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the m > 16 conditioning note
+        for l, m in itertools.product(range(2, 7), range(1, DEGREE_CAP + 1)):
+            basis = build_basis_1d(l, m)
+            blocks, den = derivative_integral_table(basis, range(l + 1))
+            reference, reference_den = oracles.hilbert_table(basis, range(l + 1))
+            assert den == reference_den
+            assert sorted(blocks) == list(range(l + 1))
+            for j in range(l + 1):
+                assert np.array_equal(blocks[j], reference[j]), (l, m, j)
 
 
 def test_assemble_interval_example():
