@@ -124,10 +124,13 @@ def solve_generalized(a_matrix, b_matrix, count):
         eigenvalues, transformed = eigh(reduced, driver="ev")
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
-    back = solve_triangular(lower, transformed, trans="T", lower=True)
-    vectors = back * scale[:, None]
+    # Only the kept vectors are back-transformed, but at least two: BLAS
+    # solves a single right-hand side with another kernel, which rounds
+    # differently, and each vector's bits must not depend on count.
+    kept = transformed[:, : max(count, 2)]
+    back = solve_triangular(lower, kept, trans="T", lower=True)[:, :count]
     eigenvalues = np.ascontiguousarray(eigenvalues[:count])
-    vectors = _fix_signs(np.ascontiguousarray(vectors[:, :count]))
+    vectors = _fix_signs(np.ascontiguousarray(back * scale[:, None]))
     gram = vectors.T @ b_mat @ vectors
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
     if ortho_dev > ORTHONORMALITY_TOL:

@@ -9,7 +9,11 @@ at both endpoints.  In t = 2x - 1 the basis is 4^-l (1 - t^2)^l L_a(t), and
 a + b, and its even-a and odd-a parts are two integer Hilbert products
 c H' c^T over about half the powers each, H' holding only the odd
 denominators p + q + 1; an exact right shift puts them over one common
-denominator, lcm(1..2w - 1) for w = 2l + m coefficients.  Every form is a
+denominator, lcm(1..2w - 1) for w = 2l + m coefficients.  The bases are
+nested (b_a does not depend on m), so each block is built once per (l, j)
+and size and kept: a smaller m gets the leading sub-block of the largest one
+built, divided exactly by the ratio of the two denominators, since both are
+the same integrals times an integer denominator.  Every form is a
 weighted Kronecker sum of these equal-order blocks: on a box the order-k form
 is the sum, over per-axis orders j with |j| = k, of the multinomial
 k! / prod(j_i!) times the Kronecker product of the blocks G_(j_i) (Lynch,
@@ -71,15 +75,20 @@ class Domain:
 
 @dataclass(frozen=True)
 class Basis1D:
-    """The m clamped basis polynomials on [0, 1] for boundary order l."""
+    """The m clamped basis polynomials on [0, 1] for boundary order l.
+
+    Made by ``build_basis_1d``, which checks (l, m).  Assembly reads only l
+    and m; the x-form polynomials in ``functions`` are built on first read
+    and then kept.
+    """
 
     l: int
     m: int
-    functions: tuple
 
-    def __post_init__(self):
-        if len(self.functions) != self.m:
-            raise InvalidParameterError("basis length does not match m")
+    @functools.cached_property
+    def functions(self):
+        clamp = _clamp_factor(self.l)
+        return tuple(clamp * _shifted_legendre(a) for a in range(self.m))
 
 
 def _shifted_legendre(a):
@@ -107,19 +116,23 @@ def build_basis_1d(l, m):
             "ill conditioned and eigenvalues may lose digits",
             stacklevel=2,
         )
-    clamp = _clamp_factor(l)
-    return Basis1D(l=l, m=m, functions=tuple(clamp * _shifted_legendre(a) for a in range(m)))
+    return Basis1D(l=l, m=m)
+
+
+# The largest Gram block built so far for each (l, order j), as (m, den, block).
+_TABLES = {}
 
 
 def derivative_integral_table(basis, orders):
     """Exact 1D Gram blocks for the derivative orders j in ``orders``.
 
     Returns ``(blocks, den)``: the integral of b_a^(j) * b_b^(j) over [0, 1]
-    is ``blocks[j][a, b] / den``, with each block an m x m integer array and
-    den = lcm(1, ..., 2(2l + m) - 1).  Only ``basis.l`` and ``basis.m`` are
-    read.  Orders run from 0 to l; beyond l the integration-by-parts
-    identities used downstream stop holding at the boundary, so larger
-    orders are refused, all of them before any block is built.
+    is ``blocks[j][a, b] / den``, with each block a fresh m x m integer
+    array and den = lcm(1, ..., 2(2l + m) - 1).  Only ``basis.l`` and
+    ``basis.m`` are read.  Orders run from 0 to l; beyond l the
+    integration-by-parts identities used downstream stop holding at the
+    boundary, so larger orders are refused, all of them before any block is
+    built.
 
     The integrals are taken in t = 2x - 1, where the integer row
     2^(m-1-a) (1 - t^2)^l 2^a L_a(t) = 2^(m-1) 4^l b_a holds only powers of
@@ -133,6 +146,16 @@ def derivative_integral_table(basis, orders):
     That sum is the integral times odd * 2^(4l + 2(m-1)); a right shift by
     4l + 2(m-1) - v_2(den) turns it into the integral times den, dropping
     only zero bits.
+
+    Each block is built once per (l, j) and size: b_a does not depend on m,
+    so the block of a basis of size m is the leading m x m sub-block of the
+    block of any larger basis.  The largest block built so far is kept for
+    each (l, j), with its den_M.  A smaller m is served from it, divided by
+    den_M / den_m: den_m divides den_M, and both entries are the same
+    integral times an integer denominator, so the quotient is exact.  A
+    larger m builds only the orders asked for, at that m, and replaces
+    their entries.  Orders are keys, so an interval's orders 1..l also
+    serve a rectangle's.
     """
     l, m = basis.l, basis.m
     orders = set(orders)
@@ -140,8 +163,21 @@ def derivative_integral_table(basis, orders):
         _require_int(j, "order", 0)
         if j > l:
             raise InvalidParameterError(f"order {j} exceeds the boundary order l={l}")
+    den = lcm(*range(1, 2 * (2 * l + m)))
+    # Entries are read once and never mutated, so another caller replacing
+    # one meanwhile cannot change what this call returns.
+    kept = {j: _TABLES.get((l, j)) for j in orders}
+    missing = {j for j, entry in kept.items() if entry is None or entry[0] < m}
+    if missing:
+        for j, block in _integer_blocks(l, m, missing, den).items():
+            kept[j] = _TABLES[l, j] = m, den, block
+    return {j: block[:m, :m] // (built // den) for j, (_, built, block) in kept.items()}, den
+
+
+def _integer_blocks(l, m, orders, den):
+    # The Gram blocks of the given orders at basis size m, times den, built
+    # from the parity-split Hilbert products described above.
     width = 2 * l + m  # powers t^0 .. t^(2l + m - 1)
-    den = lcm(*range(1, 2 * width))
     v = (2 * width - 1).bit_length() - 1  # den is its odd part times 2^v
     # H'[p, q] for even p + q, a Hankel matrix: entry (p + q) / 2 of this vector
     hilbert = np.array([(den >> v) // (2 * n + 1) for n in range(width)], dtype=object)
@@ -157,7 +193,7 @@ def derivative_integral_table(basis, orders):
             p = np.arange((g + j) % 2, width - j, 2)
             c = rows[g::2, p + j] * np.array([perm(q, j) << j for q in p + j], dtype=object)
             block[g::2, g::2] = c @ hilbert[np.add.outer(p, p) // 2] @ c.T
-    return {j: block >> 4 * l + 2 * (m - 1) - v for j, block in blocks.items()}, den
+    return {j: block >> 4 * l + 2 * (m - 1) - v for j, block in blocks.items()}
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,41 @@ def test_solve_generalized_deterministic_sign_convention():
         assert lead > 0
 
 
+def _assert_leading_pairs(a_mat, b_mat, counts):
+    full = solve_generalized(a_mat, b_mat, a_mat.shape[0])
+    for count in counts:
+        solution = solve_generalized(a_mat, b_mat, count)
+        assert solution.eigenvalues.tobytes() == full.eigenvalues[:count].tobytes()
+        assert solution.eigenvectors.flags.c_contiguous
+        kept = np.ascontiguousarray(full.eigenvectors[:, :count])
+        assert solution.eigenvectors.tobytes() == kept.tobytes(), (a_mat.shape[0], count)
+
+
+def test_fewer_pairs_are_the_leading_pairs_bit_for_bit():
+    # Only the kept vectors are back-transformed; no bit may depend on count.
+    rng = np.random.default_rng(24)
+    for size in range(1, 151):
+        seed_a = rng.normal(size=(size, size))
+        seed_b = rng.normal(size=(size, size))
+        a_mat = seed_a + seed_a.T
+        b_mat = seed_b @ seed_b.T + size * np.eye(size)
+        counts = {c for c in (1, 2, size // 2) if 1 <= c <= size}
+        _assert_leading_pairs(a_mat, b_mat, sorted(counts))
+    # the pencils behind the CLI's golden outputs
+    for domain, l, m in (
+        (Domain.interval(1.0), 2, 1),
+        (Domain.interval(1.0), 2, 4),
+        (Domain.rectangle(1.0, 1.0), 2, 3),
+        (Domain.rectangle(1.0, 1.0), 2, 4),
+        (Domain.rectangle(0.9, 1.3), 2, 3),
+        (Domain.rectangle(1.15, 0.7), 2, 3),
+        (Domain.rectangle(1.0, 1.0), 3, 3),
+    ):
+        forms = assemble_forms(domain, l, m)
+        counts = range(1, forms.n_basis + 1)
+        _assert_leading_pairs(forms.matrices[-1], forms.b_matrix, counts)
+
+
 def test_interval_single_function_is_exactly_42():
     spectrum = solve_buckling(Domain.interval(1.0), 2, 1, 1)
     assert spectrum.values == (42.0,)

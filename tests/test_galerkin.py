@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -17,9 +18,11 @@ from buckbounds import (
     derivative_integral_table,
     export_forms,
     load_forms,
+    solve_buckling,
 )
 from buckbounds import galerkin
 from buckbounds.galerkin import DEGREE_CAP, _leading_forms
+from buckbounds.polyrec import Polynomial
 
 import oracles
 
@@ -130,6 +133,65 @@ def test_table_matches_full_hilbert_route():
             assert sorted(blocks) == list(range(l + 1))
             for j in range(l + 1):
                 assert np.array_equal(blocks[j], reference[j]), (l, m, j)
+
+
+@lru_cache(maxsize=None)
+def _hilbert_reference(l, m):
+    return oracles.hilbert_table(build_basis_1d(l, m), range(l + 1))
+
+
+def _check_table(l, m, orders):
+    blocks, den = derivative_integral_table(build_basis_1d(l, m), orders)
+    reference, reference_den = _hilbert_reference(l, m)
+    assert den == reference_den, (l, m)
+    assert sorted(blocks) == list(orders), (l, m)
+    for j in orders:
+        assert np.array_equal(blocks[j], reference[j]), (l, m, j)
+
+
+@pytest.mark.filterwarnings("ignore:basis size:UserWarning")  # the m > 16 conditioning note
+def test_table_cache_serves_every_leading_block(monkeypatch):
+    # Cold builds, then the same tables with m ascending (every call grows
+    # the kept blocks), descending (every call after the first is served
+    # from the m = 24 blocks) and shuffled, interval orders 1..l and
+    # rectangle orders 0..l taking turns at going first.
+    monkeypatch.setattr(galerkin, "_TABLES", {})
+    sizes = list(range(1, DEGREE_CAP + 1))
+    shuffled = sizes[:]
+    random.Random(17).shuffle(shuffled)
+    for l in range(2, 7):
+        interval, rectangle = range(1, l + 1), range(l + 1)
+        for m in sizes:
+            galerkin._TABLES.clear()
+            _check_table(l, m, rectangle)
+        for sequence in (sizes, sizes[::-1], shuffled):
+            galerkin._TABLES.clear()
+            for i, m in enumerate(sequence):
+                for orders in (interval, rectangle)[:: 1 - 2 * (i % 2)]:
+                    _check_table(l, m, orders)
+                    assert galerkin._TABLES[l, orders[-1]][0] == max(sequence[: i + 1])
+            # one kept block per order, at the largest m asked for
+            assert sorted(galerkin._TABLES) == [(l, j) for j in range(l + 1)]
+            assert {size for size, _, _ in galerkin._TABLES.values()} == {DEGREE_CAP}
+
+
+def test_table_blocks_are_fresh_on_every_call(monkeypatch):
+    monkeypatch.setattr(galerkin, "_TABLES", {})
+    for m in (6, 6, 4):  # a build, a same-size hit, a leading sub-block
+        blocks, _ = derivative_integral_table(build_basis_1d(3, m), range(4))
+        for block in blocks.values():
+            block[...] = 0
+        _check_table(3, m, range(4))
+    _check_table(3, 6, range(4))
+
+
+def test_solve_builds_no_basis_polynomials(monkeypatch):
+    def multiplied(*args):
+        raise AssertionError("a basis polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", multiplied)
+    solve_buckling(Domain.rectangle(1.0, 1.3), 3, 5, 2)
+    solve_buckling(Domain.interval(0.7), 4, 6, 2)
 
 
 def test_assemble_interval_example():
