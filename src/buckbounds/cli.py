@@ -76,13 +76,11 @@ def _parse_edges(text, dim):
         raise InvalidParameterError(
             f"--domain expects numbers separated by a comma, got {text!r}"
         ) from None
-    if dim == 1 and len(edges) == 1:
-        return edges
-    if dim == 2 and len(edges) == 1:
-        return (edges[0], edges[0])
-    if dim == 2 and len(edges) == 2:
-        return edges
-    raise InvalidParameterError(f"--domain got {len(edges)} edges for dim={dim}")
+    if len(edges) == 1:
+        edges *= dim  # one edge is every axis's
+    if len(edges) != dim:
+        raise InvalidParameterError(f"--domain got {len(edges)} edges for dim={dim}")
+    return edges
 
 
 def _cmd_phi(args):
@@ -248,7 +246,7 @@ def build_parser():
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
     p_solve = sub.add_parser("solve", help="compute a buckling spectrum")
-    p_solve.add_argument("--dim", type=int, choices=(1, 2), required=True)
+    p_solve.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     p_solve.add_argument("--l", type=int, required=True)
     p_solve.add_argument("--degree", type=int, required=True)
     p_solve.add_argument("--count", type=int, required=True)
@@ -281,7 +279,7 @@ def build_parser():
     p_chain.set_defaults(func=_cmd_bound_chain)
 
     p_verify = sub.add_parser("verify", help="run the verification harness")
-    p_verify.add_argument("--dim", type=int, choices=(2,), default=2)
+    p_verify.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p_verify.add_argument("--l", type=int, required=True)
     p_verify.add_argument("--degree", type=int, required=True)
     p_verify.add_argument("--kmax", type=int, required=True)

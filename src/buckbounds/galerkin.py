@@ -41,20 +41,25 @@ from .errors import InvalidParameterError, NumericalError
 from .polyrec import Polynomial, _require_int
 
 DEGREE_CAP = 24
+BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
 CONDITIONING_NOTE = 16
 HEADER_KEYS = {"schema", "n_basis", "l", "m", "domain", "matrices", "dtype", "order"}
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned box: an interval (one edge) or a rectangle (two edges)."""
+    """Axis-aligned box [0, e_1] x ... x [0, e_n] with 1 to 3 edges.
+
+    One edge is an interval, two a rectangle and three a box; n = ``dim``
+    is the dimension the paper's inequalities take.
+    """
 
     edges: tuple
 
     def __post_init__(self):
         edges = tuple(float(e) for e in self.edges)
-        if len(edges) not in (1, 2):
-            raise InvalidParameterError(f"domain needs 1 or 2 edges, got {len(edges)}")
+        if not 1 <= len(edges) <= 3:
+            raise InvalidParameterError(f"domain needs 1 to 3 edges, got {len(edges)}")
         for e in edges:
             if not (e > 0.0) or not np.isfinite(e):
                 raise InvalidParameterError(f"edge lengths must be positive finite, got {e}")
@@ -202,8 +207,9 @@ class OperatorForms:
 
     ``matrices[k-1]`` represents the order-k polyharmonic form; the first one
     doubles as the mass-like matrix B of the buckling pencil.  ``n_basis`` is
-    the matrix size: m on intervals, m**2 on rectangles (index a*m + c for
-    the product b_a(x) b_c(y)).
+    the matrix size m**dim, at most ``BASIS_CAP``.  Indices are mixed radix
+    m: the product b_a(x) b_c(y) b_e(z) of a box is row (a*m + c)*m + e, and
+    a*m + c on a rectangle.
     """
 
     domain: Domain
@@ -225,29 +231,35 @@ def _form_terms(k, dim):
     # axis, each boundary term holding a derivative of order <= k-1 <= l-1
     # that the clamp zeroes; the two axes' signs cancel, and Vandermonde's
     # identity (Pascal's rule for odd k) collects the binomials into C(k, j).
+    # On a box the same steps over every pair of axes collect the
+    # multinomial expansion of Lap**p into the multinomial above.
     for orders in itertools.product(range(k + 1), repeat=dim):
         if sum(orders) == k:
             yield factorial(k) // prod(map(factorial, orders)), orders
 
 
+def _mixed_radix(digits, base):
+    # Flat positions base**(dim-1) i_1 + ... + i_dim of the index tuples whose
+    # axis-s index runs over digits[s], one array axis per axis of the box.
+    return functools.reduce(lambda index, d: np.add.outer(index * base, d), digits)
+
+
 @functools.lru_cache(maxsize=None)
 def _parity_layout(m, dim):
     # Where assembly reads and writes, which depends on m and dim only: the
-    # first-axis block pairs (a, b) with a + b even and a <= b, the
-    # second-axis pairs (c, d) with c + d even (rectangles only), both as flat
-    # block indices a*m + b, and the flat form positions of entry
-    # ((a, c), (b, d)), at row a*m + c and column b*m + d, and of its mirror
-    # image.  The cached arrays are only ever read.
-    first = np.array([a * m + b for a in range(m) for b in range(a, m, 2)])
-    a, b = np.divmod(first, m)
-    if dim == 1:
-        return first, None, first, b * m + a
-    n = m * m
-    second = np.array([c * m + d for c in range(m) for d in range(c % 2, m, 2)])
-    c, d = np.divmod(second, m)
-    upper = np.add.outer((a * n + b) * m, c * n + d)
-    lower = np.add.outer((b * n + a) * m, d * n + c)
-    return first, second, upper, lower
+    # first-axis block pairs (a, b) with a + b even and a <= b, the pairs
+    # (c, d) with c + d even that every other axis uses, both as flat block
+    # indices a*m + b, and the flat form positions of each computed entry,
+    # at row (a, c, ...) and column (b, d, ...) in mixed radix m, and of its
+    # mirror image, one row per first-axis pair.  An interval has no other
+    # axes.  The cached arrays are only ever read.
+    a, b = np.divmod(np.arange(m * m), m)
+    other = np.flatnonzero((a + b) % 2 == 0)
+    first = other[a[other] <= b[other]]
+    rows = _mixed_radix([a[first]] + [a[other]] * (dim - 1), m).reshape(first.size, -1)
+    cols = _mixed_radix([b[first]] + [b[other]] * (dim - 1), m).reshape(first.size, -1)
+    n = m**dim
+    return first, other, rows * n + cols, cols * n + rows
 
 
 def _assemble(domain, basis):
@@ -255,33 +267,34 @@ def _assemble(domain, basis):
     # order j scaled by edge**(1 - 2j).  Only the entries that can be nonzero
     # are computed, each once: block pairs (a, b) with a + b even (the x -> 1-x
     # parity zeroes the rest), and on the first axis only a <= b, the other
-    # half being the mirror image of a symmetric form.  On a rectangle the
-    # weighted sum over terms is one integer product: the weighted first-axis
-    # pair values, a column per term, times the second-axis pair values, a
-    # row per term.  An interval form has one term.
+    # half being the mirror image of a symmetric form.  The weighted sum over
+    # terms is one integer product: the first-axis pair values, a column per
+    # term, times the term's integer weight times the outer product of the
+    # other axes' pair values, a row per term.  On an interval that row is
+    # the weight alone, so the product is the weighting itself.
     # The correctly rounded int / int division rounds each entry once.
     forms = [list(_form_terms(k, domain.dim)) for k in range(1, basis.l + 1)]
     used = {j for terms in forms for _, orders in terms for j in orders}
     blocks, den = derivative_integral_table(basis, used)
     edges = [Fraction(e) for e in domain.edges]
     n = basis.m**domain.dim
-    first, second, upper, lower = _parity_layout(basis.m, domain.dim)
-    xg = {j: blocks[j].take(first) for j in used}
-    if domain.dim == 2:
-        yg = {j: blocks[j].take(second) for j in used}
+    first, other, upper, lower = _parity_layout(basis.m, domain.dim)
     matrices = []
     for k, terms in enumerate(forms, start=1):
-        weighted = []
+        weights = []
         for weight, orders in terms:
             for edge, j in zip(edges, orders):
                 weight *= edge ** (1 - 2 * j)
-            weighted.append((weight, orders))
-        common = lcm(*(weight.denominator for weight, _ in weighted))
-        xs = [xg[orders[0]] * (w.numerator * (common // w.denominator)) for w, orders in weighted]
-        if domain.dim == 1:
-            values = xs[0]
-        else:
-            values = np.stack(xs, axis=1) @ np.stack([yg[orders[1]] for _, orders in weighted])
+            weights.append(weight)
+        common = lcm(*(weight.denominator for weight in weights))
+        rows = []
+        for weight, (_, orders) in zip(weights, terms):
+            row = np.array([weight.numerator * (common // weight.denominator)], dtype=object)
+            for j in orders[1:]:
+                row = np.multiply.outer(row, blocks[j].take(other)).ravel()
+            rows.append(row)
+        columns = np.array([blocks[orders[0]].take(first) for _, orders in terms], dtype=object).T
+        values = columns @ np.array(rows, dtype=object)
         out = np.zeros(n * n)
         try:
             out[upper] = out[lower] = (values / (common * den**domain.dim)).astype(float)
@@ -298,11 +311,16 @@ def assemble_forms(domain, l, m):
 
     Every matrix is exactly symmetric because symmetric entries are the same
     rational rounded once.  Positive definiteness of B = A_1 and of A_l is
-    checked by Cholesky before returning.
+    checked by Cholesky before returning.  The basis size m**dim is capped at
+    ``BASIS_CAP``, which keeps a box at m <= 8.
     """
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
     basis = build_basis_1d(l, m)
+    if m**domain.dim > BASIS_CAP:
+        raise InvalidParameterError(
+            f"basis size m**dim = {m**domain.dim} exceeds the supported cap {BASIS_CAP}"
+        )
     n_basis, matrices = _assemble(domain, basis)
     from .eigen import cholesky_spd  # deferred: eigen imports this module
 
@@ -313,13 +331,11 @@ def assemble_forms(domain, l, m):
 
 def _leading_forms(forms, m):
     # The forms of basis size m <= forms.m: the bases are nested, so they are
-    # the rows and columns a < m on an interval and a*M + c with a, c < m on
-    # a rectangle of size M, in that order.  Each entry is the same exact
-    # rational rounded once (den cancels), so the copy equals
-    # assemble_forms(forms.domain, forms.l, m) bit for bit.
-    index = np.arange(m)
-    if forms.domain.dim == 2:
-        index = np.add.outer(index * forms.m, index).ravel()
+    # the rows and columns whose every axis index is below m, at their mixed
+    # radix positions in the basis of size M = forms.m, in that order.  Each
+    # entry is the same exact rational rounded once (den cancels), so the
+    # copy equals assemble_forms(forms.domain, forms.l, m) bit for bit.
+    index = _mixed_radix([np.arange(m)] * forms.domain.dim, forms.m).ravel()
     matrices = tuple(mat[np.ix_(index, index)] for mat in forms.matrices)
     return OperatorForms(domain=forms.domain, l=forms.l, m=m, n_basis=index.size, matrices=matrices)
 
@@ -348,7 +364,8 @@ def load_forms(path):
     The header must be ASCII JSON with every key ``export_forms`` writes and
     the little-endian row-major layout, and it is checked against the data:
     one matrix per order up to l, n_basis equal to m**dim, no bytes after
-    the last matrix, and every matrix exactly symmetric.
+    the last matrix, and every matrix exactly symmetric.  Sizes above the
+    caps of ``assemble_forms`` are refused before any matrix is read.
     """
     with open(path, "rb") as handle:
         try:
@@ -375,6 +392,10 @@ def load_forms(path):
         _require_int(l, "l", 2)
         _require_int(m, "m", 1)
         _require_int(n, "n_basis", 1)
+        if m > DEGREE_CAP or n > BASIS_CAP:
+            raise InvalidParameterError(
+                f"m={m}, n_basis={n} in {path} exceed the caps {DEGREE_CAP} and {BASIS_CAP}"
+            )
         if header["matrices"] != l:
             raise InvalidParameterError(f"{header['matrices']} matrices in {path}, expected l={l}")
         if n != m**domain.dim:

@@ -260,7 +260,7 @@ def run_verification(domain, l, m, k_max):
     _require_int(k_max, "k_max", 0)
     if domain.dim < 2:
         raise InvalidParameterError(
-            "run_verification needs a rectangle: the inequalities take n from "
+            "run_verification needs a rectangle or a box: the inequalities take n from "
             "the domain dimension and require n >= 2"
         )
     count = k_max + 1

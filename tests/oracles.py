@@ -11,6 +11,7 @@ brackets or a downward walk.  Nothing in this module imports from the
 package.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -96,14 +97,23 @@ def _integral01(c, d):
     return sum(Fraction(v, k + 1) for k, v in enumerate(conv) if v)
 
 
+def _multi_indices(p, dim):
+    """Every alpha of dim nonnegative integers with |alpha| = p."""
+    return [alpha for alpha in itertools.product(range(p + 1), repeat=dim) if sum(alpha) == p]
+
+
 def reference_forms(edges, l, m):
     """Form matrices A_1..A_l assembled entry by entry in Fraction arithmetic.
 
-    Each 1D block entry is its own convolution integral; rectangle entries
-    expand the k-th power of the Laplacian binomially over scaled 1D
-    entries (even k pairs equal-order blocks, odd k adds one gradient).
-    Every entry is one exact rational rounded once by ``float``.
+    Each 1D block entry is its own convolution integral.  On a box of any
+    number of edges the k-th form pairs Lap^p u with Lap^p v for k = 2p,
+    each Laplacian power expanded by the multinomial rule
+    Lap^p = sum over |alpha| = p of p!/alpha! d^(2 alpha); odd k adds one
+    more derivative on a common gradient axis.  A product basis function
+    is indexed in C order over its per-axis indices.  Every entry is one
+    exact rational rounded once by ``float``.
     """
+    dim = len(edges)
     basis = _clamped_basis(l, m)
     derivs = [basis]
     for _ in range(l):
@@ -115,29 +125,30 @@ def reference_forms(edges, l, m):
         return [[_integral01(derivs[r][a], derivs[s][b]) * factor for b in range(m)]
                 for a in range(m)]
 
-    def entry_2d(k, a, c, a2, c2):
+    def multinomial(alpha):
+        return math.factorial(sum(alpha)) // math.prod(map(math.factorial, alpha))
+
+    def entry(k, row, col):
         p, odd = divmod(k, 2)
         total = Fraction(0)
-        for u in range(p + 1):
-            for v in range(p + 1):
-                w = math.comb(p, u) * math.comb(p, v)
-                x, y = (2 * u, 2 * v), (2 * (p - u), 2 * (p - v))
-                pairs = [((x[0] + 1, x[1] + 1), y), (x, (y[0] + 1, y[1] + 1))] if odd else [(x, y)]
-                for (rx, sx), (ry, sy) in pairs:
-                    total += w * scaled(0, rx, sx)[a][a2] * scaled(1, ry, sy)[c][c2]
+        for alpha, beta in itertools.product(_multi_indices(p, dim), repeat=2):
+            weight = multinomial(alpha) * multinomial(beta)
+            for g in range(dim) if odd else (None,):
+                term = Fraction(weight)
+                for axis in range(dim):
+                    r = 2 * alpha[axis] + (axis == g)
+                    s = 2 * beta[axis] + (axis == g)
+                    term *= scaled(axis, r, s)[row[axis]][col[axis]]
+                total += term
         return total
 
+    index = list(itertools.product(range(m), repeat=dim))
     matrices = []
     for k in range(1, l + 1):
-        if len(edges) == 1:
-            exact = scaled(0, k, k)
-        else:
-            n = m * m
-            exact = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    value = entry_2d(k, *divmod(i, m), *divmod(j, m))
-                    exact[i][j] = exact[j][i] = value
+        exact = [[None] * len(index) for _ in index]
+        for i, row in enumerate(index):
+            for j in range(i, len(index)):
+                exact[i][j] = exact[j][i] = entry(k, row, index[j])
         matrices.append(np.array([[float(v) for v in row] for row in exact]))
     return matrices
 

@@ -118,6 +118,32 @@ def test_solve_rejects_bad_domain(capsys):
     assert err.startswith("error: usage:")
 
 
+def test_solve_on_a_box(capsys):
+    argv = ["solve", "--dim", "3", "--l", "2", "--degree", "4", "--count", "4", "--json"]
+    code, out, _ = run_cli(argv + ["--domain", "1.3,0.7,1.1"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["n"], data["m"], data["domain"]) == (3, 4, [1.3, 0.7, 1.1])
+    # one edge is the cube, as is no --domain at all
+    code, out, _ = run_cli(argv + ["--domain", "1"], capsys)
+    assert code == 0
+    cube = json.loads(out)
+    assert cube["domain"] == [1.0, 1.0, 1.0]
+    assert run_cli(argv, capsys)[1] == out
+    values = cube["eigenvalues"]
+    assert values[1] == pytest.approx(values[3], rel=1e-10)
+    for edges in ("1,2", "1,2,3,4"):
+        code, _, err = run_cli(argv + ["--domain", edges], capsys)
+        assert code == 2 and err.startswith("error: usage: --domain got")
+
+
+def test_solve_refuses_a_box_above_the_basis_cap(capsys):
+    argv = ["solve", "--dim", "3", "--l", "2", "--degree", "9", "--count", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage:") and "cap 576" in err
+
+
 def test_solve_overflow_is_numerical(capsys):
     argv = ["solve", "--dim", "1", "--l", "2", "--degree", "3", "--count", "1", "--domain", "1e-150"]
     code, out, err = run_cli(argv, capsys)
@@ -375,6 +401,21 @@ def test_verify_json_schema(capsys):
     assert data["schema"] == 1
     assert data["passed"] is True
     assert len(data["theorem_checks"]) == 3
+
+
+def test_verify_on_a_box(capsys):
+    argv = ["verify", "--dim", "3", "--l", "2", "--degree", "4", "--kmax", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith("domain = 1x1x1  l = 2  m = 4")
+    assert out.splitlines()[-1] == "PASS"
+    code, out, _ = run_cli(argv + ["--domain", "1.3,0.7,1.1", "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["n"], data["domain"], data["passed"]) == (3, [1.3, 0.7, 1.1], True)
+    checks = data["theorem_checks"]
+    assert [c["method"] for c in checks] == ["thm11", "eq112", "cor11"] * 2
+    assert all(c["satisfied"] and c["verdict"] == "pass" for c in checks)
 
 
 def test_verify_rejects_dim_one(capsys):

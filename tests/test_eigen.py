@@ -144,11 +144,24 @@ def test_square_spectrum_shape():
 
 
 def test_rectangle_scaling_covariance():
-    # scaling the domain by c scales buckling eigenvalues by 1/c^2
-    base = solve_buckling(Domain.rectangle(1.0, 2.0), 2, 5, 3)
-    scaled = solve_buckling(Domain.rectangle(2.0, 4.0), 2, 5, 3)
-    for a, b in zip(base.values, scaled.values):
-        assert b == pytest.approx(a / 4.0, rel=1e-9)
+    # scaling the domain by c scales buckling eigenvalues by 1/c^2, on a
+    # rectangle and on a box
+    for edges in ((1.0, 2.0), (1.0, 2.0, 1.5)):
+        base = solve_buckling(Domain(edges), 2, 5, 3)
+        scaled = solve_buckling(Domain(tuple(2.0 * e for e in edges)), 2, 5, 3)
+        for a, b in zip(base.values, scaled.values):
+            assert b == pytest.approx(a / 4.0, rel=1e-9)
+
+
+def test_cube_spectrum_has_a_triple_second_eigenvalue():
+    # the cube's axis permutations force lambda_2 = lambda_3 = lambda_4 at
+    # every basis size
+    cube = Domain((1.0, 1.0, 1.0))
+    for l, first in ((2, 64.96543387), (3, 8465.787625)):
+        for m in range(4, 9):
+            values = solve_buckling(cube, l, m, 4).values
+            assert values[1] == pytest.approx(values[3], rel=1e-10), (l, m)
+        assert values[0] == pytest.approx(first, rel=1e-8)
 
 
 def test_rayleigh_ritz_monotone_in_basis_size():

@@ -30,12 +30,13 @@ import oracles
 def test_domain_validation():
     assert Domain.interval(2.0).dim == 1
     assert Domain.rectangle(1.0, 3.0).edges == (1.0, 3.0)
+    assert Domain((1, 2, 3)).dim == 3
     with pytest.raises(InvalidParameterError):
         Domain(())
     with pytest.raises(InvalidParameterError):
         Domain((1.0, -2.0))
     with pytest.raises(InvalidParameterError):
-        Domain((1.0, 2.0, 3.0))
+        Domain((1.0, 2.0, 3.0, 4.0))
 
 
 def test_basis_satisfies_clamped_conditions_exactly():
@@ -278,6 +279,8 @@ def test_assembly_matches_per_entry_fraction_reference():
     grid += [(e, l, m) for e in rectangles for l in (2, 3, 4) for m in (1, 2, 5, 8)]
     # the equal-order identity needs k <= l; test it up to the highest orders
     grid += [(e, l, m) for e in rectangles for l in (5, 6) for m in (1, 2, 3)]
+    boxes = ((1.0, 1.0, 1.0), (0.9, 1.3, 0.7))
+    grid += [(e, l, m) for e in boxes for l in (2, 3, 4) for m in (1, 2, 3)]
     for edges, l, m in grid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -293,17 +296,19 @@ def test_assembly_matches_per_entry_fraction_reference():
 def test_smaller_basis_is_the_leading_block():
     # every entry is the same rational rounded once, whatever the basis size,
     # so _leading_forms of a larger basis gives a smaller basis's forms
-    cases = [((0.85,), 3, 16), ((1.0, 1.0), 2, 7), ((0.9, 1.3), 3, 6)]
+    cases = [((0.85,), 3, 16), ((1.0, 1.0), 2, 7), ((0.9, 1.3), 3, 6), ((1.1, 0.8, 1.3), 3, 5)]
     cases += [(edges, l, 10) for edges in ((1.3,), (1.3, 0.7)) for l in range(2, 6)]
     for edges, l, top in cases:
         forms = {m: assemble_forms(Domain(edges), l, m) for m in range(1, top + 1)}
         for m, full in forms.items():
             for small in range(1, m):
                 sub, lead = forms[small], _leading_forms(full, small)
-                if len(edges) == 1:
-                    index = list(range(small))
-                else:
-                    index = [a * m + c for a in range(small) for c in range(small)]
+                # the product function of per-axis indices i sits at mixed radix m
+                shape = (m,) * len(edges)
+                index = [
+                    np.ravel_multi_index(i, shape)
+                    for i in itertools.product(range(small), repeat=len(edges))
+                ]
                 assert (lead.domain, lead.l, lead.m) == (sub.domain, sub.l, sub.m)
                 assert lead.n_basis == sub.n_basis == len(index)
                 for ours, theirs, big in zip(lead.matrices, sub.matrices, full.matrices):
@@ -315,6 +320,10 @@ def test_smaller_basis_is_the_leading_block():
 def test_assemble_validation():
     with pytest.raises(InvalidParameterError):
         assemble_forms(Domain.interval(1.0), 1, 2)
+    # m**dim above DEGREE_CAP**2 = 576: a box stops at m = 8
+    assert assemble_forms(Domain((1.0, 1.0, 1.0)), 2, 8).n_basis == 512
+    with pytest.raises(InvalidParameterError, match="exceeds the supported cap 576"):
+        assemble_forms(Domain((1.0, 1.0, 1.0)), 2, 9)
 
 
 def test_assemble_overflow_is_a_numerical_error():
@@ -325,19 +334,20 @@ def test_assemble_overflow_is_a_numerical_error():
 
 
 def test_export_round_trip(tmp_path):
-    forms = assemble_forms(Domain.rectangle(1.0, 2.0), 2, 3)
-    path = tmp_path / "forms.bin"
-    export_forms(forms, path)
-    with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("ascii"))
-    assert header["schema"] == 1
-    assert header["n_basis"] == forms.n_basis
-    assert header["domain"] == [1.0, 2.0]
-    back = load_forms(path)
-    assert back.l == forms.l and back.m == forms.m
-    assert back.domain.edges == forms.domain.edges
-    for mat_a, mat_b in zip(forms.matrices, back.matrices):
-        assert np.array_equal(mat_a, mat_b)
+    for edges, l in (((1.0, 2.0), 2), ((1.0, 0.5, 2.0), 3)):
+        forms = assemble_forms(Domain(edges), l, 3)
+        path = tmp_path / "forms.bin"
+        export_forms(forms, path)
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline().decode("ascii"))
+        assert header["schema"] == 1
+        assert header["n_basis"] == forms.n_basis == 3 ** len(edges)
+        assert header["domain"] == list(edges)
+        back = load_forms(path)
+        assert back.l == forms.l and back.m == forms.m
+        assert back.domain.edges == forms.domain.edges
+        for mat_a, mat_b in zip(forms.matrices, back.matrices):
+            assert np.array_equal(mat_a, mat_b)
 
 
 def test_load_rejects_unknown_schema(tmp_path):
@@ -371,6 +381,20 @@ def test_load_rejects_n_basis_other_than_m_to_the_dim(tmp_path):
     header["m"] = 5
     _rewrite(path, header, data)
     with pytest.raises(InvalidParameterError):
+        load_forms(path)
+
+
+@pytest.mark.parametrize(
+    "edges, m, n",
+    [((1.0,), 100000, 100000), ((1.0,), 25, 25), ((1.0, 1.0, 1.0), 24, 24**3)],
+)
+def test_load_refuses_sizes_above_the_caps_before_reading(tmp_path, edges, m, n):
+    # a header may claim any size; reading 8 n**2 bytes per matrix on its
+    # word would ask for 80 GB at n = 100000
+    path, header, data = _exported(tmp_path, edges=edges, l=2, m=2)
+    header.update(domain=list(edges), m=m, n_basis=n)
+    _rewrite(path, header, data)
+    with pytest.raises(InvalidParameterError, match="exceed the caps"):
         load_forms(path)
 
 

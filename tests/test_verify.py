@@ -169,6 +169,24 @@ def test_run_verification_higher_order():
     assert len(report.checks) == 6
 
 
+@pytest.mark.parametrize(
+    "edges, l, m, k_max", [((1.0, 1.0, 1.0), 2, 6, 3), ((1.3, 0.7, 1.1), 3, 5, 2)]
+)
+def test_run_verification_on_a_box_scores_n_three(edges, l, m, k_max):
+    # the inequalities take n = 3 from the box: eq112's lhs is n times the
+    # squared gaps, checked against the literal oracle with n = 3
+    report = run_verification(Domain(edges), l, m, k_max)
+    assert report.passed and report.to_dict()["n"] == 3
+    assert [c.report.method for c in report.checks] == ["thm11", "eq112", "cor11"] * k_max
+    assert {c.verdict for c in report.checks} == {"pass"}
+    values = report.convergence.eigenvalues[-1]
+    for check in report.checks:
+        if check.report.method == "eq112":
+            k = check.report.k
+            expected = oracles.eq112_sides(values, 3, l, k, values[k])
+            assert (check.report.lhs, check.report.rhs) == pytest.approx(expected, rel=1e-12)
+
+
 def test_run_verification_report_serializes():
     report = run_verification(Domain.rectangle(1.0, 1.0), 2, 4, 1)
     data = report.to_dict()
