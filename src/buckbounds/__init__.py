@@ -77,6 +77,22 @@ _LAZY = {
     "run_verification": "verify",
 }
 
+# What ``from buckbounds import *`` binds: every eager name above, then every
+# lazy one, which the star import resolves through ``__getattr__``.
+__all__ = [
+    "BoundReport", "DeltaSequence", "Spectrum", "chain_bounds", "delta_objective",
+    "euclidean_coefficient", "eval_cor11", "eval_eq112", "eval_l2_priors", "eval_thm11",
+    "eval_thm12", "format_spectrum_csv", "next_bound_cor11", "next_bound_sharp",
+    "next_bound_sphere", "optimize_delta", "parse_spectrum", "read_spectrum",
+    "thm11_optimal_delta",
+    "BracketError", "BuckBoundsError", "ConvergenceError", "DomainViolationError",
+    "InfeasibleSpectrumError", "InternalConsistencyError", "InvalidParameterError",
+    "NotPositiveDefiniteError", "NumericalError", "SpectrumFormatError",
+    "ACoefficients", "Polynomial", "extract_a_coefficients", "fg_polynomials", "h_term",
+    "phi_polynomial", "s_term",
+    *_LAZY,
+]
+
 
 def __getattr__(name):
     if name in ("eigen", "galerkin", "verify"):

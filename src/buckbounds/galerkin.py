@@ -23,6 +23,12 @@ odd a + b, and the first axis keeps a <= b; the lower half is written as the
 mirror image.  All of it is integer arithmetic; each matrix entry is rounded
 to binary64 exactly once, and a form beyond the binary64 range raises
 ``NumericalError``.
+
+This module builds, rounds, slices, exports and loads exact forms, and
+imports no solver: it factors no matrix and never warns about conditioning,
+so forms exist for every (domain, l, m) under the caps, also where the float
+pencil cannot be solved.  ``eigen.solve_buckling`` checks that its pencil is
+definite and warns when its digits may not be trusted.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
@@ -42,7 +47,6 @@ from .polyrec import Polynomial, _require_int
 
 DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
-CONDITIONING_NOTE = 16
 HEADER_KEYS = {"schema", "n_basis", "l", "m", "domain", "matrices", "dtype", "order"}
 
 
@@ -115,12 +119,6 @@ def build_basis_1d(l, m):
     _require_int(m, "m", 1)
     if m > DEGREE_CAP:
         raise InvalidParameterError(f"m={m} exceeds the supported cap {DEGREE_CAP}")
-    if m > CONDITIONING_NOTE:
-        warnings.warn(
-            f"basis size m={m} is above {CONDITIONING_NOTE}; the mass matrix grows "
-            "ill conditioned and eigenvalues may lose digits",
-            stacklevel=2,
-        )
     return Basis1D(l=l, m=m)
 
 
@@ -310,9 +308,10 @@ def assemble_forms(domain, l, m):
     """Assemble A_1..A_l on the given domain from exact rationals.
 
     Every matrix is exactly symmetric because symmetric entries are the same
-    rational rounded once.  Positive definiteness of B = A_1 and of A_l is
-    checked by Cholesky before returning.  The basis size m**dim is capped at
-    ``BASIS_CAP``, which keeps a box at m <= 8.
+    rational rounded once.  The basis size m**dim is capped at
+    ``BASIS_CAP``, which keeps a box at m <= 8.  Nothing here factors or
+    solves: whether the pencil is definite enough to solve, and the m > 16
+    conditioning warning, are ``solve_buckling``'s to check.
     """
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
@@ -322,10 +321,6 @@ def assemble_forms(domain, l, m):
             f"basis size m**dim = {m**domain.dim} exceeds the supported cap {BASIS_CAP}"
         )
     n_basis, matrices = _assemble(domain, basis)
-    from .eigen import cholesky_spd  # deferred: eigen imports this module
-
-    cholesky_spd(matrices[0])
-    cholesky_spd(matrices[-1])
     return OperatorForms(domain=domain, l=l, m=m, n_basis=n_basis, matrices=matrices)
 
 

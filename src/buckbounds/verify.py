@@ -9,6 +9,9 @@ A ladder of resolutions (``run_verification``'s coarse rungs and the sizes
 of ``convergence_study``) is assembled once, at its finest basis size: the
 bases are nested, so every coarser rung's forms are a leading sub-block of
 the finest rung's, equal bit for bit to assembling that rung directly.
+Only the finest rung goes through ``solve_buckling``, with its conditioning
+warning and its checks of the unscaled forms; each coarser rung goes
+straight to the solver, which factors its scaled B once.
 """
 
 from __future__ import annotations

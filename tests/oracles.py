@@ -153,20 +153,20 @@ def reference_forms(edges, l, m):
     return matrices
 
 
-def hilbert_table(basis, orders):
-    """The 1D Gram blocks ``(blocks, den)`` as full products in x.
+def hilbert_table(l, m, orders):
+    """The 1D Gram blocks ``(blocks, den)`` of the size-m basis as full products in x.
 
     Block j is C_j H C_j^T, where column p of C_j is column p + j of the
-    integer x-coefficient matrix of ``basis.functions`` times (p + j)! / p!,
-    and H is the Hilbert matrix 1/(p + q + 1) over all powers, scaled to
-    integers by den = lcm(1, ..., 2w - 1) for w coefficients.  Orders are
-    not validated.
+    integer x-coefficient matrix of ``_clamped_basis(l, m)`` times
+    (p + j)! / p!, and H is the Hilbert matrix 1/(p + q + 1) over all
+    powers, scaled to integers by den = lcm(1, ..., 2w - 1) for w = 2l + m
+    coefficients.  Orders are not validated.
     """
-    width = len(basis.functions[-1].coefficients)
+    basis = _clamped_basis(l, m)
+    width = len(basis[-1])
     den = math.lcm(*range(1, 2 * width))  # clears every monomial integral 1/(p + q + 1)
     hilbert = den // np.add.outer(range(1, width + 1), range(width)).astype(object)
-    coeffs = [f.coefficients + (0,) * (width - len(f.coefficients)) for f in basis.functions]
-    coeffs = np.array(coeffs, dtype=object)
+    coeffs = np.array([c + [0] * (width - len(c)) for c in basis], dtype=object)
     blocks = {}
     for j in set(orders):
         factors = np.array([math.perm(p, j) for p in range(j, width)], dtype=object)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from buckbounds import (
     NotPositiveDefiniteError,
     assemble_forms,
     cholesky_spd,
+    convergence_study,
     eigen,
     rayleigh_quantities,
+    run_verification,
     solve_buckling,
     solve_generalized,
 )
@@ -197,6 +200,51 @@ def test_solve_buckling_checks_count_before_assembling(monkeypatch):
     for count in (0, 1.0, 577, 1000):
         with pytest.raises(InvalidParameterError, match="count"):
             solve_buckling(Domain.rectangle(), 3, 24, count)
+
+
+def test_only_solves_factor_and_each_coarse_rung_factors_once(monkeypatch):
+    # Assembly factors nothing.  A solve checks the unscaled A_1 and A_l, then
+    # the solver factors its scaled B; a ladder's coarser rungs skip the
+    # checks and are factored by the solver alone.
+    sizes = []
+    factor = eigen.cholesky_spd
+
+    def counted(matrix):
+        sizes.append(len(matrix))
+        return factor(matrix)
+
+    monkeypatch.setattr(eigen, "cholesky_spd", counted)
+    domain = Domain.rectangle(1.0, 1.3)
+    assemble_forms(domain, 3, 5)
+    assert sizes == []
+    solve_buckling(domain, 3, 5, 2)
+    assert sizes == [25, 25, 25]
+    sizes.clear()
+    convergence_study(domain, 3, [2, 3, 5], 2)
+    assert sizes == [25, 25, 25, 4, 9]
+    sizes.clear()
+    run_verification(domain, 3, 8, 1)  # the ladder 2, 4, 8
+    assert sizes == [64, 64, 64, 4, 16]
+
+
+def _notes(call, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(*args)
+    return [str(w.message) for w in caught]
+
+
+def test_conditioning_note_is_the_solves_at_its_finest_size():
+    interval, square = Domain.interval(1.0), Domain.rectangle(1.0, 1.0)
+    note = (
+        "basis size m={} is above 16; the mass matrix grows ill conditioned "
+        "and eigenvalues may lose digits"
+    )
+    assert _notes(solve_buckling, interval, 2, 16, 1) == []
+    assert _notes(solve_buckling, interval, 3, 17, 1) == [note.format(17)]
+    assert _notes(convergence_study, interval, 2, [8, 16], 1) == []
+    assert _notes(convergence_study, interval, 2, [17, 20], 1) == [note.format(20)]
+    assert _notes(run_verification, square, 2, 17, 1) == [note.format(17)]
 
 
 def test_residual_failure_names_the_threshold_it_compares(monkeypatch):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -12,6 +14,7 @@ import sympy
 from buckbounds import (
     Domain,
     InvalidParameterError,
+    NotPositiveDefiniteError,
     NumericalError,
     assemble_forms,
     build_basis_1d,
@@ -60,13 +63,18 @@ def test_basis_matches_sympy_construction():
             assert list(f.coefficients) == [int(c) for c in coeffs]
 
 
-def test_basis_cap_and_conditioning_warning():
+def test_basis_cap_and_conditioning_warning(tmp_path):
+    # The cap stays with the basis; the conditioning note is the solver's.
     with pytest.raises(InvalidParameterError):
         build_basis_1d(2, 25)
     with pytest.raises(InvalidParameterError):
         build_basis_1d(2, 0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         build_basis_1d(2, 17)
+        export_forms(assemble_forms(Domain.interval(1.0), 2, 17), tmp_path / "forms.bin")
+    with pytest.warns(UserWarning, match="basis size m=17 is above 16"):
+        solve_buckling(Domain.interval(1.0), 2, 17, 1)
 
 
 def _entry(table, j, a, b):
@@ -124,21 +132,18 @@ def test_table_validates_every_order_before_any_block(monkeypatch):
 def test_table_matches_full_hilbert_route():
     # Every block, block 0 at large m included (no interval form reads it),
     # equals the x-coefficient Hilbert product the parity split replaced.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the m > 16 conditioning note
-        for l, m in itertools.product(range(2, 7), range(1, DEGREE_CAP + 1)):
-            basis = build_basis_1d(l, m)
-            blocks, den = derivative_integral_table(basis, range(l + 1))
-            reference, reference_den = oracles.hilbert_table(basis, range(l + 1))
-            assert den == reference_den
-            assert sorted(blocks) == list(range(l + 1))
-            for j in range(l + 1):
-                assert np.array_equal(blocks[j], reference[j]), (l, m, j)
+    for l, m in itertools.product(range(2, 7), range(1, DEGREE_CAP + 1)):
+        blocks, den = derivative_integral_table(build_basis_1d(l, m), range(l + 1))
+        reference, reference_den = oracles.hilbert_table(l, m, range(l + 1))
+        assert den == reference_den
+        assert sorted(blocks) == list(range(l + 1))
+        for j in range(l + 1):
+            assert np.array_equal(blocks[j], reference[j]), (l, m, j)
 
 
 @lru_cache(maxsize=None)
 def _hilbert_reference(l, m):
-    return oracles.hilbert_table(build_basis_1d(l, m), range(l + 1))
+    return oracles.hilbert_table(l, m, range(l + 1))
 
 
 def _check_table(l, m, orders):
@@ -150,7 +155,6 @@ def _check_table(l, m, orders):
         assert np.array_equal(blocks[j], reference[j]), (l, m, j)
 
 
-@pytest.mark.filterwarnings("ignore:basis size:UserWarning")  # the m > 16 conditioning note
 def test_table_cache_serves_every_leading_block(monkeypatch):
     # Cold builds, then the same tables with m ascending (every call grows
     # the kept blocks), descending (every call after the first is served
@@ -282,9 +286,7 @@ def test_assembly_matches_per_entry_fraction_reference():
     boxes = ((1.0, 1.0, 1.0), (0.9, 1.3, 0.7))
     grid += [(e, l, m) for e in boxes for l in (2, 3, 4) for m in (1, 2, 3)]
     for edges, l, m in grid:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            forms = assemble_forms(Domain(edges), l, m)
+        forms = assemble_forms(Domain(edges), l, m)
         reference = oracles.reference_forms(edges, l, m)
         assert len(forms.matrices) == len(reference) == l
         for k, (ours, theirs) in enumerate(zip(forms.matrices, reference), start=1):
@@ -348,6 +350,41 @@ def test_export_round_trip(tmp_path):
         assert back.domain.edges == forms.domain.edges
         for mat_a, mat_b in zip(forms.matrices, back.matrices):
             assert np.array_equal(mat_a, mat_b)
+
+
+# Assembles, exports and loads forms in a fresh interpreter with every warning
+# an error, and reports whether the loaded forms are bit for bit the assembled
+# ones and which of the solver's modules were loaded.
+ROUND_TRIP_PROBE = """
+import json, sys
+import numpy as np
+from buckbounds.galerkin import Domain, assemble_forms, export_forms, load_forms
+
+forms = assemble_forms(Domain(tuple(json.loads(sys.argv[1]))), int(sys.argv[2]), int(sys.argv[3]))
+export_forms(forms, sys.argv[4])
+back = load_forms(sys.argv[4])
+same = all(np.array_equal(a, b) for a, b in zip(forms.matrices, back.matrices))
+print(json.dumps({"n_basis": back.n_basis, "same": same,
+                  "loaded": sorted({"buckbounds.eigen", "scipy"} & set(sys.modules))}))
+"""
+
+
+def test_unsolvable_pencil_still_assembles_and_round_trips(tmp_path):
+    # On the unit square at l = 4, m = 24 the unscaled A_1 fails the solve's
+    # pivot check; the exact forms exist all the same, and only the solve
+    # refuses them.
+    argv = [json.dumps([1.0, 1.0]), "4", "24", str(tmp_path / "forms.bin")]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", ROUND_TRIP_PROBE, *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"n_basis": 576, "same": True, "loaded": []}
+    failure = r"^pivot -\S+ at index 569 is not above"
+    with pytest.warns(UserWarning, match="m=24"):
+        with pytest.raises(NotPositiveDefiniteError, match=failure):
+            solve_buckling(Domain((1.0, 1.0)), 4, 24, 1)
 
 
 def test_load_rejects_unknown_schema(tmp_path):

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +87,51 @@ def test_public_names_resolve_to_their_definitions():
             assert name in vars(buckbounds), name
             assert name in dir(buckbounds)
     assert buckbounds.__version__ == "0.1.0"
+
+
+# Prints every public name that a star import leaves unbound, in a fresh
+# interpreter, so that no earlier lookup has resolved a lazy name already.
+STAR_PROBE = """
+import json, sys
+from buckbounds import *
+print(json.dumps([name for name in json.loads(sys.argv[1]) if name not in globals()]))
+"""
+
+
+def test_star_import_binds_every_public_name():
+    names = sorted(name for names in PUBLIC_NAMES.values() for name in names)
+    assert sorted(buckbounds.__all__) == names
+    result = subprocess.run(
+        [sys.executable, "-c", STAR_PROBE, json.dumps(names)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+# Modules in dependency order: a module imports only from modules before it.
+# ``__init__`` serves every name and is exempt; the CLI reaches the numeric
+# modules through ``importlib`` lookups, which are not import statements.
+LAYERS = ("errors", "polyrec", "bounds", "galerkin", "eigen", "verify", "cli", "__main__")
+
+
+def _relative_imports(tree):
+    # The package modules each relative import statement reaches, at any depth.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.lineno, node.module.split(".")[0]
+            else:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_modules_import_only_earlier_layers():
+    source = Path(buckbounds.__file__).parent
+    modules = {path.stem: path for path in source.glob("*.py")}
+    assert sorted(modules) == sorted(LAYERS + ("__init__",))
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse(modules[name].read_text(encoding="utf-8"))
+        for line, target in _relative_imports(tree):
+            assert target in LAYERS[:rank], f"{name}.py line {line} imports {target}"
 
 
 def test_unknown_name_raises_attribute_error():
