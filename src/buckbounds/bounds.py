@@ -419,16 +419,15 @@ def eval_eq112(spectrum, k, candidate):
 
 
 def eval_cor11(spectrum, k, candidate):
-    """Score the quadratic corollary: sum of squared gaps vs C * sum(gap * lam)."""
-    return _quadratic_report("cor11", spectrum, k, candidate, _quadratic_constant(spectrum))
+    """Score the quadratic corollary: sum of squared gaps vs C * sum(gap * lam).
 
-
-def _quadratic_report(method, spectrum, k, candidate, big_c):
-    # The report on sum g**2 <= big_c sum g lam, decided in the Euclidean units.
+    Decided in the Euclidean units, like the quadratic priors of
+    ``eval_l2_priors``.
+    """
+    big_c = _quadratic_constant(spectrum)
     shift, values, gaps = _euclidean_units(spectrum, k, candidate)
     lhs = math.fsum(g * g for g in gaps)
-    rhs = big_c * math.fsum(g * v for g, v in zip(gaps, values))
-    return _report(method, k, lhs, rhs, shift)
+    return _report("cor11", k, lhs, big_c * math.fsum(map(mul, gaps, values)), shift)
 
 
 def optimize_delta(a, b):
@@ -794,7 +793,7 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     _require_int(spectrum.n, "n", 2)
-    shift, _, gaps = _euclidean_units(spectrum, k, candidate)
+    shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
     delta_scalar = float(delta_scalar)
     if not math.isfinite(delta_scalar) or delta_scalar <= 0.0:
         raise InvalidParameterError(f"delta must be positive finite, got {delta_scalar}")
@@ -816,8 +815,11 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     # raw eigenvalues; the gaps carry 2**shift, and so does each light factor,
     # so that every term carries 4**shift
     light = math.fsum(g * _ldexp(v + (n - 2) ** 2 / 4.0, shift) for g, v in zip(gaps, values)) / d
+    # prior16 and prior18 are sum g**2 <= C sum g lam, like eval_cor11
+    squares = math.fsum(g * g for g in gaps)
+    tilted = math.fsum(map(mul, gaps, scaled))
     return [
-        _quadratic_report("prior16", spectrum, k, candidate, 4.0 * (n + 2.0) / (n * n)),
-        _quadratic_report("prior18", spectrum, k, candidate, 4.0 * (n + 4.0 / 3.0) / (n * n)),
-        _report("prior19", k, 2.0 * math.fsum(g * g for g in gaps), heavy + light, shift),
+        _report("prior16", k, squares, 4.0 * (n + 2.0) / (n * n) * tilted, shift),
+        _report("prior18", k, squares, 4.0 * (n + 4.0 / 3.0) / (n * n) * tilted, shift),
+        _report("prior19", k, 2.0 * squares, heavy + light, shift),
     ]

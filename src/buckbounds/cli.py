@@ -1,9 +1,10 @@
 """Command line front end: spectra, coefficient families, bounds, verification.
 
 stdout carries data only and is byte-identical across runs with the same
-arguments and input files; diagnostics go to stderr as a single line
-``error: <kind>: <message>``.  Exit codes: 0 success, 1 input or file error,
-2 usage error, 3 numerical failure, 4 verification failure.
+arguments and input files; diagnostics go to stderr, one line each: an error
+as ``error: <kind>: <message>`` and a warning that the warning filters let
+through as ``warning: <message>``.  Exit codes: 0 success, 1 input or file
+error, 2 usage error, 3 numerical failure, 4 verification failure.
 
 numpy and scipy load only for ``solve`` and ``verify``: ``solve_buckling``,
 ``Domain`` and ``run_verification`` are module attributes resolved on first
@@ -16,6 +17,7 @@ import argparse
 import importlib
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from .bounds import (
@@ -297,11 +299,17 @@ def build_parser():
 
 
 def dispatch(argv):
-    """Run one subcommand and map failures to documented exit codes."""
+    """Run one subcommand and map failures to documented exit codes.
+
+    Warnings go through the active filters as usual; one that is shown is
+    printed as the single line ``warning: <message>``.
+    """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            args = parser.parse_args(argv)
+            return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except InvalidParameterError as exc:
@@ -323,6 +331,10 @@ def dispatch(argv):
 
 def _emit(kind, exc):
     print(f"error: {kind}: {exc}", file=sys.stderr)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main():

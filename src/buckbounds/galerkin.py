@@ -5,24 +5,25 @@ Legendre polynomial of degree a, so b_a and its first l-1 derivatives vanish
 at both endpoints.  In t = 2x - 1 the basis is 4^-l (1 - t^2)^l L_a(t), and
 2^(m-1) 4^l b_a has integer coefficients on powers of the parity of a only
 (the even/odd split of Legendre bases, J. Shen, SIAM J. Sci. Comput. 15,
-1994).  So the Gram block G_j[a, b] of the j-th derivatives is zero for odd
-a + b, and its even-a and odd-a parts are two integer Hilbert products
-c H' c^T over about half the powers each, H' holding only the odd
-denominators p + q + 1; an exact right shift puts them over one common
-denominator, lcm(1..2w - 1) for w = 2l + m coefficients.  The bases are
-nested (b_a does not depend on m), so each block is built once per (l, j)
-and size and kept: a smaller m gets the leading sub-block of the largest one
-built, divided exactly by the ratio of the two denominators, since both are
-the same integrals times an integer denominator.  Every form is a
-weighted Kronecker sum of these equal-order blocks: on a box the order-k form
-is the sum, over per-axis orders j with |j| = k, of the multinomial
-k! / prod(j_i!) times the Kronecker product of the blocks G_(j_i) (Lynch,
-Rice & Thomas, Numer. Math. 6, 1964).
-Only the parity-even upper half of each form is computed: G_j[a, b] = 0 for
-odd a + b, and the first axis keeps a <= b; the lower half is written as the
-mirror image.  All of it is integer arithmetic; each matrix entry is rounded
-to binary64 exactly once, and a form beyond the binary64 range raises
-``NumericalError``.
+1994).  Those integer rows in t, ``_basis_rows``, are the only form of the
+basis that is built; ``Basis1D`` holds just (l, m).  So the Gram block
+G_j[a, b] of the j-th derivatives is zero for odd a + b, and its even-a and
+odd-a parts are two integer Hilbert products c H' c^T over about half the
+powers each, H' holding only the odd denominators p + q + 1; an exact right
+shift puts them over one common denominator, lcm(1..2w - 1) for w = 2l + m
+coefficients.  The bases are nested (b_a does not depend on m), so each
+block is built once per (l, j) and size and kept: a smaller m gets the
+leading sub-block of the largest one built, divided exactly by the ratio of
+the two denominators, since both are the same integrals times an integer
+denominator.  Every form is a weighted Kronecker sum of these equal-order
+blocks: on a box the order-k form is the sum, over per-axis orders j with
+|j| = k, of the multinomial k! / prod(j_i!) times the Kronecker product of
+the blocks G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), of size
+N = m**dim.  Only the parity-even upper half of each form is computed:
+G_j[a, b] = 0 for odd a + b, and the first axis keeps a <= b; the lower half
+is written as the mirror image.  All of it is integer arithmetic; each
+matrix entry is rounded to binary64 exactly once, and a form beyond the
+binary64 range raises ``NumericalError``.
 
 This module builds, rounds, slices, exports and loads exact forms, and
 imports no solver: it factors no matrix and never warns about conditioning,
@@ -43,7 +44,7 @@ from math import comb, factorial, lcm, perm, prod
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .polyrec import Polynomial, _require_int
+from .polyrec import _require_int
 
 DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
@@ -84,37 +85,22 @@ class Domain:
 
 @dataclass(frozen=True)
 class Basis1D:
-    """The m clamped basis polynomials on [0, 1] for boundary order l.
+    """The clamped basis b_0..b_(m-1) on [0, 1] for boundary order l.
 
-    Made by ``build_basis_1d``, which checks (l, m).  Assembly reads only l
-    and m; the x-form polynomials in ``functions`` are built on first read
-    and then kept.
+    Made by ``build_basis_1d``, which checks (l, m).  It holds only l and m:
+    the polynomials themselves are the integer rows of ``_basis_rows(l, m)``,
+    which the 1D table integrates.
     """
 
     l: int
     m: int
 
-    @functools.cached_property
-    def functions(self):
-        clamp = _clamp_factor(self.l)
-        return tuple(clamp * _shifted_legendre(a) for a in range(self.m))
-
-
-def _shifted_legendre(a):
-    # L_a(2x - 1) has integer coefficients: sum_k (-1)**(a+k) C(a,k) C(a+k,k) x**k.
-    return Polynomial(tuple((-1) ** (a + k) * comb(a, k) * comb(a + k, k) for k in range(a + 1)))
-
-
-def _clamp_factor(l):
-    # x**l (1-x)**l, ascending integer coefficients.
-    coeffs = [0] * (2 * l + 1)
-    for j in range(l + 1):
-        coeffs[l + j] = (-1) ** j * comb(l, j)
-    return Polynomial(tuple(coeffs))
-
 
 def build_basis_1d(l, m):
-    """Construct the clamped basis of size m; degree of b_a is 2l + a."""
+    """Check (l, m) and name the clamped basis of size m; b_a has degree 2l + a.
+
+    Its polynomials are the integer rows of ``_basis_rows(l, m)``.
+    """
     _require_int(l, "l", 2)
     _require_int(m, "m", 1)
     if m > DEGREE_CAP:
@@ -137,11 +123,10 @@ def derivative_integral_table(basis, orders):
     boundary, so larger orders are refused, all of them before any block is
     built.
 
-    The integrals are taken in t = 2x - 1, where the integer row
-    2^(m-1-a) (1 - t^2)^l 2^a L_a(t) = 2^(m-1) 4^l b_a holds only powers of
-    the parity of a, 2^a L_a(t) being sum_k (-1)^k C(a,k) C(2a-2k,a)
-    t^(a-2k).  Since d/dx = 2 d/dt, row a of order j has the coefficient of
-    t^(p+j) times (p + j)! / p! * 2^j at t^p.  Half the integral over
+    The integrals are taken in t = 2x - 1, on the integer rows
+    2^(m-1) 4^l b_a of ``_basis_rows``, each holding only powers of the
+    parity of a.  Since d/dx = 2 d/dt, row a of order j has the coefficient
+    of t^(p+j) times (p + j)! / p! * 2^j at t^p.  Half the integral over
     [-1, 1] of t^(p+q) is 1/(p + q + 1) for even p + q and 0 otherwise, so
     entries with odd a + b are exact zeros, and the even and the odd a
     each make one product c H' c^T over about half the powers, with the
@@ -177,19 +162,29 @@ def derivative_integral_table(basis, orders):
     return {j: block[:m, :m] // (built // den) for j, (_, built, block) in kept.items()}, den
 
 
-def _integer_blocks(l, m, orders, den):
-    # The Gram blocks of the given orders at basis size m, times den, built
-    # from the parity-split Hilbert products described above.
-    width = 2 * l + m  # powers t^0 .. t^(2l + m - 1)
-    v = (2 * width - 1).bit_length() - 1  # den is its odd part times 2^v
-    # H'[p, q] for even p + q, a Hankel matrix: entry (p + q) / 2 of this vector
-    hilbert = np.array([(den >> v) // (2 * n + 1) for n in range(width)], dtype=object)
-    rows = np.zeros((m, width), dtype=object)  # 2^(m-1-a) 2^a L_a(t), then times (1 - t^2)^l
+def _basis_rows(l, m):
+    # The basis in t = 2x - 1, the only form of it the package builds: row a
+    # holds the ascending coefficients of t^0 .. t^(2l + m - 1) of the integer
+    # polynomial 2^(m-1) 4^l b_a = 2^(m-1-a) 2^a L_a(t) (1 - t^2)^l, where
+    # 2^a L_a(t) = sum_k (-1)^k C(a,k) C(2a-2k,a) t^(a-2k), so the row holds
+    # only powers of the parity of a.
+    rows = np.zeros((m, 2 * l + m), dtype=object)
     for a in range(m):
         for k in range(a // 2 + 1):
             rows[a, a - 2 * k] = (-1) ** k * comb(a, k) * comb(2 * (a - k), a) << m - 1 - a
     for _ in range(l):
         rows[:, 2:] = rows[:, 2:] - rows[:, :-2]
+    return rows
+
+
+def _integer_blocks(l, m, orders, den):
+    # The Gram blocks of the given orders at basis size m, times den, built
+    # from the parity-split Hilbert products described above.
+    width = 2 * l + m
+    v = (2 * width - 1).bit_length() - 1  # den is its odd part times 2^v
+    # H'[p, q] for even p + q, a Hankel matrix: entry (p + q) / 2 of this vector
+    hilbert = np.array([(den >> v) // (2 * n + 1) for n in range(width)], dtype=object)
+    rows = _basis_rows(l, m)
     blocks = {j: np.zeros((m, m), dtype=object) for j in orders}
     for j, block in blocks.items():
         for g in (0, 1):  # rows a = g (mod 2) of order j hold the powers p = g + j (mod 2)
@@ -204,17 +199,20 @@ class OperatorForms:
     """Form matrices A_1..A_l of one domain discretization, binary64, symmetric.
 
     ``matrices[k-1]`` represents the order-k polyharmonic form; the first one
-    doubles as the mass-like matrix B of the buckling pencil.  ``n_basis`` is
-    the matrix size m**dim, at most ``BASIS_CAP``.  Indices are mixed radix
-    m: the product b_a(x) b_c(y) b_e(z) of a box is row (a*m + c)*m + e, and
-    a*m + c on a rectangle.
+    doubles as the mass-like matrix B of the buckling pencil.  The matrix
+    size ``n_basis`` is derived, m**dim, at most ``BASIS_CAP``.  Indices are
+    mixed radix m: the product b_a(x) b_c(y) b_e(z) of a box is row
+    (a*m + c)*m + e, and a*m + c on a rectangle.
     """
 
     domain: Domain
     l: int
     m: int
-    n_basis: int
     matrices: tuple = field(repr=False)
+
+    @property
+    def n_basis(self):
+        return self.m**self.domain.dim
 
     @property
     def b_matrix(self):
@@ -301,7 +299,7 @@ def _assemble(domain, basis):
                 f"the order-{k} form overflows binary64 on edges {domain.edges}"
             ) from None
         matrices.append(out.reshape(n, n))
-    return n, tuple(matrices)
+    return tuple(matrices)
 
 
 def assemble_forms(domain, l, m):
@@ -320,8 +318,7 @@ def assemble_forms(domain, l, m):
         raise InvalidParameterError(
             f"basis size m**dim = {m**domain.dim} exceeds the supported cap {BASIS_CAP}"
         )
-    n_basis, matrices = _assemble(domain, basis)
-    return OperatorForms(domain=domain, l=l, m=m, n_basis=n_basis, matrices=matrices)
+    return OperatorForms(domain=domain, l=l, m=m, matrices=_assemble(domain, basis))
 
 
 def _leading_forms(forms, m):
@@ -332,7 +329,7 @@ def _leading_forms(forms, m):
     # copy equals assemble_forms(forms.domain, forms.l, m) bit for bit.
     index = _mixed_radix([np.arange(m)] * forms.domain.dim, forms.m).ravel()
     matrices = tuple(mat[np.ix_(index, index)] for mat in forms.matrices)
-    return OperatorForms(domain=forms.domain, l=forms.l, m=m, n_basis=index.size, matrices=matrices)
+    return OperatorForms(domain=forms.domain, l=forms.l, m=m, matrices=matrices)
 
 
 def export_forms(forms, path):
@@ -408,4 +405,4 @@ def load_forms(path):
     for k, mat in enumerate(matrices, start=1):
         if not np.array_equal(mat, mat.T):
             raise InvalidParameterError(f"matrix {k} in {path} is not symmetric")
-    return OperatorForms(domain=domain, l=l, m=m, n_basis=n, matrices=tuple(matrices))
+    return OperatorForms(domain=domain, l=l, m=m, matrices=tuple(matrices))

@@ -69,7 +69,7 @@ class LemmaRow:
     passed: bool
 
 
-def check_lemma21(solution, forms=None):
+def check_lemma21(solution):
     """Check every retained eigenpair's intermediate quadratic forms.
 
     For eigenpair (lam_i, x_i) and k = 1..l-1 the value x_i^T A_k x_i must
@@ -78,7 +78,7 @@ def check_lemma21(solution, forms=None):
     """
     if solution.vectors is None:
         raise InvalidParameterError("the spectrum carries no eigenvectors to check")
-    forms = forms if forms is not None else solution.forms
+    forms = solution.forms
     if forms is None:
         raise InvalidParameterError("no operator forms available for the check")
     l = forms.l

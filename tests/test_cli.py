@@ -160,6 +160,26 @@ def test_solve_overflowed_residual_check_is_numerical(capsys):
     assert err.startswith("error: numerical:") and err.count("\n") == 1
 
 
+def test_warning_is_one_stderr_line(capsys):
+    # m = 17 is above the conditioning note: the solve warns and succeeds
+    argv = ["solve", "--dim", "1", "--l", "2", "--degree", "17", "--count", "1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "buckbounds", *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (0, "Lambda_1 = 39.47841760436\n")
+    assert result.stderr.startswith("warning: basis size m=17 is above 16")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert run_cli(argv, capsys) == (0, result.stdout, result.stderr)
+    # the warning filters still decide whether it is shown or raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(argv, capsys) == (0, result.stdout, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="m=17"):
+            cli.dispatch(argv)
+
+
 def test_solve_failure_exit_code(capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise ConvergenceError("stub failure")

@@ -43,24 +43,34 @@ def test_domain_validation():
 
 
 def test_basis_satisfies_clamped_conditions_exactly():
-    for l in (2, 3, 4):
-        basis = build_basis_1d(l, 4)
-        assert len(basis.functions) == 4
-        for f in basis.functions:
+    # The rows are the basis in t = 2x - 1, the form the table integrates:
+    # every derivative of order < l vanishes at t = -1 and t = 1, the ends
+    # x = 0 and x = 1, and row a has degree 2l + a.
+    for l, m in itertools.product((2, 3, 4), (1, 4)):
+        for a, row in enumerate(galerkin._basis_rows(l, m)):
+            f = Polynomial(tuple(row))
+            assert f.degree == 2 * l + a
             for order in range(l):
                 g = f.derivative(order)
-                assert g(Fraction(0)) == 0
+                assert g(Fraction(-1)) == 0
                 assert g(Fraction(1)) == 0
 
 
 def test_basis_matches_sympy_construction():
-    x = sympy.Symbol("x")
-    for l in (2, 3):
-        basis = build_basis_1d(l, 5)
-        for a, f in enumerate(basis.functions):
-            expr = x**l * (1 - x) ** l * sympy.legendre(a, 2 * x - 1)
-            coeffs = list(reversed(sympy.Poly(sympy.expand(expr), x).all_coeffs()))
-            assert list(f.coefficients) == [int(c) for c in coeffs]
+    # Row a holds the ascending t-coefficients of 2^(m-1) 4^l b_a with
+    # b_a = x^l (1-x)^l L_a(2x - 1) at x = (t + 1) / 2, zero-padded to 2l + m.
+    t = sympy.Symbol("t")
+    x = (t + 1) / 2
+    for l, m in itertools.product((2, 3, 4), (1, 3, 6)):
+        rows = galerkin._basis_rows(l, m)
+        assert rows.shape == (m, 2 * l + m)
+        for a in range(m):
+            expr = 2 ** (m - 1) * 4**l * x**l * (1 - x) ** l * sympy.legendre(a, 2 * x - 1)
+            coeffs = sympy.Poly(sympy.expand(expr), t).all_coeffs()[::-1]
+            assert all(c.is_Integer for c in coeffs)
+            padded = [int(c) for c in coeffs] + [0] * (2 * l + m - len(coeffs))
+            assert [type(c) for c in rows[a]] == [int] * (2 * l + m)
+            assert list(rows[a]) == padded
 
 
 def test_basis_cap_and_conditioning_warning(tmp_path):

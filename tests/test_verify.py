@@ -75,6 +75,12 @@ def test_lemma_check_needs_vectors():
         check_lemma21(synthetic)
 
 
+def test_lemma_check_needs_forms():
+    vectors_only = Spectrum(values=(1.0,), n=1, l=2, vectors=np.ones((1, 1)))
+    with pytest.raises(InvalidParameterError, match="no operator forms"):
+        check_lemma21(vectors_only)
+
+
 def test_theorem_checks_on_computed_square_spectrum():
     spectrum = solve_buckling(Domain.rectangle(1.0, 1.0), 2, 6, 4)
     reports = check_theorem11(spectrum, 3)
