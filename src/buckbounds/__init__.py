@@ -2,7 +2,8 @@
 
 The bounds, polynomial families and errors are pure Python and load with the
 package.  The numeric modules ``eigen``, ``galerkin`` and ``verify`` need
-numpy and scipy, so their names are imported on first use (PEP 562).
+numpy, so their names are imported on first use (PEP 562).  Only the
+eigensolver needs scipy, and ``eigen`` imports it at the first solve.
 """
 
 import importlib

@@ -3,12 +3,15 @@
 stdout carries data only and is byte-identical across runs with the same
 arguments and input files; diagnostics go to stderr, one line each: an error
 as ``error: <kind>: <message>`` and a warning that the warning filters let
-through as ``warning: <message>``.  Exit codes: 0 success, 1 input or file
-error, 2 usage error, 3 numerical failure, 4 verification failure.
+through as ``warning: <message>``.  A warning that the filters turn into an
+error (``python -W error``) ends the command as ``error: warning: <message>``
+with exit 3.  Exit codes: 0 success, 1 input or file error, 2 usage error,
+3 numerical failure or a warning raised as an error, 4 verification failure.
 
-numpy and scipy load only for ``solve`` and ``verify``: ``solve_buckling``,
-``Domain`` and ``run_verification`` are module attributes resolved on first
-use, and the commands call whatever those attributes hold at call time.
+numpy loads only for ``solve`` and ``verify``, and scipy only when they reach
+the eigensolver: ``solve_buckling``, ``Domain`` and ``run_verification`` are
+module attributes resolved on first use, and the commands call whatever
+those attributes hold at call time.
 """
 
 from __future__ import annotations
@@ -302,7 +305,8 @@ def dispatch(argv):
     """Run one subcommand and map failures to documented exit codes.
 
     Warnings go through the active filters as usual; one that is shown is
-    printed as the single line ``warning: <message>``.
+    printed as the single line ``warning: <message>``, and one that a filter
+    turns into an error as ``error: warning: <message>``, with exit 3.
     """
     parser = build_parser()
     try:
@@ -326,6 +330,9 @@ def dispatch(argv):
         return 3
     except InternalConsistencyError as exc:
         _emit("internal", exc)
+        return 3
+    except Warning as exc:  # promoted by a filter such as python -W error
+        _emit("warning", exc)
         return 3
 
 

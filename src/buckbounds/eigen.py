@@ -17,16 +17,22 @@ succeeds.  They stay because the benchmark harness pins three
 ``cholesky_spd`` calls per solve; once that pin is lifted, one
 pivot-checked factor can replace all three.  A ladder's coarser rungs reach
 the solver through ``_spectrum`` and are factored once each.
+
+scipy supplies only the two LAPACK drivers ``eigh`` and ``solve_triangular``.
+They are module attributes resolved on first use, so importing this module
+loads numpy alone, scipy loads at the first solve, and the solver calls
+whatever the two attributes hold at call time.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 import warnings
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh, solve_triangular
 
 from .bounds import Spectrum
 from .errors import (
@@ -43,6 +49,24 @@ ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 CONDITIONING_NOTE = 16
+
+# Name -> the module that defines it, imported on first use (PEP 562):
+# scipy.linalg takes longer to import than numpy, and a process that only
+# assembles forms or evaluates bounds never solves.
+_LAZY = {"eigh": "scipy.linalg", "solve_triangular": "scipy.linalg"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name):
+    """The current value of the module attribute ``name``."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _as_symmetric(matrix, name):
@@ -130,6 +154,7 @@ def solve_generalized(a_matrix, b_matrix, count):
     a_scaled = a_mat * jacobi
     b_scaled = b_mat * jacobi
     lower = cholesky_spd(b_scaled)
+    eigh, solve_triangular = _lazy("eigh"), _lazy("solve_triangular")
     half = solve_triangular(lower, a_scaled, lower=True)
     reduced = solve_triangular(lower, half.T, lower=True)
     reduced = 0.5 * (reduced + reduced.T)

@@ -174,10 +174,23 @@ def test_warning_is_one_stderr_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run_cli(argv, capsys) == (0, result.stdout, "")
+
+
+def test_warning_raised_as_error_is_one_error_line(capsys):
+    # -W error turns the conditioning note into an exception, which ends the
+    # command with one diagnostic line and exit 3, not a traceback
+    argv = ["solve", "--dim", "1", "--l", "2", "--degree", "17", "--count", "1"]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "buckbounds", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: warning: basis size m=17 is above 16")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UserWarning, match="m=17"):
-            cli.dispatch(argv)
+        assert run_cli(argv, capsys) == (3, "", result.stderr)
 
 
 def test_solve_failure_exit_code(capsys, monkeypatch):

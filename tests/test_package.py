@@ -193,5 +193,31 @@ def test_light_subcommands_never_load_numpy(tmp_path):
     assert report["codes"] == [0] * len(runs)
     assert report["light"] == []
     assert report["solve"] == 0
-    assert "numpy" in report["after_solve"]
+    assert report["after_solve"] == ["numpy", "scipy"]
     assert report["verify"] == [False, "buckbounds.verify"]
+
+
+# Imports every numeric module and resolves a lazy package name in a fresh
+# interpreter, then solves once, and reports whether scipy was loaded before
+# and after the solve and whether the solver's drivers are scipy's own.
+SCIPY_PROBE = """
+import json, sys
+import buckbounds, buckbounds.eigen, buckbounds.galerkin, buckbounds.verify
+
+solve = buckbounds.solve_buckling
+before = "scipy" in sys.modules
+solve(buckbounds.Domain((1.0,)), 2, 3, 1)
+after = "scipy.linalg" in sys.modules
+import scipy.linalg
+from buckbounds import eigen
+print(json.dumps({"before": before, "after": after,
+                  "drivers": [eigen.eigh is scipy.linalg.eigh,
+                              eigen.solve_triangular is scipy.linalg.solve_triangular]}))
+"""
+
+
+def test_scipy_loads_at_the_first_solve():
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report == {"before": False, "after": True, "drivers": [True, True]}
