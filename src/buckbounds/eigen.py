@@ -50,23 +50,19 @@ RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 CONDITIONING_NOTE = 16
 
-# Name -> the module that defines it, imported on first use (PEP 562):
-# scipy.linalg takes longer to import than numpy, and a process that only
-# assembles forms or evaluates bounds never solves.
-_LAZY = {"eigh": "scipy.linalg", "solve_triangular": "scipy.linalg"}
+# The two scipy.linalg drivers, imported on first lookup (PEP 562): scipy
+# takes longer to import than numpy, and a process that imports this module
+# but never solves skips it, such as a `solve` that stops at an input error
+# or at the pivot check, or a star import used only for bounds.
+_SCIPY_NAMES = ("eigh", "solve_triangular")
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    if name not in _SCIPY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY[name]), name)
+    value = getattr(importlib.import_module("scipy.linalg"), name)
     globals()[name] = value
     return value
-
-
-def _lazy(name):
-    """The current value of the module attribute ``name``."""
-    return getattr(sys.modules[__name__], name)
 
 
 def _as_symmetric(matrix, name):
@@ -154,19 +150,19 @@ def solve_generalized(a_matrix, b_matrix, count):
     a_scaled = a_mat * jacobi
     b_scaled = b_mat * jacobi
     lower = cholesky_spd(b_scaled)
-    eigh, solve_triangular = _lazy("eigh"), _lazy("solve_triangular")
-    half = solve_triangular(lower, a_scaled, lower=True)
-    reduced = solve_triangular(lower, half.T, lower=True)
+    drivers = sys.modules[__name__]  # looked up now, so patches apply
+    half = drivers.solve_triangular(lower, a_scaled, lower=True)
+    reduced = drivers.solve_triangular(lower, half.T, lower=True)
     reduced = 0.5 * (reduced + reduced.T)
     try:
-        eigenvalues, transformed = eigh(reduced, driver="ev")
+        eigenvalues, transformed = drivers.eigh(reduced, driver="ev")
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
     # Only the kept vectors are back-transformed, but at least two: BLAS
     # solves a single right-hand side with another kernel, which rounds
     # differently, and each vector's bits must not depend on count.
     kept = transformed[:, : max(count, 2)]
-    back = solve_triangular(lower, kept, trans="T", lower=True)[:, :count]
+    back = drivers.solve_triangular(lower, kept, trans="T", lower=True)[:, :count]
     eigenvalues = np.ascontiguousarray(eigenvalues[:count])
     vectors = _fix_signs(np.ascontiguousarray(back * scale[:, None]))
     gram = vectors.T @ b_mat @ vectors

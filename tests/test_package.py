@@ -143,10 +143,11 @@ def test_unknown_name_raises_attribute_error():
         cli.no_such_name
 
 
-# Runs light subcommands, then a solve, in one fresh interpreter and reports
-# the exit codes and which numeric packages were loaded after each stage.  The
-# solve does not import ``verify``, so the last lookup reaches it only through
-# the package's ``__getattr__``.
+# Runs light subcommands, then a `solve` that ends at an input error, then
+# imports every numeric module, then solves, all in one fresh interpreter,
+# and reports the exit codes and which numeric packages were loaded after
+# each stage.  The solve path does not import ``verify``, so the lookup after
+# the failed solve reaches it only through the package's ``__getattr__``.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import buckbounds
@@ -156,14 +157,23 @@ def loaded():
     return sorted({"numpy", "scipy"} & set(sys.modules))
 
 runs = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()):
+solve = ["solve", "--dim", "1", "--l", "2", "--degree", "1", "--count"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.dispatch(argv) for argv in runs]
     light = loaded()
-    solve = cli.dispatch(["solve", "--dim", "1", "--l", "2", "--degree", "1", "--count", "1"])
+    unsolved = cli.dispatch(solve + ["2"])
+    verify = "buckbounds.verify" in sys.modules, buckbounds.verify.__name__
+    import buckbounds.eigen, buckbounds.galerkin
+    buckbounds.solve_buckling
+    imported = loaded()
+    solved = cli.dispatch(solve + ["1"])
 after_solve = loaded()
-verify = "buckbounds.verify" in sys.modules, buckbounds.verify.__name__
-print(json.dumps({"codes": codes, "light": light, "solve": solve, "after_solve": after_solve,
-                  "verify": verify}))
+import scipy.linalg
+from buckbounds import eigen
+drivers = [eigen.eigh is scipy.linalg.eigh, eigen.solve_triangular is scipy.linalg.solve_triangular]
+print(json.dumps({"codes": codes, "light": light, "unsolved": unsolved, "verify": verify,
+                  "imported": imported, "solved": solved, "after_solve": after_solve,
+                  "drivers": drivers}))
 """
 
 
@@ -192,32 +202,11 @@ def test_light_subcommands_never_load_numpy(tmp_path):
     report = json.loads(result.stdout)
     assert report["codes"] == [0] * len(runs)
     assert report["light"] == []
-    assert report["solve"] == 0
-    assert report["after_solve"] == ["numpy", "scipy"]
+    # count 2 exceeds the basis size 1: a usage error before any solve
+    assert report["unsolved"] == 2
     assert report["verify"] == [False, "buckbounds.verify"]
-
-
-# Imports every numeric module and resolves a lazy package name in a fresh
-# interpreter, then solves once, and reports whether scipy was loaded before
-# and after the solve and whether the solver's drivers are scipy's own.
-SCIPY_PROBE = """
-import json, sys
-import buckbounds, buckbounds.eigen, buckbounds.galerkin, buckbounds.verify
-
-solve = buckbounds.solve_buckling
-before = "scipy" in sys.modules
-solve(buckbounds.Domain((1.0,)), 2, 3, 1)
-after = "scipy.linalg" in sys.modules
-import scipy.linalg
-from buckbounds import eigen
-print(json.dumps({"before": before, "after": after,
-                  "drivers": [eigen.eigh is scipy.linalg.eigh,
-                              eigen.solve_triangular is scipy.linalg.solve_triangular]}))
-"""
-
-
-def test_scipy_loads_at_the_first_solve():
-    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert report == {"before": False, "after": True, "drivers": [True, True]}
+    # the numeric modules need numpy alone; scipy loads at the first solve
+    assert report["imported"] == ["numpy"]
+    assert report["solved"] == 0
+    assert report["after_solve"] == ["numpy", "scipy"]
+    assert report["drivers"] == [True, True]
