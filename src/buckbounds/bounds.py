@@ -115,8 +115,9 @@ _HEADER_RE = re.compile(r"^#\s*n=(\d+)\s+l=(\d+)\s*$")
 def euclidean_coefficient(n, l):
     """Exact rational 2 l**2 + (n - 14/3) l + 8/3 - n; strictly positive.
 
-    At l = 2 this collapses to n + 4/3.  Positivity is asserted because the
-    square-root bound divides by it.
+    It factors as (l - 1)(3n + 6l - 8) / 3, which is at least 10/3 for
+    n, l >= 2, so the square-root bound may divide by it.  At l = 2 this
+    collapses to n + 4/3.
     """
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
@@ -127,10 +128,7 @@ def euclidean_coefficient(n, l):
 def _coefficient(n, l):
     # euclidean_coefficient for validated integers, built once per (n, l).
     # Every Euclidean evaluation and solve reads it.
-    value = Fraction(6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n, 3)
-    if value <= 0:
-        raise InternalConsistencyError(f"coefficient {value} at n={n}, l={l} is not positive")
-    return value
+    return Fraction((l - 1) * (3 * n + 6 * l - 8), 3)
 
 
 @dataclass(frozen=True)
@@ -461,12 +459,11 @@ def _pool_adjacent_violators(a, b):
             count += pc
             value = math.sqrt(sum_b / sum_a)
         blocks.append((sum_a, sum_b, count, value))
+    # The merge loop appends a block only after one at least as large, so
+    # the block values are already non-increasing.
     out = []
-    previous = math.inf
     for _, _, count, value in blocks:
-        value = min(value, previous)
         out.extend([value] * count)
-        previous = value
     return out
 
 

@@ -94,10 +94,8 @@ def cholesky_spd(matrix):
                 pivot=pivot,
             )
         lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[
-                j, j
-            ]
+        # On the last column every slice below is empty.
+        lower[j + 1 :, j] = (mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
     return lower
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainViolationError, InternalConsistencyError, InvalidParameterError
+from .errors import DomainViolationError, InvalidParameterError
 
 
 def _require_int(value, name, minimum):
@@ -125,15 +125,17 @@ class Polynomial:
         return " ".join(parts)
 
 
-_T = Polynomial((0, 1))
 _ONE = Polynomial((1,))
 
 
-def _recursion_step(n, prev, prev2):
-    # (2t - 2) * prev - (t**2 + 2t - n(n-2)) * prev2
-    left = Polynomial((-2, 2)) * prev
-    right = Polynomial((-n * (n - 2), 2, 1)) * prev2
-    return left - right
+def _advance(n, prev2, prev, steps):
+    # Run the shared recursion `steps` times from two consecutive members
+    # and return the last member reached.
+    left = Polynomial((-2, 2))  # 2t - 2
+    right = Polynomial((-n * (n - 2), 2, 1))  # t**2 + 2t - n(n-2)
+    for _ in range(steps):
+        prev2, prev = prev, left * prev - right * prev2
+    return prev
 
 
 def phi_polynomial(q, n):
@@ -148,11 +150,7 @@ def phi_polynomial(q, n):
     first = Polynomial((-1, 1))
     if q == 1:
         return first
-    second = Polynomial((-(n - 2), -(n + 5), 1))
-    prev2, prev = first, second
-    for _ in range(3, q + 1):
-        prev2, prev = prev, _recursion_step(n, prev, prev2)
-    return prev
+    return _advance(n, first, Polynomial((-(n - 2), -(n + 5), 1)), q - 2)
 
 
 def fg_polynomials(q, n):
@@ -163,15 +161,10 @@ def fg_polynomials(q, n):
     """
     _require_int(q, "q", 0)
     _require_int(n, "n", 2)
-    f_prev2, g_prev2 = _ONE, _ONE
     if q == 0:
-        return f_prev2, g_prev2
-    f_prev = Polynomial((-(n + 2), 1))
-    g_prev = Polynomial((n - 2, 3))
-    for _ in range(2, q + 1):
-        f_prev2, f_prev = f_prev, _recursion_step(n, f_prev, f_prev2)
-        g_prev2, g_prev = g_prev, _recursion_step(n, g_prev, g_prev2)
-    return f_prev, g_prev
+        return _ONE, _ONE
+    seeds = Polynomial((-(n + 2), 1)), Polynomial((n - 2, 3))
+    return tuple(_advance(n, _ONE, seed, q - 1) for seed in seeds)
 
 
 @dataclass(frozen=True)
@@ -196,21 +189,14 @@ def extract_a_coefficients(l, n):
 
         t**(l-1) - a_{l-2} t**(l-2) + ... + (-1)**(l-2) a_1 t - (n-2)**(l-2),
 
-    so a_j = (-1)**(l-1-j) * coefficient(t**j).  Monicity and the constant
-    term are validated; a violation means the recursion itself is broken.
+    so a_j = (-1)**(l-1-j) * coefficient(t**j).  The recursion proves the
+    shape: each step keeps the leading coefficient at 2 - 1 = 1 and sends the
+    constant term c_q to -2 c_{q-1} + n(n-2) c_{q-2} = -(n-2)**(q-1), and
+    ``test_phi_monic_with_exact_constant_term`` pins both.
     """
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
-    phi = phi_polynomial(l - 1, n)
-    coeffs = phi.coefficients
-    if phi.degree != l - 1 or coeffs[-1] != 1:
-        raise InternalConsistencyError(
-            f"family member for l={l}, n={n} is not monic of degree {l - 1}"
-        )
-    if coeffs[0] != -((n - 2) ** (l - 2)):
-        raise InternalConsistencyError(
-            f"constant term {coeffs[0]} != -(n-2)**(l-2) for l={l}, n={n}"
-        )
+    coeffs = phi_polynomial(l - 1, n).coefficients
     a = tuple((-1) ** (l - 1 - j) * coeffs[j] for j in range(1, l - 1))
     a_plus = tuple(max(v, 0) for v in a)
     return ACoefficients(l=l, n=n, a=a, a_plus=a_plus)

@@ -1,5 +1,6 @@
 """Verification harness: Rayleigh-quotient checks, theorem checks, convergence.
 
+A verification request is checked in full before anything is solved.
 Checks are only asserted on computed spectra at the finest resolution that
 was solved; a violation smaller than the observed resolution-to-resolution
 drift of the same residual is classified inconclusive rather than failed,
@@ -54,7 +55,7 @@ def rayleigh_quantities(vector, forms):
     norm = float(x @ forms.matrices[0] @ x)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidParameterError(f"vector is not B-normalized: x^T B x = {norm}")
-    return [float(x @ forms.matrices[k - 1] @ x) for k in range(1, forms.l)]
+    return [norm] + [float(x @ forms.matrices[k - 1] @ x) for k in range(2, forms.l)]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,14 @@ def check_lemma21(solution):
     return rows
 
 
+def _require_eigenvalues(k_max, have):
+    # The checks up to k_max read eigenvalues 1..k_max+1.
+    if have < k_max + 1:
+        raise InvalidParameterError(
+            f"k_max={k_max} needs at least {k_max + 1} eigenvalues, have {have}"
+        )
+
+
 def check_theorem11(spectrum, k_max):
     """Score the Euclidean inequality chain on a computed spectrum.
 
@@ -110,10 +119,7 @@ def check_theorem11(spectrum, k_max):
             f"theorem checks need a computed spectrum, got provenance "
             f"{spectrum.provenance!r}"
         )
-    if spectrum.k < k_max + 1:
-        raise InvalidParameterError(
-            f"k_max={k_max} needs at least {k_max + 1} eigenvalues, have {spectrum.k}"
-        )
+    _require_eigenvalues(k_max, spectrum.k)
     reports = []
     for k in range(1, k_max + 1):
         candidate = spectrum.values[k]
@@ -256,16 +262,24 @@ def _ladder(m):
 def run_verification(domain, l, m, k_max):
     """Full verification at basis size m with a coarse ladder underneath it.
 
-    The theorem residuals are also scored at the next-coarser resolution;
-    when a violation at the finest resolution is smaller than the residual
-    drift between resolutions it is classified inconclusive.
+    The request is checked before anything is solved, down to the
+    k_max + 1 <= m**n eigenvalues that the checks read.  The theorem
+    residuals are also scored at the next-coarser resolution; when a
+    violation at the finest resolution is smaller than the residual drift
+    between resolutions it is classified inconclusive, and so is one with
+    no coarse partner because that rung holds fewer than k_max + 1
+    eigenvalues.
     """
+    if not isinstance(domain, Domain):
+        raise InvalidParameterError("domain must be a Domain instance")
     _require_int(k_max, "k_max", 0)
     if domain.dim < 2:
         raise InvalidParameterError(
             "run_verification needs a rectangle or a box: the inequalities take n from "
             "the domain dimension and require n >= 2"
         )
+    _require_int(m, "m", 1)
+    _require_eigenvalues(k_max, m**domain.dim)
     count = k_max + 1
     m_values = _ladder(m)
     spectra = _solve_ladder(domain, l, m_values, [min(count, mm**domain.dim) for mm in m_values])

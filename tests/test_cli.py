@@ -472,6 +472,24 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_fails_without_coarse_partners(capsys):
+    # the coarse rung holds 4 of 25 eigenvalues: the violated checks have no
+    # partner, so they stay inconclusive and the run exits 4
+    argv = ["verify", "--l", "2", "--degree", "5", "--kmax", "24", "--domain", "2.5,0.4"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (4, "")
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert sum(line.endswith(" inconclusive") for line in lines) == 15
+    assert not any(line.endswith(" failed") for line in lines)
+
+
+def test_verify_kmax_beyond_the_basis_is_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--l", "2", "--degree", "2", "--kmax", "9"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: usage: k_max=9 needs at least 10 eigenvalues, have 4\n"
+
+
 def test_compare_l2_output(capsys, spectra):
     argv = ["compare-l2", "--spectrum", spectra["two"], "--candidate", "4.0"]
     code, out, _ = run_cli(argv, capsys)

@@ -163,6 +163,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     light = loaded()
     unsolved = cli.dispatch(solve + ["2"])
     verify = "buckbounds.verify" in sys.modules, buckbounds.verify.__name__
+    unverified = cli.dispatch(["verify", "--l", "2", "--degree", "2", "--kmax", "9"])
     import buckbounds.eigen, buckbounds.galerkin
     buckbounds.solve_buckling
     imported = loaded()
@@ -172,8 +173,8 @@ import scipy.linalg
 from buckbounds import eigen
 drivers = [eigen.eigh is scipy.linalg.eigh, eigen.solve_triangular is scipy.linalg.solve_triangular]
 print(json.dumps({"codes": codes, "light": light, "unsolved": unsolved, "verify": verify,
-                  "imported": imported, "solved": solved, "after_solve": after_solve,
-                  "drivers": drivers}))
+                  "unverified": unverified, "imported": imported, "solved": solved,
+                  "after_solve": after_solve, "drivers": drivers}))
 """
 
 
@@ -205,6 +206,8 @@ def test_light_subcommands_never_load_numpy(tmp_path):
     # count 2 exceeds the basis size 1: a usage error before any solve
     assert report["unsolved"] == 2
     assert report["verify"] == [False, "buckbounds.verify"]
+    # k_max = 9 needs 10 eigenvalues of a 4-function basis: refused unsolved
+    assert report["unverified"] == 2
     # the numeric modules need numpy alone; scipy loads at the first solve
     assert report["imported"] == ["numpy"]
     assert report["solved"] == 0

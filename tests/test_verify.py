@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from buckbounds import eigen
+from buckbounds import eigen, verify
 from buckbounds import (
+    BoundReport,
     Domain,
     InvalidParameterError,
     Spectrum,
@@ -219,6 +220,51 @@ def test_run_verification_report_serializes():
 def test_run_verification_rejects_intervals():
     with pytest.raises(InvalidParameterError):
         run_verification(Domain.interval(1.0), 2, 6, 1)
+
+
+def test_run_verification_checks_the_request_before_solving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solved before the request was checked")
+
+    monkeypatch.setattr(verify, "solve_buckling", refuse)
+    square = Domain.rectangle(1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="^domain must be a Domain instance$"):
+        run_verification("x", 2, 4, 1)
+    with pytest.raises(InvalidParameterError, match="^m must be an integer, got 2.5$"):
+        run_verification(square, 2, 2.5, 1)
+    message = "^k_max=9 needs at least 10 eigenvalues, have 4$"
+    with pytest.raises(InvalidParameterError, match=message):
+        run_verification(square, 2, 2, 9)
+    with pytest.raises(InvalidParameterError, match="have 8$"):
+        run_verification(Domain((1.0, 1.0, 1.0)), 2, 2, 8)
+
+
+def test_run_verification_without_coarse_partners_is_inconclusive():
+    # the coarse rung m = 2 holds 4 of the 25 eigenvalues, so no check has a
+    # partner to measure the drift against
+    report = run_verification(Domain((2.5, 0.4)), 2, 5, 24)
+    assert report.convergence.m_values == (2, 5)
+    assert not report.passed
+    unsatisfied = [c for c in report.checks if not c.report.satisfied]
+    assert unsatisfied
+    assert {c.verdict for c in unsatisfied} == {"inconclusive"}
+    assert {c.verdict for c in report.checks if c.report.satisfied} == {"pass"}
+
+
+@pytest.mark.parametrize(
+    "fine, coarse, verdict", [(0.5, 0.1, "failed"), (0.5, -0.5, "inconclusive")]
+)
+def test_run_verification_weighs_a_violation_against_the_drift(monkeypatch, fine, coarse, verdict):
+    # a violation larger than its drift from the coarse rung fails
+    def scored(spectrum, k_max):
+        residual = fine if spectrum.m == 8 else coarse
+        return [BoundReport("cor11", 1, 1.0, 1.0 - residual, residual, 1e-9, residual <= 1e-9)]
+
+    monkeypatch.setattr(verify, "check_theorem11", scored)
+    report = run_verification(Domain.rectangle(1.0, 1.0), 2, 8, 1)
+    assert report.convergence.m_values == (2, 4, 8)
+    assert [c.verdict for c in report.checks] == [verdict]
+    assert not report.passed
 
 
 def test_run_verification_ladder_never_exceeds_m():
