@@ -83,7 +83,7 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, truediv
@@ -390,17 +390,41 @@ def eval_thm11(spectrum, k, candidate, delta):
     each plain gap to lam**(1/(l-1)) / delta.
     """
     shift, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
-    delta = [_ldexp(d, -tilt) for d in _as_delta(delta, k)]
+    delta = _as_delta(delta, k)
     lhs = spectrum.n * math.fsum(g * g for g in gaps)
+    rhs = _thm11_rhs([_ldexp(d, -tilt) for d in delta], gaps, coeff, heavy, light)
+    report = _report("thm11", k, lhs, rhs, shift)
+    if rhs == math.inf:
+        # delta far from its natural scale: a term overflows in units, as
+        # a delta that underflows there makes g c / delta do, yet the rhs
+        # can be finite at raw scale.  The verdict stands; the fields are
+        # then the raw ones.
+        values = spectrum.values[:k]
+        l = spectrum.l
+        raw = _thm11_rhs(
+            delta,
+            [float(candidate) - v for v in values],
+            coeff,
+            [v ** ((l - 2) / (l - 1)) for v in values],
+            [v ** (1 / (l - 1)) for v in values],
+        )
+        if math.isfinite(raw):
+            report = replace(
+                report,
+                rhs=raw,
+                residual=report.lhs - raw,
+                tolerance=RESIDUAL_TOLERANCE * max(1.0, abs(report.lhs), raw),
+            )
+    return report
+
+
+def _thm11_rhs(delta, gaps, coeff, heavy, light):
     try:
-        rhs = math.fsum(
+        return math.fsum(
             d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)
         ) + math.fsum(g / d * c for d, g, c in zip(delta, gaps, light))
     except ZeroDivisionError:
-        # a delta that underflows to 0 in units makes its term g c / delta
-        # overflow there, as one that overflows does its other term
-        rhs = math.inf
-    return _report("thm11", k, lhs, rhs, shift)
+        return math.inf
 
 
 def eval_eq112(spectrum, k, candidate):

@@ -7,6 +7,16 @@ both matrices keeps the reduction well conditioned; it is a congruence, so
 eigenvalues are untouched.  Results are deterministic: the same matrices give
 bitwise identical output.
 
+Each input is checked once: square, nonempty, finite, and symmetric (exactly,
+or else to a tolerance).  A Jacobi scaling that overflows raises
+``NumericalError``, and so does a reduced matrix L^-1 A L^-T that overflows,
+so every operand that reaches LAPACK is finite and scipy is told not to check
+it again.  A solve keeps at most three N x N work arrays
+alive besides its inputs: the scaled A, the scaled B (written into the
+scaling's own buffer) and the factor, each intermediate is dropped when its
+consumer returns, and LAPACK overwrites its own operand, so the symmetric
+eigensolver returns its vectors in the buffer it was given.
+
 This module alone decides whether a pencil can be solved and how far its
 digits can be trusted; ``galerkin`` only builds exact forms.  Right after
 ``solve_buckling`` assembles, it warns when m is above ``CONDITIONING_NOTE``
@@ -26,6 +36,7 @@ whatever the two attributes hold at call time.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import sys
@@ -40,6 +51,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalError,
 )
 from .galerkin import Domain, assemble_forms
 from .polyrec import _require_int
@@ -66,13 +78,28 @@ def __getattr__(name):
 
 
 def _as_symmetric(matrix, name):
+    # The one check of an input: square, nonempty and finite, then exactly
+    # symmetric, or symmetric to SYMMETRY_TOL times max(1, largest |entry|).
+    # max and min reach every NaN and inf without a temporary array.
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if float(np.max(np.abs(mat - mat.T))) > SYMMETRY_TOL * scale:
-        raise InvalidParameterError(f"{name} is not symmetric")
+    if not mat.size:
+        raise InvalidParameterError(f"{name} must not be empty")
+    top, bottom = float(mat.max()), float(mat.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise InvalidParameterError(f"{name} has an entry that is NaN or infinite")
+    if not np.array_equal(mat, mat.T):
+        with np.errstate(over="ignore"):
+            diff = mat - mat.T
+        np.abs(diff, out=diff)
+        if float(diff.max()) > SYMMETRY_TOL * max(1.0, top, -bottom):
+            raise InvalidParameterError(f"{name} is not symmetric")
     return mat
+
+
+def _finite(mat):
+    return math.isfinite(mat.max()) and math.isfinite(mat.min())
 
 
 def cholesky_spd(matrix):
@@ -83,7 +110,7 @@ def cholesky_spd(matrix):
     """
     mat = _as_symmetric(matrix, "matrix")
     n = mat.shape[0]
-    threshold = PIVOT_RELATIVE * float(np.max(np.diagonal(mat))) if n else 0.0
+    threshold = PIVOT_RELATIVE * float(np.diagonal(mat).max())
     lower = np.zeros_like(mat)
     for j in range(n):
         pivot = mat[j, j] - float(lower[j, :j] @ lower[j, :j])
@@ -144,25 +171,46 @@ def solve_generalized(a_matrix, b_matrix, count):
             pivot=float(diag[index]),
         )
     scale = 1.0 / np.sqrt(diag)
-    jacobi = np.outer(scale, scale)
-    a_scaled = a_mat * jacobi
-    b_scaled = b_mat * jacobi
+    # Three N x N work arrays at most (module docstring).
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_scaled = np.outer(scale, scale)
+        a_scaled = a_mat * b_scaled
+        b_scaled *= b_mat
+    if not (_finite(a_scaled) and _finite(b_scaled)):
+        raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
     lower = cholesky_spd(b_scaled)
+    del b_scaled
     drivers = sys.modules[__name__]  # looked up now, so patches apply
-    half = drivers.solve_triangular(lower, a_scaled, lower=True)
-    reduced = drivers.solve_triangular(lower, half.T, lower=True)
-    reduced = 0.5 * (reduced + reduced.T)
+    solve = functools.partial(
+        drivers.solve_triangular, lower=True, overwrite_b=True, check_finite=False
+    )
+    half = solve(lower, a_scaled)
+    del a_scaled
+    reduced = solve(lower, half.T)
+    del half
+    # R + R.T is exactly symmetric and C-ordered, so its transpose is the
+    # Fortran-ordered operand that LAPACK overwrites with the vectors.
+    with np.errstate(over="ignore"):
+        sym = reduced + reduced.T
+    del reduced
+    sym *= 0.5
+    if not _finite(sym):
+        raise NumericalError("the reduced matrix L^-1 A L^-T overflows")
     try:
-        eigenvalues, transformed = drivers.eigh(reduced, driver="ev")
+        eigenvalues, transformed = drivers.eigh(
+            sym.T, driver="ev", overwrite_a=True, check_finite=False
+        )
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
+    del sym
     # Only the kept vectors are back-transformed, but at least two: BLAS
     # solves a single right-hand side with another kernel, which rounds
     # differently, and each vector's bits must not depend on count.
-    kept = transformed[:, : max(count, 2)]
-    back = drivers.solve_triangular(lower, kept, trans="T", lower=True)[:, :count]
+    back = solve(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
+    del transformed, lower
     eigenvalues = np.ascontiguousarray(eigenvalues[:count])
     vectors = _fix_signs(np.ascontiguousarray(back * scale[:, None]))
+    del back
     gram = vectors.T @ b_mat @ vectors
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
     if ortho_dev > ORTHONORMALITY_TOL:

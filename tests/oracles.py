@@ -7,8 +7,11 @@ integrals instead of integer Hilbert and Kronecker products, full Hilbert
 products of x-coefficients instead of parity halves in t = 2x - 1, dense grid
 search and block-partition enumeration instead of a pool-adjacent-violators
 pass, and a fine upward geometric scan plus bisection instead of doubling
-brackets or a downward walk.  Nothing in this module imports from the
-package.
+brackets or a downward walk.  The one exception is
+``generalized_eigenpairs``, the package's dense reduction written out in
+plain numpy and scipy calls with no buffer reuse, so that the package's
+memory-lean solve can be held to it bit for bit.  Nothing in this module
+imports from the package.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import sympy
 from scipy.optimize import brentq
 from scipy.sparse import diags, identity, kron
@@ -540,6 +544,39 @@ def sharp_bound_by_loop(lams, n, l):
     if root is None:
         raise BracketError(f"no sign change above {lams[-1]}")
     return root
+
+
+def generalized_eigenpairs(a_mat, b_mat, count):
+    """First ``count`` eigenpairs of A x = lambda B x, step by step.
+
+    Jacobi-scale both matrices by B's diagonal, factor the scaled B by the
+    pivot loop, form L^-1 A L^-T by two triangular solves, symmetrize it as
+    0.5 * (R + R^T), solve it with LAPACK's syev, and back-transform at
+    least two vectors.  Each vector is rescaled and its first component
+    above 1e-12 of its largest is made positive.  Every step allocates
+    fresh arrays and lets scipy check finiteness.
+    """
+    a_mat, b_mat = np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)
+    size = a_mat.shape[0]
+    scale = 1.0 / np.sqrt(np.diagonal(b_mat).copy())
+    jacobi = np.outer(scale, scale)
+    a_scaled, b_scaled = a_mat * jacobi, b_mat * jacobi
+    lower = np.zeros_like(b_scaled)
+    for j in range(size):
+        lower[j, j] = math.sqrt(b_scaled[j, j] - float(lower[j, :j] @ lower[j, :j]))
+        lower[j + 1 :, j] = (b_scaled[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    half = scipy.linalg.solve_triangular(lower, a_scaled, lower=True)
+    reduced = scipy.linalg.solve_triangular(lower, half.T, lower=True)
+    values, transformed = scipy.linalg.eigh(0.5 * (reduced + reduced.T), driver="ev")
+    kept = transformed[:, : max(count, 2)]
+    back = scipy.linalg.solve_triangular(lower, kept, trans="T", lower=True)[:, :count]
+    vectors = np.ascontiguousarray(back * scale[:, None])
+    for j in range(count):
+        column = vectors[:, j]
+        lead = np.nonzero(np.abs(column) > 1e-12 * np.abs(column).max())[0][0]
+        if column[lead] < 0.0:
+            vectors[:, j] = -column
+    return np.ascontiguousarray(values[:count]), vectors
 
 
 def interval_order2_eigenvalue(index):

@@ -179,11 +179,18 @@ def test_evaluators_decide_in_units_far_from_one():
         assert report.satisfied, report.method
         assert (report.lhs, report.residual) == (math.inf, -math.inf), report.method
     assert all(math.isfinite(d) for d in thm11_optimal_delta(spectrum, 2, 2e200))
-    # a delta that leaves the float range in units overflows one rhs term
+    # a delta that leaves the float range in units overflows one rhs term;
+    # where the rhs is finite at raw scale, the report gives it there
     tiny = Spectrum(values=(1e-301, 2e-301), n=3, l=6)
-    assert eval_thm11(tiny, 2, 3e-301, (1e-90, 1e-90)).satisfied
+    report = eval_thm11(tiny, 2, 3e-301, (1e-90, 1e-90))
+    _, raw_rhs = oracles.thm11_sides(tiny.values, 3, 6, 2, 3e-301, (1e-90, 1e-90))
+    assert report.satisfied
+    assert report.rhs == raw_rhs == pytest.approx(1.9866943526380664e-271, rel=1e-15)
+    assert (report.lhs, report.residual, report.tolerance) == (0.0, -raw_rhs, 1e-9)
     huge = Spectrum(values=(1e300, 1.5e300), n=3, l=6)
-    assert eval_thm11(huge, 2, 2e300, (1e300, 1e300)).satisfied
+    report = eval_thm11(huge, 2, 2e300, (1e300, 1e300))
+    assert report.satisfied
+    assert (report.rhs, report.tolerance) == (math.inf, math.inf)  # inf at raw scale too
 
 
 def test_candidate_must_dominate_kth_eigenvalue():

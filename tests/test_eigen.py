@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from buckbounds import (
     Domain,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalError,
     assemble_forms,
     cholesky_spd,
     convergence_study,
@@ -267,3 +269,110 @@ def test_solve_generalized_validation():
         solve_generalized(np.eye(3), np.eye(3), 4)
     with pytest.raises(NotPositiveDefiniteError):
         solve_generalized(np.eye(2), np.diag([1.0, -1.0]), 1)
+
+
+def _assert_matches_referee(a_mat, b_mat, count):
+    values, vectors = oracles.generalized_eigenpairs(a_mat, b_mat, count)
+    try:
+        solution = solve_generalized(a_mat, b_mat, count)
+    except ConvergenceError as exc:
+        # the referee's pairs fail the same residual check, to the last bit
+        worst = float(np.max(np.linalg.norm(a_mat @ vectors - b_mat @ vectors * values, axis=0)))
+        assert str(exc).startswith(f"pair residual {worst} exceeds"), str(exc)
+        return
+    assert np.array_equal(solution.eigenvalues, values)
+    assert np.array_equal(solution.eigenvectors, vectors)
+
+
+def test_solve_matches_the_step_by_step_referee_bit_for_bit():
+    # the lean solve reuses buffers and skips scipy's checks, but LAPACK must
+    # see the same operands: every eigenvalue and vector bit stays the same
+    cases = [(Domain.interval(1.0), l, m) for l in range(2, 7) for m in range(1, 25)]
+    cases += [(Domain.rectangle(*edges), 2, 3) for edges in (
+        (0.85, 0.85), (1.05, 1.05), (1.2, 1.2), (1.4, 1.4),
+        (0.9, 1.3), (1.15, 0.7), (0.8, 1.05), (1.35, 0.95),
+    )]
+    cases += [(Domain.rectangle(1.3, 0.7), l, m) for l in (2, 3) for m in range(1, 13)]
+    cases.append((Domain((1.0, 1.3, 0.8)), 2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the m > 16 note
+        for domain, l, m in cases:
+            forms = assemble_forms(domain, l, m)
+            _assert_matches_referee(forms.matrices[-1], forms.b_matrix, min(8, forms.n_basis))
+    rng = np.random.default_rng(25)
+    for trial in range(200):
+        size = 1 if trial < 5 else int(rng.integers(1, 41))
+        seed_a = rng.normal(size=(size, size))
+        seed_b = rng.normal(size=(size, size))
+        a_mat = seed_a + seed_a.T
+        b_mat = seed_b @ seed_b.T + size * np.eye(size)
+        _assert_matches_referee(a_mat, b_mat, int(rng.integers(1, size + 1)))
+
+
+def test_non_finite_and_empty_input_is_refused_once(monkeypatch):
+    # NaN, inf and 0 x 0 inputs are usage errors of both entry points, and
+    # nothing reaches LAPACK, which is told not to check finiteness
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused input reached LAPACK")
+
+    monkeypatch.setattr(eigen, "solve_triangular", refuse)
+    monkeypatch.setattr(eigen, "eigh", refuse)
+    nan_a = np.eye(3)
+    nan_a[1, 2] = nan_a[2, 1] = math.nan
+    with pytest.raises(InvalidParameterError, match="A has an entry that is NaN or infinite"):
+        solve_generalized(nan_a, np.eye(3), 1)
+    with pytest.raises(InvalidParameterError, match="B has an entry that is NaN or infinite"):
+        solve_generalized(np.eye(3), nan_a, 1)
+    inf_b = np.eye(2)
+    inf_b[0, 0] = math.inf
+    with pytest.raises(InvalidParameterError, match="B has an entry"):
+        solve_generalized(np.eye(2), inf_b, 1)
+    for matrix in (nan_a, inf_b, -inf_b):
+        with pytest.raises(InvalidParameterError, match="matrix has an entry"):
+            cholesky_spd(matrix)
+    empty = np.zeros((0, 0))
+    with pytest.raises(InvalidParameterError, match="A must not be empty"):
+        solve_generalized(empty, empty, 1)
+    with pytest.raises(InvalidParameterError, match="matrix must not be empty"):
+        cholesky_spd(empty)
+
+
+def test_overflow_before_lapack_is_a_numerical_error():
+    # 1.5e308 * 1e300 overflows in the scaled A; 1e-310 on B's diagonal
+    # makes the scaling itself overflow; a pivot near 1e-13 lifts 1e305 past
+    # the float range in L^-1 A L^-T.  None may warn (tier-1 turns warnings
+    # into errors) or reach LAPACK as inf.
+    with pytest.raises(NumericalError, match="Jacobi scaling"):
+        solve_generalized(1.5e308 * np.eye(2), 1e-300 * np.eye(2), 1)
+    with pytest.raises(NumericalError, match="Jacobi scaling"):
+        solve_generalized(np.eye(2), np.diag([1e-310, 1.0]), 1)
+    near_singular = np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]])
+    with pytest.raises(NumericalError, match="reduced matrix"):
+        solve_generalized(1e305 * np.eye(2), near_singular, 1)
+    # entries so far apart that A - A^T overflows are not symmetric, silently
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        cholesky_spd([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def test_solve_keeps_at_most_three_work_arrays():
+    # traced allocations beside the inputs, in units of one N x N array:
+    # the solve needs the scaled A, the scaled B and the factor at once, and
+    # the pivot loop the factor alone (7.14 and 2.00 before the buffers
+    # were shared)
+    size = 300
+    rng = np.random.default_rng(26)
+    seed_a = rng.normal(size=(size, size))
+    seed_b = rng.normal(size=(size, size))
+    a_mat = seed_a @ seed_a.T + size * np.eye(size)
+    b_mat = seed_b @ seed_b.T + size * np.eye(size)
+    solve_generalized(a_mat, b_mat, 4)  # loads scipy outside the trace
+    square = 8 * size * size
+    for call, limit in ((lambda: solve_generalized(a_mat, b_mat, 4), 3.5),
+                        (lambda: cholesky_spd(b_mat), 1.25)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * square, peak / square
