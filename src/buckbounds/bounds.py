@@ -22,7 +22,10 @@ carry even powers of two.  A power of two is exact, so every result keeps
 the bits of the raw evaluation wherever that stays in the float range, and
 far from 1 in scale nothing overflows in units: a report is decided in
 units and scaled back by 4**-shift, a side past the float range becoming
-+-inf, and the minimizing delta is scaled back by 4**((l-2) w).
++-inf, and the minimizing delta is scaled back by 4**((l-2) w).  Only
+thm11's rhs can overflow in units alone, when delta is far from its natural
+scale; its report then keeps the verdict and, where the rhs is finite at raw
+scale, gives the rhs, residual and tolerance there.
 
 The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
 to just past a limit that their own inequality puts on every feasible
@@ -395,10 +398,7 @@ def eval_thm11(spectrum, k, candidate, delta):
     rhs = _thm11_rhs([_ldexp(d, -tilt) for d in delta], gaps, coeff, heavy, light)
     report = _report("thm11", k, lhs, rhs, shift)
     if rhs == math.inf:
-        # delta far from its natural scale: a term overflows in units, as
-        # a delta that underflows there makes g c / delta do, yet the rhs
-        # can be finite at raw scale.  The verdict stands; the fields are
-        # then the raw ones.
+        # perhaps in units alone (module docstring): the verdict stands
         values = spectrum.values[:k]
         l = spectrum.l
         raw = _thm11_rhs(
@@ -419,6 +419,8 @@ def eval_thm11(spectrum, k, candidate, delta):
 
 
 def _thm11_rhs(delta, gaps, coeff, heavy, light):
+    # A delta that underflows to 0 makes its term g c / delta overflow, as
+    # one that overflows does its other term.
     try:
         return math.fsum(
             d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)

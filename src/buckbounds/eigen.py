@@ -171,7 +171,8 @@ def solve_generalized(a_matrix, b_matrix, count):
             pivot=float(diag[index]),
         )
     scale = 1.0 / np.sqrt(diag)
-    # Three N x N work arrays at most (module docstring).
+    # The scaling's buffer becomes the scaled B once A has read it; at most
+    # three N x N work arrays are alive at once (module docstring).
     with np.errstate(over="ignore", invalid="ignore"):
         b_scaled = np.outer(scale, scale)
         a_scaled = a_mat * b_scaled
