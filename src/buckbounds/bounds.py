@@ -86,7 +86,7 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, truediv
@@ -398,7 +398,8 @@ def eval_thm11(spectrum, k, candidate, delta):
     rhs = _thm11_rhs([_ldexp(d, -tilt) for d in delta], gaps, coeff, heavy, light)
     report = _report("thm11", k, lhs, rhs, shift)
     if rhs == math.inf:
-        # perhaps in units alone (module docstring): the verdict stands
+        # perhaps in units alone (module docstring); the lhs is then far
+        # below the rhs at either scale, so the raw report keeps the verdict
         values = spectrum.values[:k]
         l = spectrum.l
         raw = _thm11_rhs(
@@ -409,12 +410,7 @@ def eval_thm11(spectrum, k, candidate, delta):
             [v ** (1 / (l - 1)) for v in values],
         )
         if math.isfinite(raw):
-            report = replace(
-                report,
-                rhs=raw,
-                residual=report.lhs - raw,
-                tolerance=RESIDUAL_TOLERANCE * max(1.0, abs(report.lhs), raw),
-            )
+            report = _report("thm11", k, report.lhs, raw)
     return report
 
 

@@ -7,15 +7,15 @@ both matrices keeps the reduction well conditioned; it is a congruence, so
 eigenvalues are untouched.  Results are deterministic: the same matrices give
 bitwise identical output.
 
-Each input is checked once: square, nonempty, finite, and symmetric (exactly,
-or else to a tolerance).  A Jacobi scaling that overflows raises
+Each input is checked once: square, nonempty, finite, and symmetric to a
+tolerance.  A Jacobi scaling that overflows raises
 ``NumericalError``, and so does a reduced matrix L^-1 A L^-T that overflows,
 so every operand that reaches LAPACK is finite and scipy is told not to check
 it again.  A solve keeps at most three N x N work arrays
-alive besides its inputs: the scaled A, the scaled B (written into the
-scaling's own buffer) and the factor, each intermediate is dropped when its
-consumer returns, and LAPACK overwrites its own operand, so the symmetric
-eigensolver returns its vectors in the buffer it was given.
+alive besides its inputs.  The scaled B is written into the scaling's own
+buffer, each intermediate before the eigensolver is dropped as soon as its
+consumer returns, and the symmetric eigensolver overwrites its operand with
+the vectors instead of copying it.
 
 This module alone decides whether a pencil can be solved and how far its
 digits can be trusted; ``galerkin`` only builds exact forms.  Right after
@@ -78,9 +78,9 @@ def __getattr__(name):
 
 
 def _as_symmetric(matrix, name):
-    # The one check of an input: square, nonempty and finite, then exactly
-    # symmetric, or symmetric to SYMMETRY_TOL times max(1, largest |entry|).
-    # max and min reach every NaN and inf without a temporary array.
+    # The one check of an input: square, nonempty and finite, then symmetric
+    # to SYMMETRY_TOL times max(1, largest |entry|).  max and min reach every
+    # NaN and inf without a temporary array; the difference is the only one.
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {mat.shape}")
@@ -89,12 +89,11 @@ def _as_symmetric(matrix, name):
     top, bottom = float(mat.max()), float(mat.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise InvalidParameterError(f"{name} has an entry that is NaN or infinite")
-    if not np.array_equal(mat, mat.T):
-        with np.errstate(over="ignore"):
-            diff = mat - mat.T
-        np.abs(diff, out=diff)
-        if float(diff.max()) > SYMMETRY_TOL * max(1.0, top, -bottom):
-            raise InvalidParameterError(f"{name} is not symmetric")
+    with np.errstate(over="ignore"):
+        diff = mat - mat.T
+    np.abs(diff, out=diff)
+    if float(diff.max()) > SYMMETRY_TOL * max(1.0, top, -bottom):
+        raise InvalidParameterError(f"{name} is not symmetric")
     return mat
 
 
@@ -203,15 +202,12 @@ def solve_generalized(a_matrix, b_matrix, count):
         )
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
-    del sym
     # Only the kept vectors are back-transformed, but at least two: BLAS
     # solves a single right-hand side with another kernel, which rounds
     # differently, and each vector's bits must not depend on count.
     back = solve(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
-    del transformed, lower
     eigenvalues = np.ascontiguousarray(eigenvalues[:count])
     vectors = _fix_signs(np.ascontiguousarray(back * scale[:, None]))
-    del back
     gram = vectors.T @ b_mat @ vectors
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
     if ortho_dev > ORTHONORMALITY_TOL:
