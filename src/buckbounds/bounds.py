@@ -100,7 +100,7 @@ from .errors import (
     NumericalError,
     SpectrumFormatError,
 )
-from .polyrec import _require_int, s_term
+from .polyrec import _converted, _float_tuple, _require_int, s_term
 
 RESIDUAL_TOLERANCE = 1e-9
 PROBES_PER_DOUBLING = 16
@@ -158,7 +158,7 @@ class Spectrum:
             raise InvalidParameterError(
                 f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}"
             )
-        values = tuple(float(v) for v in self.values)
+        values = _converted(_float_tuple, self.values, "eigenvalues")
         if not values:
             raise InvalidParameterError("a spectrum needs at least one eigenvalue")
         previous = 0.0
@@ -225,7 +225,7 @@ class DeltaSequence:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = _converted(_float_tuple, self.values, "delta entries")
         if not values:
             raise InvalidParameterError("delta sequence must be nonempty")
         previous = math.inf
@@ -294,7 +294,7 @@ def _ldexp(x, exp):
 
 def _as_delta(delta, k):
     if not isinstance(delta, DeltaSequence):
-        delta = DeltaSequence(tuple(delta))
+        delta = DeltaSequence(delta)
     if len(delta) != k:
         raise InvalidParameterError(f"delta has length {len(delta)}, expected k={k}")
     return delta
@@ -308,7 +308,7 @@ def _check_k(spectrum, k):
 
 def _check_candidate(spectrum, k, candidate):
     _check_k(spectrum, k)
-    candidate = float(candidate)
+    candidate = _converted(float, candidate, "candidate")
     if not math.isfinite(candidate):
         raise InvalidParameterError(f"candidate must be finite, got {candidate}")
     if candidate < spectrum.values[k - 1]:
@@ -318,17 +318,22 @@ def _check_candidate(spectrum, k, candidate):
     return candidate
 
 
-def _euclidean_units(spectrum, k, candidate=None):
-    # The Euclidean units (module docstring): shift = 2 (l-1) w brings the
-    # candidate, which is validated, or eigenvalue k without one near 1; then
-    # the first k eigenvalues and the candidate's gaps to them (None without
-    # one), each times 2**shift.
+def _unit_prefix(spectrum, k, top):
+    # The Euclidean units (module docstring): shift = 2 (l-1) w, which brings
+    # top near 1, and the first k eigenvalues times 2**shift.  The cor11
+    # solver, which has no candidate, takes its units from here.
     l = spectrum.l
-    top = spectrum.values[k - 1] if candidate is None else _check_candidate(spectrum, k, candidate)
     shift = -2 * (l - 1) * round(math.frexp(top)[1] / (2 * (l - 1)))
-    scaled = [math.ldexp(v, shift) for v in spectrum.values[:k]]
-    x = math.ldexp(top, shift)
-    return shift, scaled, None if candidate is None else [x - v for v in scaled]
+    return shift, [math.ldexp(v, shift) for v in spectrum.values[:k]]
+
+
+def _euclidean_units(spectrum, k, candidate):
+    # _unit_prefix at the candidate, which is validated, and the candidate's
+    # gaps to the first k eigenvalues, also times 2**shift.
+    candidate = _check_candidate(spectrum, k, candidate)
+    shift, scaled = _unit_prefix(spectrum, k, candidate)
+    x = math.ldexp(candidate, shift)
+    return shift, scaled, [x - v for v in scaled]
 
 
 def _euclidean_powers(spectrum, k, candidate):
@@ -458,8 +463,8 @@ def optimize_delta(a, b):
     the exact minimizer of the block subproblem.  All weights must be
     strictly positive.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
+    a = _converted(_float_tuple, a, "weights")
+    b = _converted(_float_tuple, b, "weights")
     if len(a) != len(b) or not a:
         raise InvalidParameterError("weight lists must be nonempty and of equal length")
     for v in a + b:
@@ -528,9 +533,9 @@ def next_bound_cor11(spectrum, k):
     range raises ``NumericalError``.
     """
     _check_k(spectrum, k)
-    shift, values, _ = _euclidean_units(spectrum, k)
-    big_c = _quadratic_constant(spectrum)
     top = spectrum.values[k - 1]
+    shift, values = _unit_prefix(spectrum, k, top)
+    big_c = _quadratic_constant(spectrum)
     s1 = math.fsum(values)
     s2 = math.fsum(v * v for v in values)
     root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
@@ -780,7 +785,7 @@ def chain_bounds(lambda1, count, n, l, method):
     _require_int(count, "count", 1)
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
-    lambda1 = float(lambda1)
+    lambda1 = _converted(float, lambda1, "lambda1")
     if not math.isfinite(lambda1) or lambda1 <= 0.0:
         raise InvalidParameterError(f"lambda1 must be positive finite, got {lambda1}")
     solvers = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}
@@ -813,7 +818,7 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     _require_int(spectrum.n, "n", 2)
     shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
-    delta_scalar = float(delta_scalar)
+    delta_scalar = _converted(float, delta_scalar, "delta")
     if not math.isfinite(delta_scalar) or delta_scalar <= 0.0:
         raise InvalidParameterError(f"delta must be positive finite, got {delta_scalar}")
     n = spectrum.n

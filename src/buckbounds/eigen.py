@@ -54,7 +54,7 @@ from .errors import (
     NumericalError,
 )
 from .galerkin import Domain, assemble_forms
-from .polyrec import _require_int
+from .polyrec import _converted, _require_int
 
 PIVOT_RELATIVE = 1e-14
 ORTHONORMALITY_TOL = 1e-10
@@ -81,7 +81,7 @@ def _as_symmetric(matrix, name):
     # The one check of an input: square, nonempty and finite, then symmetric
     # to SYMMETRY_TOL times max(1, largest |entry|).  max and min reach every
     # NaN and inf without a temporary array; the difference is the only one.
-    mat = np.asarray(matrix, dtype=float)
+    mat = _converted(functools.partial(np.asarray, dtype=float), matrix, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {mat.shape}")
     if not mat.size:

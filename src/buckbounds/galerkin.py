@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
@@ -44,11 +45,10 @@ from math import comb, factorial, lcm, perm, prod
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .polyrec import _require_int
+from .polyrec import _converted, _float_tuple, _require_int
 
 DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
-HEADER_KEYS = {"schema", "n_basis", "l", "m", "domain", "matrices", "dtype", "order"}
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Domain:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.edges)
+        edges = _converted(_float_tuple, self.edges, "edge lengths")
         if not 1 <= len(edges) <= 3:
             raise InvalidParameterError(f"domain needs 1 to 3 edges, got {len(edges)}")
         for e in edges:
@@ -332,20 +332,26 @@ def _leading_forms(forms, m):
     return OperatorForms(domain=forms.domain, l=forms.l, m=m, matrices=matrices)
 
 
-def export_forms(forms, path):
-    """Write a one-line JSON header, then each matrix as row-major binary64."""
+def _header(domain, l, m):
+    # The first line of a forms file: the only header export_forms writes,
+    # and the only one load_forms accepts.
     header = {
         "schema": 1,
-        "n_basis": forms.n_basis,
-        "l": forms.l,
-        "m": forms.m,
-        "domain": list(forms.domain.edges),
-        "matrices": len(forms.matrices),
+        "n_basis": m**domain.dim,
+        "l": l,
+        "m": m,
+        "domain": list(domain.edges),
+        "matrices": l,
         "dtype": "<f8",
         "order": "C",
     }
+    return (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+
+
+def export_forms(forms, path):
+    """Write a one-line JSON header, then each matrix as row-major binary64."""
     with open(path, "wb") as handle:
-        handle.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        handle.write(_header(forms.domain, forms.l, forms.m))
         for mat in forms.matrices:
             handle.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
@@ -353,56 +359,45 @@ def export_forms(forms, path):
 def load_forms(path):
     """Read a file written by ``export_forms`` back into ``OperatorForms``.
 
-    The header must be ASCII JSON with every key ``export_forms`` writes and
-    the little-endian row-major layout, and it is checked against the data:
-    one matrix per order up to l, n_basis equal to m**dim, no bytes after
-    the last matrix, and every matrix exactly symmetric.  Sizes above the
-    caps of ``assemble_forms`` are refused before any matrix is read.
+    The file loads only when its first line is, byte for byte, the header
+    that ``export_forms`` writes for the domain, l and m it names, and the
+    rest is exactly l little-endian row-major binary64 matrices of size
+    m**dim, each exactly symmetric.  Sizes above the caps of
+    ``assemble_forms`` are refused, and the length of the rest is checked,
+    before any matrix is read.
     """
     with open(path, "rb") as handle:
+        line = handle.readline()
         try:
-            header = json.loads(handle.readline().decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            header = json.loads(line.decode("ascii"))
+        except ValueError:  # not ASCII, not JSON, or an integer too long to read
             raise InvalidParameterError(f"the header of {path} is not ASCII JSON") from None
         if not isinstance(header, dict):
             raise InvalidParameterError(f"the header of {path} is not a JSON object")
         if header.get("schema") != 1:
             raise InvalidParameterError(f"unknown forms schema {header.get('schema')!r}")
-        missing = sorted(HEADER_KEYS - header.keys())
-        if missing:
-            raise InvalidParameterError(f"the header of {path} lacks {', '.join(missing)}")
-        if header["dtype"] != "<f8" or header["order"] != "C":
-            raise InvalidParameterError(
-                f"dtype={header['dtype']!r}, order={header['order']!r} in {path}, "
-                "expected '<f8' and 'C'"
-            )
-        edges = header["domain"]
-        if not isinstance(edges, list) or not all(type(e) in (int, float) for e in edges):
-            raise InvalidParameterError(f"domain={edges!r} in {path} is not a list of edges")
-        domain = Domain(tuple(edges))
-        l, m, n = header["l"], header["m"], header["n_basis"]
+        domain = Domain(header.get("domain"))
+        l, m = header.get("l"), header.get("m")
         _require_int(l, "l", 2)
         _require_int(m, "m", 1)
-        _require_int(n, "n_basis", 1)
+        n = m**domain.dim
         if m > DEGREE_CAP or n > BASIS_CAP:
             raise InvalidParameterError(
-                f"m={m}, n_basis={n} in {path} exceed the caps {DEGREE_CAP} and {BASIS_CAP}"
+                f"m={m}, dim={domain.dim} in {path} exceed the caps {DEGREE_CAP} and {BASIS_CAP}"
             )
-        if header["matrices"] != l:
-            raise InvalidParameterError(f"{header['matrices']} matrices in {path}, expected l={l}")
-        if n != m**domain.dim:
+        if line != _header(domain, l, m):
             raise InvalidParameterError(
-                f"n_basis={n} in {path}, expected m**dim = {m**domain.dim}"
+                f"the header of {path} is not the one export_forms writes for its domain, l and m"
             )
-        matrices = []
-        for _ in range(l):
-            block = handle.read(8 * n * n)
-            if len(block) != 8 * n * n:
-                raise InvalidParameterError(f"truncated matrix block in {path}")
-            matrices.append(np.frombuffer(block, dtype="<f8").reshape(n, n).copy())
-        if handle.read(1):
-            raise InvalidParameterError(f"trailing bytes after the last matrix in {path}")
-    for k, mat in enumerate(matrices, start=1):
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != 8 * l * n * n:
+            raise InvalidParameterError(
+                f"{path} has {size} bytes after its header, expected {l} matrices {n} x {n}"
+            )
+        data = np.empty((l, n, n), dtype="<f8")
+        if handle.readinto(data) != size:
+            raise InvalidParameterError(f"{path} changed while it was read")
+    for k, mat in enumerate(data, start=1):
         if not np.array_equal(mat, mat.T):
             raise InvalidParameterError(f"matrix {k} in {path} is not symmetric")
-    return OperatorForms(domain=domain, l=l, m=m, matrices=tuple(matrices))
+    return OperatorForms(domain=domain, l=l, m=m, matrices=tuple(data))

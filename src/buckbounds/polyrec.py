@@ -27,10 +27,23 @@ def _require_int(value, name, minimum):
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _float_tuple(values):
+    return tuple(map(float, values))
+
+
+def _converted(convert, value, name):
+    # convert(value), with what float() raises on a non-number, and on an
+    # integer past the float range, raised as InvalidParameterError
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"{name} must be numeric and within the float range") from None
+
+
 def _require_positive(value, name):
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"{name} must be a positive real, got {value!r}") from None
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be a positive finite real, got {value!r}")

@@ -32,7 +32,7 @@ from .bounds import (
 from .eigen import _check_request, _spectrum, solve_buckling
 from .errors import InvalidParameterError
 from .galerkin import Domain, _leading_forms
-from .polyrec import _require_int
+from .polyrec import _converted, _require_int
 
 NORMALIZATION_TOL = 1e-8
 LEMMA_SLACK = 1e-6
@@ -47,13 +47,13 @@ def rayleigh_quantities(vector, forms):
     The vector must be B-normalized: |x^T B x - 1| <= 1e-8.  r_1 is that
     normalization, so it always sits at 1 up to solver roundoff.
     """
-    x = np.asarray(vector, dtype=float).reshape(-1)
+    x = _converted(lambda v: np.asarray(v, dtype=float), vector, "vector").reshape(-1)
     if x.shape[0] != forms.n_basis:
         raise InvalidParameterError(
             f"vector length {x.shape[0]} does not match the basis size {forms.n_basis}"
         )
     norm = float(x @ forms.matrices[0] @ x)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise InvalidParameterError(f"vector is not B-normalized: x^T B x = {norm}")
     return [norm] + [float(x @ forms.matrices[k - 1] @ x) for k in range(2, forms.l)]
 

@@ -365,6 +365,13 @@ def test_cor11_rejects_non_spectrum_prefix():
         next_bound_cor11(stretched, 2)
 
 
+def test_cor11_rejects_a_largest_root_below_eigenvalue_k():
+    # the discriminant is positive, but both roots lie below 8.15
+    prefix = Spectrum(values=(4.7, 5.0, 8.15), n=7, l=2)
+    with pytest.raises(InfeasibleSpectrumError, match="lies below eigenvalue 3 = 8.15"):
+        next_bound_cor11(prefix, 3)
+
+
 def test_cor11_scale_covariance():
     rng = np.random.default_rng(37)
     for _ in range(100):

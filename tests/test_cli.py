@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from buckbounds import cli
-from buckbounds.errors import BracketError, ConvergenceError
+from buckbounds.errors import BracketError, ConvergenceError, InternalConsistencyError
 
 
 @pytest.fixture()
@@ -265,6 +265,14 @@ def test_bound_next_infeasible_input(capsys, spectra):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("error: input:")
+
+
+def test_bound_next_cor11_root_below_the_last_eigenvalue(capsys, tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("# n=7 l=2\n4.7\n5.0\n8.15\n", encoding="ascii")
+    argv = ["bound", "next", "--method", "cor11", "--spectrum", str(path)]
+    expected = "error: input: largest root 8.03970644049084 lies below eigenvalue 3 = 8.15\n"
+    assert run_cli(argv, capsys) == (1, "", expected)
 
 
 def test_bound_next_sharp_infeasible_input(capsys, spectra):
@@ -551,6 +559,13 @@ def test_compare_l2_rejects_n_one_like_bound_next(capsys, tmp_path):
         assert err.startswith("error: usage: n must be >= 2") and err.count("\n") == 1
 
 
+def test_compare_l2_nan_candidate_is_a_usage_error(capsys, spectra):
+    argv = ["compare-l2", "--spectrum", spectra["two"], "--candidate", "nan"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
 def test_compare_l2_non_ascii_file(capsys, tmp_path):
     path = tmp_path / "accent.csv"
     path.write_bytes(b"# n=2 l=2\n1.0\n\xc3\xa9\n")
@@ -563,6 +578,23 @@ def test_compare_l2_non_ascii_file(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
+
+
+def test_help_exits_zero():
+    result = subprocess.run(
+        [sys.executable, "-m", "buckbounds", "--help"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: buckbounds")
+
+
+def test_internal_consistency_error_exit_code(capsys, monkeypatch):
+    def stalled(*args):
+        raise InternalConsistencyError("stub stall")
+
+    monkeypatch.setattr(cli, "chain_bounds", stalled)
+    argv = ["bound", "chain", "--lambda1", "1", "--count", "3", "--n", "2", "--l", "2"]
+    assert run_cli(argv + ["--method", "cor11"], capsys) == (3, "", "error: internal: stub stall\n")
 
 
 def test_module_entry_point():

@@ -53,6 +53,11 @@ def test_cholesky_rejects_indefinite():
         cholesky_spd([[1.0, 0.5], [0.0, 1.0]])
 
 
+def test_cholesky_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(InvalidParameterError, match=r"square matrix, got shape \(2, 3\)"):
+        cholesky_spd(np.ones((2, 3)))
+
+
 def test_solve_generalized_matches_scipy():
     rng = np.random.default_rng(22)
     for _ in range(15):

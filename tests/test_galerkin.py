@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -346,20 +347,33 @@ def test_assemble_overflow_is_a_numerical_error():
 
 
 def test_export_round_trip(tmp_path):
-    for edges, l in (((1.0, 2.0), 2), ((1.0, 0.5, 2.0), 3)):
-        forms = assemble_forms(Domain(edges), l, 3)
+    # the JSON text of each edge must read back as the same float, or the
+    # loaded header would differ from the one export_forms writes
+    for edges, l, m in (
+        ((1.0, 2.0), 2, 3),
+        ((1.0, 0.5, 2.0), 3, 3),
+        ((0.1 + 0.2,), 2, 4),
+        ((1e-05,), 3, 3),
+        ((1.0, 2.0), 4, 2),
+        ((1e-05, 1e22), 2, 3),
+        ((0.1 + 0.2, 1.0, 1e-05), 3, 2),
+        ((1.0, 0.5, 2.0), 4, 1),
+    ):
+        forms = assemble_forms(Domain(edges), l, m)
         path = tmp_path / "forms.bin"
         export_forms(forms, path)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline().decode("ascii"))
         assert header["schema"] == 1
-        assert header["n_basis"] == forms.n_basis == 3 ** len(edges)
+        assert header["n_basis"] == forms.n_basis == m ** len(edges)
         assert header["domain"] == list(edges)
         back = load_forms(path)
         assert back.l == forms.l and back.m == forms.m
         assert back.domain.edges == forms.domain.edges
+        assert len(back.matrices) == l
         for mat_a, mat_b in zip(forms.matrices, back.matrices):
-            assert np.array_equal(mat_a, mat_b)
+            assert mat_b.flags.writeable
+            assert mat_a.tobytes() == mat_b.tobytes()
 
 
 # Assembles, exports and loads forms in a fresh interpreter with every warning
@@ -446,10 +460,35 @@ def test_load_refuses_sizes_above_the_caps_before_reading(tmp_path, edges, m, n)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
+    for tail in (b"junk", b"\0"):
+        path, header, data = _exported(tmp_path)
+        _rewrite(path, header, data + tail)
+        with pytest.raises(InvalidParameterError):
+            load_forms(path)
+
+
+def test_load_rejects_a_truncated_body(tmp_path):
     path, header, data = _exported(tmp_path)
-    _rewrite(path, header, data + b"junk")
-    with pytest.raises(InvalidParameterError):
+    _rewrite(path, header, data[:-8])
+    with pytest.raises(InvalidParameterError, match="bytes after its header"):
         load_forms(path)
+
+
+def test_load_checks_the_body_length_before_allocating(tmp_path):
+    # l has no cap: a canonical header may claim 10**7 matrices of 576 x 576,
+    # 26 TB, over a body of a few bytes, and the file's length refuses it
+    # before anything near one matrix is read or allocated
+    path, header, _ = _exported(tmp_path, edges=(1.0, 1.0), l=2, m=2)
+    header.update(l=10**7, matrices=10**7, m=24, n_basis=576)
+    _rewrite(path, header, b"abc")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="bytes after its header"):
+            load_forms(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_load_rejects_asymmetric_matrix(tmp_path):
@@ -485,6 +524,12 @@ def test_load_rejects_header_that_is_not_an_ascii_json_object(tmp_path, line):
         ("dtype", ">f8"),
         ("order", "F"),
         ("n_basis", 4.0),
+        # headers that match the data but that export_forms never writes
+        ("schema", True),
+        ("schema", 1.0),
+        ("matrices", 3.0),
+        ("note", "extra"),
+        ("domain", [1, 2]),
     ],
 )
 def test_load_rejects_malformed_header_fields(tmp_path, field, value):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -213,3 +214,40 @@ def test_light_subcommands_never_load_numpy(tmp_path):
     assert report["solved"] == 0
     assert report["after_solve"] == ["numpy", "scipy"]
     assert report["drivers"] == [True, True]
+
+
+# Every numeric argument check, as a call that puts one value where a number
+# belongs.  Each value below is refused, where float() would raise on some
+# and others convert to a float that the check refuses.
+_SPECTRUM = buckbounds.Spectrum(values=(1.0, 2.0), n=2, l=2)
+VALIDATOR_SITES = {
+    "Domain": lambda v: buckbounds.Domain((v,)),
+    "Spectrum": lambda v: buckbounds.Spectrum(values=(1.0, v), n=2, l=2),
+    "Spectrum-values": lambda v: buckbounds.Spectrum(values=v, n=2, l=2),
+    "DeltaSequence": lambda v: buckbounds.DeltaSequence((v,)),
+    "optimize_delta": lambda v: buckbounds.optimize_delta([v], [1.0]),
+    "chain_bounds": lambda v: buckbounds.chain_bounds(v, 3, 2, 2, "cor11"),
+    "h_term": lambda v: buckbounds.h_term(2, 2, v),
+    "s_term": lambda v: buckbounds.s_term(2, 2, v),
+    "eval_cor11": lambda v: buckbounds.eval_cor11(_SPECTRUM, 1, v),
+    "eval_l2_priors": lambda v: buckbounds.eval_l2_priors(_SPECTRUM, 1, 3.0, delta_scalar=v),
+    "eval_thm11": lambda v: buckbounds.eval_thm11(_SPECTRUM, 2, 3.0, (v, v)),
+    # v = 0 or -1 leaves the matrix asymmetric
+    "cholesky_spd": lambda v: buckbounds.cholesky_spd([[1.0, v], [1.0, 1.0]]),
+    "cholesky_spd-ragged": lambda v: buckbounds.cholesky_spd([[1.0, v], [1.0]]),
+    # the interval's 1 x 1 B is 2/105, so no value here is B-normalized
+    "rayleigh_quantities": lambda v: buckbounds.rayleigh_quantities(
+        [v], buckbounds.assemble_forms(buckbounds.Domain.interval(), 2, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["x", None, 10**400, math.nan, math.inf, 0, -1.0],
+    ids=["text", "None", "1e400", "nan", "inf", "0", "-1.0"],
+)
+@pytest.mark.parametrize("site", sorted(VALIDATOR_SITES))
+def test_validators_refuse_every_bad_number_as_invalid(site, value):
+    with pytest.raises(buckbounds.InvalidParameterError):
+        VALIDATOR_SITES[site](value)
