@@ -99,8 +99,12 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
     SpectrumFormatError,
+    _converted,
+    _require_int,
+    _require_positive,
+    _require_positive_floats,
 )
-from .polyrec import _converted, _float_tuple, _require_int, s_term
+from .polyrec import s_term
 
 RESIDUAL_TOLERANCE = 1e-9
 PROBES_PER_DOUBLING = 16
@@ -158,13 +162,11 @@ class Spectrum:
             raise InvalidParameterError(
                 f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}"
             )
-        values = _converted(_float_tuple, self.values, "eigenvalues")
+        values = _require_positive_floats(self.values, "eigenvalues")
         if not values:
             raise InvalidParameterError("a spectrum needs at least one eigenvalue")
         previous = 0.0
         for v in values:
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidParameterError(f"eigenvalues must be positive finite, got {v}")
             if v < previous:
                 raise InvalidParameterError("eigenvalues must be nondecreasing")
             previous = v
@@ -186,7 +188,10 @@ def parse_spectrum(text):
         raise SpectrumFormatError(
             f"first line must look like '# n=<int> l=<int>', got {lines[0]!r}"
         )
-    n, l = int(match.group(1)), int(match.group(2))
+    try:
+        n, l = int(match.group(1)), int(match.group(2))
+    except ValueError:  # more digits than int() reads
+        raise SpectrumFormatError("n and l in the header must be below 2**63") from None
     values = []
     for line in lines[1:]:
         try:
@@ -225,13 +230,11 @@ class DeltaSequence:
     values: tuple
 
     def __post_init__(self):
-        values = _converted(_float_tuple, self.values, "delta entries")
+        values = _require_positive_floats(self.values, "delta entries")
         if not values:
             raise InvalidParameterError("delta sequence must be nonempty")
         previous = math.inf
         for v in values:
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidParameterError(f"delta entries must be positive finite, got {v}")
             if v > previous:
                 raise InvalidParameterError("delta entries must be non-increasing")
             previous = v
@@ -463,13 +466,10 @@ def optimize_delta(a, b):
     the exact minimizer of the block subproblem.  All weights must be
     strictly positive.
     """
-    a = _converted(_float_tuple, a, "weights")
-    b = _converted(_float_tuple, b, "weights")
+    a = _require_positive_floats(a, "weights")
+    b = _require_positive_floats(b, "weights")
     if len(a) != len(b) or not a:
         raise InvalidParameterError("weight lists must be nonempty and of equal length")
-    for v in a + b:
-        if not math.isfinite(v) or v <= 0.0:
-            raise InvalidParameterError(f"weights must be positive finite, got {v}")
     return DeltaSequence(tuple(_pool_adjacent_violators(a, b)))
 
 
@@ -785,16 +785,14 @@ def chain_bounds(lambda1, count, n, l, method):
     _require_int(count, "count", 1)
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
-    lambda1 = _converted(float, lambda1, "lambda1")
-    if not math.isfinite(lambda1) or lambda1 <= 0.0:
-        raise InvalidParameterError(f"lambda1 must be positive finite, got {lambda1}")
+    lambda1 = _require_positive(lambda1, "lambda1")
     solvers = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}
     if method not in solvers:
         raise InvalidParameterError(f"method must be one of {sorted(solvers)}, got {method!r}")
     solver = solvers[method]
     values = [lambda1]
     for j in range(1, count):
-        spectrum = Spectrum(values=tuple(values), n=n, l=l, provenance="synthetic")
+        spectrum = Spectrum(values=values, n=n, l=l, provenance="synthetic")
         nxt = solver(spectrum, j)
         if nxt <= values[-1]:
             raise InternalConsistencyError(
@@ -818,9 +816,7 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     _require_int(spectrum.n, "n", 2)
     shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
-    delta_scalar = _converted(float, delta_scalar, "delta")
-    if not math.isfinite(delta_scalar) or delta_scalar <= 0.0:
-        raise InvalidParameterError(f"delta must be positive finite, got {delta_scalar}")
+    delta_scalar = _require_positive(delta_scalar, "delta")
     n = spectrum.n
     values = spectrum.values[:k]
     d = delta_scalar

@@ -52,9 +52,10 @@ from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalError,
+    _converted,
+    _require_int,
 )
 from .galerkin import Domain, assemble_forms
-from .polyrec import _converted, _require_int
 
 PIVOT_RELATIVE = 1e-14
 ORTHONORMALITY_TOL = 1e-10

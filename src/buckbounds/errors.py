@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by the library and the command line front end."""
+"""Exception hierarchy shared by the library and the command line front end.
+
+The input checks that every module shares live here too, next to the
+``InvalidParameterError`` they raise: ``_require_int`` for integer arguments,
+``_converted`` for a conversion to float, and ``_require_positive_floats``
+with its scalar form ``_require_positive`` for positive finite reals.
+"""
+
+from math import inf
+
+# _require_int refuses an integer this large in magnitude before formatting
+# it: str() raises ValueError past sys.get_int_max_str_digits() digits.
+_INT_LIMIT = 2**63
 
 
 class BuckBoundsError(Exception):
@@ -48,3 +60,42 @@ class ConvergenceError(NumericalError):
 
 class BracketError(NumericalError):
     """Root bracketing failed within the allowed expansion range."""
+
+
+def _require_int(value, name, minimum):
+    # type() is bool matches isinstance(value, bool), as bool has no
+    # subclasses, and costs less: chain_bounds makes five checks a step
+    if type(value) is bool or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum or value >= _INT_LIMIT:
+        if abs(value) >= _INT_LIMIT:
+            raise InvalidParameterError(f"{name} must be below 2**63 in magnitude")
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _converted(convert, value, name):
+    # convert(value), with what float() raises on a non-number, and on an
+    # integer past the float range, raised as InvalidParameterError
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"{name} must be numeric and within the float range") from None
+
+
+def _require_positive_floats(values, name):
+    # values as a tuple of floats, each finite and > 0
+    values = _converted(lambda items: tuple(map(float, items)), values, name)
+    for v in values:
+        if not 0.0 < v < inf:  # NaN fails too
+            raise InvalidParameterError(f"{name} must be positive finite, got {v}")
+    return values
+
+
+def _require_positive(value, name):
+    # _require_positive_floats of one value, without the tuple that would
+    # cost five times the check: s_term and h_term check every eigenvalue
+    # of a spherical solve
+    value = _converted(float, value, name)
+    if not 0.0 < value < inf:
+        raise InvalidParameterError(f"{name} must be positive finite, got {value}")
+    return value

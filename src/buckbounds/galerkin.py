@@ -44,8 +44,7 @@ from math import comb, factorial, lcm, perm, prod
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalError
-from .polyrec import _converted, _float_tuple, _require_int
+from .errors import InvalidParameterError, NumericalError, _require_int, _require_positive_floats
 
 DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
@@ -62,12 +61,9 @@ class Domain:
     edges: tuple
 
     def __post_init__(self):
-        edges = _converted(_float_tuple, self.edges, "edge lengths")
+        edges = _require_positive_floats(self.edges, "edge lengths")
         if not 1 <= len(edges) <= 3:
             raise InvalidParameterError(f"domain needs 1 to 3 edges, got {len(edges)}")
-        for e in edges:
-            if not (e > 0.0) or not np.isfinite(e):
-                raise InvalidParameterError(f"edge lengths must be positive finite, got {e}")
         object.__setattr__(self, "edges", edges)
 
     @property

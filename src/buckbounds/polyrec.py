@@ -8,7 +8,7 @@ shared three-term recursion
 differing only in their seeds.  All coefficients stay exact integers; Python
 integers make overflow impossible.  The interior coefficients of the main
 family feed the scalar terms ``h_term`` and ``s_term`` used by the gap
-inequalities.
+inequalities.  The argument checks used here live in ``errors``.
 """
 
 from __future__ import annotations
@@ -17,37 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainViolationError, InvalidParameterError
-
-
-def _require_int(value, name, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _float_tuple(values):
-    return tuple(map(float, values))
-
-
-def _converted(convert, value, name):
-    # convert(value), with what float() raises on a non-number, and on an
-    # integer past the float range, raised as InvalidParameterError
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(f"{name} must be numeric and within the float range") from None
-
-
-def _require_positive(value, name):
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(f"{name} must be a positive real, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidParameterError(f"{name} must be a positive finite real, got {value!r}")
-    return value
+from .errors import DomainViolationError, InvalidParameterError, _require_int, _require_positive
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from .bounds import (
     thm11_optimal_delta,
 )
 from .eigen import _check_request, _spectrum, solve_buckling
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _converted, _require_int
 from .galerkin import Domain, _leading_forms
-from .polyrec import _converted, _require_int
 
 NORMALIZATION_TOL = 1e-8
 LEMMA_SLACK = 1e-6

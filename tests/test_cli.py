@@ -304,6 +304,21 @@ def test_bound_next_sharp_infeasible_at_any_scale(capsys, tmp_path):
         assert err.startswith("error: input:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["bound", "next", "--method", "cor11"], ["compare-l2", "--candidate", "4.0"]],
+    ids=["bound-next", "compare-l2"],
+)
+def test_spectrum_header_with_a_huge_integer_is_an_input_error(capsys, tmp_path, command):
+    # int() refuses more than 4,300 digits; the header still fails as input
+    path = tmp_path / "huge.csv"
+    path.write_text(f"# n={'9' * 5000} l=2\n1.0\n2.0\n", encoding="ascii")
+    code, out, err = run_cli(command + ["--spectrum", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
+    assert err.count("\n") == 1
+
+
 def test_bound_next_sphere_infeasible_input(capsys, spectra):
     argv = ["bound", "next", "--method", "sphere", "--spectrum", spectra["jump"]]
     code, out, err = run_cli(argv, capsys)

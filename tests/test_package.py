@@ -135,6 +135,15 @@ def test_modules_import_only_earlier_layers():
             assert target in LAYERS[:rank], f"{name}.py line {line} imports {target}"
 
 
+def test_numeric_modules_do_not_import_polyrec():
+    # the argument checks live in errors; polyrec's recursions serve the bounds
+    source = Path(buckbounds.__file__).parent
+    for name in ("galerkin", "eigen", "verify"):
+        tree = ast.parse((source / f"{name}.py").read_text(encoding="utf-8"))
+        targets = {target for _, target in _relative_imports(tree)}
+        assert "polyrec" not in targets, f"{name}.py imports polyrec"
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         buckbounds.no_such_name
@@ -240,6 +249,42 @@ VALIDATOR_SITES = {
         [v], buckbounds.assemble_forms(buckbounds.Domain.interval(), 2, 1)
     ),
 }
+
+
+# Every integer argument check shares one validator, so a sample of sites
+# stands for them all.  2**63 and more in magnitude is refused before the
+# value is formatted: str() of an integer past 4,300 digits raises ValueError.
+_UNIT_SQUARE = buckbounds.Domain((1.0, 1.0))
+INTEGER_SITES = {
+    "build_basis_1d-m": lambda v: buckbounds.build_basis_1d(2, v),
+    "solve_buckling-count": lambda v: buckbounds.solve_buckling(_UNIT_SQUARE, 2, 2, v),
+    "next_bound_cor11-k": lambda v: buckbounds.next_bound_cor11(_SPECTRUM, v),
+    "check_theorem11-k_max": lambda v: buckbounds.check_theorem11(_SPECTRUM, v),
+    "derivative_integral_table-order": lambda v: buckbounds.derivative_integral_table(
+        buckbounds.build_basis_1d(2, 2), (v,)
+    ),
+    "Spectrum-n": lambda v: buckbounds.Spectrum(values=(1.0,), n=v, l=2),
+    "run_verification-m": lambda v: buckbounds.run_verification(_UNIT_SQUARE, 2, v, 1),
+    "phi_polynomial-q": lambda v: buckbounds.phi_polynomial(v, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, 2.5, 10**5000, -(10**5000)], ids=["True", "2.5", "+1e5000", "-1e5000"]
+)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_checks_refuse_every_bad_integer_as_invalid(site, value):
+    with pytest.raises(buckbounds.InvalidParameterError):
+        INTEGER_SITES[site](value)
+
+
+def test_integer_checks_stop_at_2_to_the_63():
+    assert buckbounds.Spectrum(values=(1.0,), n=2**63 - 1, l=2).n == 2**63 - 1
+    for n in (2**63, -(2**63)):
+        with pytest.raises(buckbounds.InvalidParameterError, match=r"^n must be below 2\*\*63"):
+            buckbounds.Spectrum(values=(1.0,), n=n, l=2)
+    with pytest.raises(buckbounds.InvalidParameterError, match=r"^n must be >= 1, got -9223"):
+        buckbounds.Spectrum(values=(1.0,), n=1 - 2**63, l=2)
 
 
 @pytest.mark.parametrize(
