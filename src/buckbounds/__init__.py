@@ -2,8 +2,10 @@
 
 The bounds, polynomial families and errors are pure Python and load with the
 package.  The numeric modules ``eigen``, ``galerkin`` and ``verify`` need
-numpy, so their names are imported on first use (PEP 562).  Only the
-eigensolver needs scipy, and ``eigen`` imports it at the first solve.
+numpy, so their names are imported on first use (PEP 562) from the module
+that ``_LAZY`` names, the one map of where such a name lives; the command
+line front end resolves its numeric names here too.  Only the eigensolver
+needs scipy, and ``eigen`` imports it at the first solve.
 """
 
 import importlib
@@ -78,25 +80,18 @@ _LAZY = {
     "run_verification": "verify",
 }
 
-# What ``from buckbounds import *`` binds: every eager name above, then every
-# lazy one, which the star import resolves through ``__getattr__``.
+# What ``from buckbounds import *`` binds: every class and function imported
+# above from the package's modules, then every lazy name, which the star
+# import resolves through ``__getattr__``.
 __all__ = [
-    "BoundReport", "DeltaSequence", "Spectrum", "chain_bounds", "delta_objective",
-    "euclidean_coefficient", "eval_cor11", "eval_eq112", "eval_l2_priors", "eval_thm11",
-    "eval_thm12", "format_spectrum_csv", "next_bound_cor11", "next_bound_sharp",
-    "next_bound_sphere", "optimize_delta", "parse_spectrum", "read_spectrum",
-    "thm11_optimal_delta",
-    "BracketError", "BuckBoundsError", "ConvergenceError", "DomainViolationError",
-    "InfeasibleSpectrumError", "InternalConsistencyError", "InvalidParameterError",
-    "NotPositiveDefiniteError", "NumericalError", "SpectrumFormatError",
-    "ACoefficients", "Polynomial", "extract_a_coefficients", "fg_polynomials", "h_term",
-    "phi_polynomial", "s_term",
-    *_LAZY,
-]
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}.")
+] + list(_LAZY)
 
 
 def __getattr__(name):
-    if name in ("eigen", "galerkin", "verify"):
+    if name in _LAZY.values():
         return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

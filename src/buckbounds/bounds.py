@@ -103,6 +103,7 @@ from .errors import (
     _require_int,
     _require_positive,
     _require_positive_floats,
+    _shown,
 )
 from .polyrec import s_term
 
@@ -160,7 +161,7 @@ class Spectrum:
         _require_int(self.l, "l", 2)
         if self.provenance not in _PROVENANCES:
             raise InvalidParameterError(
-                f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}"
+                f"provenance must be one of {_PROVENANCES}, got {_shown(self.provenance)}"
             )
         values = _require_positive_floats(self.values, "eigenvalues")
         if not values:
@@ -464,13 +465,19 @@ def optimize_delta(a, b):
     Unconstrained minimizers sqrt(b_i / a_i) are pooled by adjacent
     violators; a pooled block takes the value sqrt(sum b / sum a), which is
     the exact minimizer of the block subproblem.  All weights must be
-    strictly positive.
+    strictly positive; a minimizer that leaves the float range raises
+    ``NumericalError``.
     """
     a = _require_positive_floats(a, "weights")
     b = _require_positive_floats(b, "weights")
     if len(a) != len(b) or not a:
         raise InvalidParameterError("weight lists must be nonempty and of equal length")
-    return DeltaSequence(tuple(_pool_adjacent_violators(a, b)))
+    delta = _pool_adjacent_violators(a, b)
+    # sqrt(sum b / sum a) is 0, inf or nan where a quotient or a sum leaves
+    # the float range
+    if not all(0.0 < d < math.inf for d in delta):
+        raise NumericalError("the minimizing delta leaves the float range")
+    return DeltaSequence(tuple(delta))
 
 
 def _pool_adjacent_violators(a, b):
@@ -682,16 +689,23 @@ def eval_thm12(spectrum, k, candidate, delta):
     Each eigenvalue must satisfy lam**(1/(l-1)) > n - 2.  The lhs weights a
     squared gap by 2 + (n-2)/(lam**(1/(l-1)) - (n-2)); the rhs couples
     squared gaps to delta_i * s_term and plain gaps to
-    (lam**(1/(l-1)) + (n-2)**2/4) / delta_i.
+    (lam**(1/(l-1)) + (n-2)**2/4) / delta_i.  It is scored at raw scale, so
+    a side that leaves the float range raises ``NumericalError``.
     """
     candidate = _check_candidate(spectrum, k, candidate)
     delta = _as_delta(delta, k)
     values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
     gaps = [candidate - v for v in values]
-    lhs = math.fsum(g * g * w for g, w in zip(gaps, lhs_weights))
-    rhs = math.fsum(g * g * d * s for g, d, s in zip(gaps, delta, s_values)) + math.fsum(
-        g / d * c for g, d, c in zip(gaps, delta, light)
-    )
+    # fsum raises on a finite sum past the float range, and on inf - inf
+    try:
+        lhs = math.fsum(g * g * w for g, w in zip(gaps, lhs_weights))
+        rhs = math.fsum(g * g * d * s for g, d, s in zip(gaps, delta, s_values)) + math.fsum(
+            g / d * c for g, d, c in zip(gaps, delta, light)
+        )
+    except (OverflowError, ValueError):
+        raise _out_of_range(candidate) from None
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise _out_of_range(candidate)
     return _report("thm12", k, lhs, rhs)
 
 
@@ -788,7 +802,9 @@ def chain_bounds(lambda1, count, n, l, method):
     lambda1 = _require_positive(lambda1, "lambda1")
     solvers = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}
     if method not in solvers:
-        raise InvalidParameterError(f"method must be one of {sorted(solvers)}, got {method!r}")
+        raise InvalidParameterError(
+            f"method must be one of {sorted(solvers)}, got {_shown(method)}"
+        )
     solver = solvers[method]
     values = [lambda1]
     for j in range(1, count):

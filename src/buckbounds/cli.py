@@ -10,14 +10,14 @@ with exit 3.  Exit codes: 0 success, 1 input or file error, 2 usage error,
 
 numpy loads only for ``solve`` and ``verify``, and scipy only when they reach
 the eigensolver: ``solve_buckling``, ``Domain`` and ``run_verification`` are
-module attributes resolved on first use, and the commands call whatever
+module attributes that the package resolves on first use.  The commands look
+these and the ``next_bound_*`` solvers up by name, so they call whatever
 those attributes hold at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 import warnings
@@ -29,7 +29,7 @@ from .bounds import (
     euclidean_coefficient,
     eval_l2_priors,
     format_spectrum_csv,
-    next_bound_cor11,
+    next_bound_cor11,  # the next_bound_* names are read by _cmd_bound_next
     next_bound_sharp,
     next_bound_sphere,
     parse_spectrum,
@@ -45,14 +45,15 @@ from .errors import (
 )
 from .polyrec import extract_a_coefficients, phi_polynomial
 
-# Names of the numeric modules, which import numpy, resolved on first use.
-_LAZY = {"solve_buckling": "eigen", "Domain": "galerkin", "run_verification": "verify"}
+# The names the commands use from the numeric modules, which import numpy:
+# the package's lazy layer resolves each on first use.
+_NUMERIC = ("solve_buckling", "Domain", "run_verification")
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    if name not in _NUMERIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -174,12 +175,7 @@ def _cmd_bound_next(args):
     if args.exact:
         print(_exact_next_bound(spectrum, k, args.method))
         return 0
-    solver = {
-        "cor11": next_bound_cor11,
-        "sharp": next_bound_sharp,
-        "sphere": next_bound_sphere,
-    }[args.method]
-    print(_num(solver(spectrum, k)))
+    print(_num(_lazy(f"next_bound_{args.method}")(spectrum, k)))
     return 0
 
 

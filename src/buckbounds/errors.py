@@ -3,7 +3,9 @@
 The input checks that every module shares live here too, next to the
 ``InvalidParameterError`` they raise: ``_require_int`` for integer arguments,
 ``_converted`` for a conversion to float, and ``_require_positive_floats``
-with its scalar form ``_require_positive`` for positive finite reals.
+with its scalar form ``_require_positive`` for positive finite reals.  A
+message shows a refused value through ``_shown``, which names its type where
+its ``repr`` cannot be built.
 """
 
 from math import inf
@@ -66,11 +68,21 @@ def _require_int(value, name, minimum):
     # type() is bool matches isinstance(value, bool), as bool has no
     # subclasses, and costs less: chain_bounds makes five checks a step
     if type(value) is bool or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum or value >= _INT_LIMIT:
         if abs(value) >= _INT_LIMIT:
             raise InvalidParameterError(f"{name} must be below 2**63 in magnitude")
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _shown(value):
+    # repr(value) for a message, or its type where repr raises ValueError, as
+    # it does for an integer, or a Fraction, past sys.get_int_max_str_digits()
+    # digits
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__} that cannot be printed"
 
 
 def _converted(convert, value, name):

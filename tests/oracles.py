@@ -2,7 +2,8 @@
 
 Every routine here reaches a result along a different route from the
 package: symbolic algebra instead of integer tuple recursion, finite
-differences instead of exact Galerkin assembly, per-entry Fraction
+differences instead of exact Galerkin assembly, the clamped ODE's
+determinant instead of a Galerkin pencil, per-entry Fraction
 integrals instead of integer Hilbert and Kronecker products, full Hilbert
 products of x-coefficients instead of parity halves in t = 2x - 1, dense grid
 search and block-partition enumeration instead of a pool-adjacent-violators
@@ -19,6 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import sympy
@@ -596,3 +598,67 @@ def interval_order2_eigenvalue(index):
         )
         mus.append(2.0 * x)
     return sorted(mus)[index - 1] ** 2
+
+
+def _clamped_conditions(l, odd, t):
+    # The l x l matrix of u^(p)(1/2), p = 0..l-1 (rows), over the real
+    # solutions of one parity at Lambda = t**(2(l-1)) (columns).
+    half = mpmath.mpf(1) / 2
+    rows = [[mpmath.mpf(0)] * l for _ in range(l)]
+    rows[0][0], rows[1][0] = (half, 1) if odd else (1, 0)  # x or 1
+    trig, power = (mpmath.sin, 1) if odd else (mpmath.cos, 0)
+    column = 1
+    for j in range(l - 1):
+        if 2 * j > l - 1:
+            continue  # -conj of the root l - 1 - j: the same columns
+        kappa = t * mpmath.expjpi(mpmath.mpf(j) / (l - 1))
+        values = [kappa ** (p - power) * trig(kappa * half + p * mpmath.pi / 2) for p in range(l)]
+        parts = (mpmath.re,) if 2 * j in (0, l - 1) else (mpmath.re, mpmath.im)
+        for part in parts:
+            for p in range(l):
+                rows[p][column] = part(values[p])
+            column += 1
+    return mpmath.matrix(rows)
+
+
+@lru_cache
+def ode_interval_eigenvalues(l, count):
+    """The first ``count`` eigenvalues of the clamped ODE on [-1/2, 1/2].
+
+    (-1)**l u^(2l) = -Lambda u'' with u = u' = ... = u^(l-1) = 0 at both
+    ends.  With Lambda = t**(2(l-1)) its solutions are 1, x, cos(kappa x)
+    and sin(kappa x), where kappa runs over t exp(i pi j / (l-1)), j < l - 1.
+    Even eigenfunctions combine 1 and the cosines, odd ones x and the
+    sin(kappa x) / kappa, so each parity gives one l x l determinant of the
+    clamped conditions at x = 1/2.  Both kinds of column are even in kappa and
+    real where kappa is real or imaginary; a kappa off the axes stands for its
+    conjugate pair, whose span the real and imaginary parts of its column give.
+    Each determinant is scanned for sign changes on a grid in t of step 1/2,
+    fine enough to separate its roots (about 2 pi apart in t for l <= 5), and
+    every change is bisected to 1e-22 relative in 40-digit arithmetic.
+    """
+    step = mpmath.mpf(1) / 2
+    roots = []
+    with mpmath.workdps(40):
+
+        def sign(odd, t):
+            return mpmath.sign(mpmath.det(_clamped_conditions(l, odd, t)))
+
+        t = step
+        signs = [sign(False, t), sign(True, t)]
+        while len(roots) < count:
+            for odd in (False, True):
+                lo, hi = t, t + step
+                below = signs[odd]
+                signs[odd] = sign(odd, hi)
+                if signs[odd] == below:
+                    continue
+                while hi - lo > hi * mpmath.mpf(10) ** -22:
+                    mid = (lo + hi) / 2
+                    if sign(odd, mid) == below:
+                        lo = mid
+                    else:
+                        hi = mid
+                roots.append(float(((lo + hi) / 2) ** (2 * (l - 1))))
+            t += step
+    return tuple(sorted(roots)[:count])

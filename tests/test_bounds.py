@@ -304,6 +304,20 @@ def test_optimize_delta_validation():
         optimize_delta((0.0,), (1.0,))
 
 
+def test_optimize_delta_past_the_float_range_is_a_numerical_error():
+    # valid weights whose minimizer sqrt(b / a) is inf, then 0, in binary64
+    for a, b in (((1e-300,), (1e300,)), ((1e300,), (1e-300,))):
+        with pytest.raises(NumericalError, match="^the minimizing delta leaves the float range$"):
+            optimize_delta(a, b)
+
+
+def test_delta_objective_refuses_mismatched_lengths():
+    with pytest.raises(InvalidParameterError, match="^objective needs matching lengths$"):
+        delta_objective((1.0, 1.0), (1.0,), (1.0,))
+    with pytest.raises(InvalidParameterError, match="^objective needs matching lengths$"):
+        delta_objective((1.0,), (1.0,), (1.0, 2.0))
+
+
 def test_thm11_optimal_delta_beats_constant_choices():
     rng = np.random.default_rng(35)
     for _ in range(200):
@@ -675,6 +689,16 @@ def test_eval_thm12_rejects_inadmissible_eigenvalues():
     deep = Spectrum(values=(3.9,), n=4, l=3)
     with pytest.raises(DomainViolationError):
         eval_thm12(deep, 1, 9.0, (1.0,))
+
+
+def test_eval_thm12_past_the_float_range_is_a_numerical_error():
+    # squared gaps of 1e400 once gave a nan residual; sums of 1.4e308 once
+    # leaked fsum's OverflowError
+    cases = (((1e200, 2e200), 3e200), ((1.0, 1.0), 1.2e154))
+    for values, candidate in cases:
+        spectrum = Spectrum(values=values, n=2, l=2)
+        with pytest.raises(NumericalError, match="float range"):
+            eval_thm12(spectrum, 2, candidate, (1.0, 1.0))
 
 
 def test_eval_thm12_zero_gap_is_trivially_tight():

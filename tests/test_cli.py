@@ -59,6 +59,14 @@ def test_phi_usage_error(capsys):
     assert err.startswith("error: usage:")
 
 
+def test_phi_and_coeffs_refuse_an_index_above_the_cap(capsys):
+    # coeffs --l reads the family member of index l - 1
+    for argv in (["phi", "--q", "301", "--n", "3"], ["coeffs", "--l", "302", "--n", "3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: usage: q=301 exceeds the supported cap 300\n"
+
+
 def test_coeffs_output(capsys):
     code, out, _ = run_cli(["coeffs", "--l", "4", "--n", "2"], capsys)
     assert code == 0
@@ -116,6 +124,11 @@ def test_solve_rejects_bad_domain(capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error: usage:")
+    argv[-1] = "1,x"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    message = "--domain expects numbers separated by a comma, got '1,x'"
+    assert err == f"error: usage: {message}\n"
 
 
 def test_solve_on_a_box(capsys):

@@ -143,6 +143,34 @@ def test_interval_converges_to_frequency_equation_roots():
     assert spectrum.values[2] == pytest.approx(oracles.interval_order2_eigenvalue(3), rel=1e-5)
 
 
+def test_interval_ode_referee_matches_the_closed_forms():
+    # at l = 2 the even modes are 1 + cos(2 pi j x), with Lambda = 4 pi**2 j**2
+    roots = oracles.ode_interval_eigenvalues(2, 4)
+    assert roots[0] == pytest.approx(4.0 * math.pi**2, rel=1e-15)
+    assert roots[2] == pytest.approx(16.0 * math.pi**2, rel=1e-15)
+    for index, root in enumerate(roots, start=1):
+        assert root == pytest.approx(oracles.interval_order2_eigenvalue(index), rel=1e-13)
+
+
+# The largest relative error of the first four eigenvalues at m = 24 on the
+# unit interval against the ODE referee, rounded up.  The exact forms match
+# the ODE far closer than this, so what is lost is rounding, in the forms or
+# in LAPACK: a better-conditioned solve should tighten these.
+INTERVAL_M24_TOLERANCE = {2: 1.6e-13, 3: 2.1e-12, 4: 5.8e-11, 5: 1.9e-8}
+
+
+@pytest.mark.parametrize("l", sorted(INTERVAL_M24_TOLERANCE))
+def test_interval_spectrum_matches_the_ode_referee(l):
+    roots = oracles.ode_interval_eigenvalues(l, 4)
+    with pytest.warns(UserWarning, match="^basis size m=24 is above 16"):
+        values = solve_buckling(Domain.interval(1.0), l, 24, 4).values
+    assert values == pytest.approx(roots, rel=INTERVAL_M24_TOLERANCE[l])
+    # Galerkin values bound the true ones from above, so the referee can miss
+    # no root: below every computed value it finds at least as many
+    for value in values:
+        assert sum(root < value for root in roots) >= sum(v < value for v in values)
+
+
 def test_square_spectrum_shape():
     spectrum = solve_buckling(Domain.rectangle(1.0, 1.0), 2, 6, 4)
     values = spectrum.values
@@ -197,6 +225,8 @@ def test_solve_buckling_validation():
         solve_buckling(Domain.interval(1.0), 2, 3, 4)
     with pytest.raises(InvalidParameterError):
         solve_buckling(Domain.interval(1.0), 2, 3, 0)
+    with pytest.raises(InvalidParameterError, match="^domain must be a Domain instance$"):
+        solve_buckling("x", 2, 3, 1)
 
 
 def test_solve_buckling_checks_count_before_assembling(monkeypatch):

@@ -337,6 +337,8 @@ def test_assemble_validation():
     assert assemble_forms(Domain((1.0, 1.0, 1.0)), 2, 8).n_basis == 512
     with pytest.raises(InvalidParameterError, match="exceeds the supported cap 576"):
         assemble_forms(Domain((1.0, 1.0, 1.0)), 2, 9)
+    with pytest.raises(InvalidParameterError, match="^domain must be a Domain instance$"):
+        assemble_forms("x", 2, 3)
 
 
 def test_assemble_overflow_is_a_numerical_error():

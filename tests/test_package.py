@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,7 +254,8 @@ VALIDATOR_SITES = {
 
 # Every integer argument check shares one validator, so a sample of sites
 # stands for them all.  2**63 and more in magnitude is refused before the
-# value is formatted: str() of an integer past 4,300 digits raises ValueError.
+# value is formatted: str() of an integer past 4,300 digits raises ValueError,
+# and so does repr() of a Fraction that holds one.
 _UNIT_SQUARE = buckbounds.Domain((1.0, 1.0))
 INTEGER_SITES = {
     "build_basis_1d-m": lambda v: buckbounds.build_basis_1d(2, v),
@@ -270,12 +272,34 @@ INTEGER_SITES = {
 
 
 @pytest.mark.parametrize(
-    "value", [True, 2.5, 10**5000, -(10**5000)], ids=["True", "2.5", "+1e5000", "-1e5000"]
+    "value",
+    [True, 2.5, 10**5000, -(10**5000), Fraction(10**5000)],
+    ids=["True", "2.5", "+1e5000", "-1e5000", "Fraction1e5000"],
 )
 @pytest.mark.parametrize("site", sorted(INTEGER_SITES))
 def test_integer_checks_refuse_every_bad_integer_as_invalid(site, value):
     with pytest.raises(buckbounds.InvalidParameterError):
         INTEGER_SITES[site](value)
+
+
+# Refusals that show a value that is not an integer: its repr where one can
+# be built, and its type where repr raises.
+UNPRINTABLE_SITES = {
+    "Spectrum-provenance": (
+        lambda: buckbounds.Spectrum(values=(1.0,), n=2, l=2, provenance=10**5000),
+        "int",
+    ),
+    "chain_bounds-method": (lambda: buckbounds.chain_bounds(1.0, 3, 2, 2, 10**5000), "int"),
+    "Polynomial-coefficient": (lambda: buckbounds.Polynomial((Fraction(10**5000),)), "Fraction"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNPRINTABLE_SITES))
+def test_refused_value_without_a_repr_is_named_by_its_type(site):
+    call, kind = UNPRINTABLE_SITES[site]
+    message = f"got a value of type {kind} that cannot be printed$"
+    with pytest.raises(buckbounds.InvalidParameterError, match=message):
+        call()
 
 
 def test_integer_checks_stop_at_2_to_the_63():

@@ -13,6 +13,7 @@ from buckbounds import (
     fg_polynomials,
     h_term,
     phi_polynomial,
+    polyrec,
     s_term,
 )
 
@@ -162,6 +163,19 @@ def test_parameter_validation():
         h_term(3, 4, -1.0)
     with pytest.raises(InvalidParameterError):
         phi_polynomial(2.5, 4)
+
+
+def test_index_cap():
+    cap = polyrec.INDEX_CAP
+    assert phi_polynomial(cap, 3).degree == cap
+    for call in (
+        lambda: phi_polynomial(cap + 1, 3),
+        lambda: fg_polynomials(cap + 1, 3),
+        lambda: extract_a_coefficients(cap + 2, 3),
+        lambda: s_term(cap + 2, 3, 10.0),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^q={cap + 1} exceeds the supported cap"):
+            call()
 
 
 def test_polynomial_arithmetic():
