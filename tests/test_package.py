@@ -282,8 +282,8 @@ def test_integer_checks_refuse_every_bad_integer_as_invalid(site, value):
         INTEGER_SITES[site](value)
 
 
-# Refusals that show a value that is not an integer: its repr where one can
-# be built, and its type where repr raises.
+# Refusals whose message shows the refused value: its repr where one can be
+# built, and its type where repr raises.
 UNPRINTABLE_SITES = {
     "Spectrum-provenance": (
         lambda: buckbounds.Spectrum(values=(1.0,), n=2, l=2, provenance=10**5000),
