@@ -18,6 +18,7 @@ those attributes hold at call time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -89,24 +90,44 @@ def _parse_edges(text, dim):
     return edges
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    # From Python 3.10.7 on, str() refuses an integer of more than
+    # sys.get_int_max_str_digits() digits, 4,300 by default; earlier releases
+    # have no limit and no setter.  Under the caps of phi and coeffs a
+    # coefficient reaches about 5,700 digits, so their output lifts the limit
+    # and only their output: parse_spectrum relies on it to refuse a huge
+    # header cheaply, and dispatch also runs in-process.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_phi(args):
     poly = phi_polynomial(args.q, args.n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "q": args.q,
-                    "n": args.n,
-                    "degree": poly.degree,
-                    "coefficients": list(poly.coefficients),
-                }
+    with _any_int_length():
+        if args.json:
+            print(
+                json.dumps(
+                    {
+                        "schema": 1,
+                        "q": args.q,
+                        "n": args.n,
+                        "degree": poly.degree,
+                        "coefficients": list(poly.coefficients),
+                    }
+                )
             )
-        )
-    elif args.exact:
-        print(" ".join(str(c) for c in poly.coefficients))
-    else:
-        print(poly)
+        elif args.exact:
+            print(" ".join(str(c) for c in poly.coefficients))
+        else:
+            print(poly)
     return 0
 
 
@@ -115,8 +136,9 @@ def _cmd_coeffs(args):
     print(f"l = {args.l}  n = {args.n}")
     if not coeffs.a:
         print("no interior coefficients at l = 2")
-    for j, (a, ap) in enumerate(zip(coeffs.a, coeffs.a_plus), start=1):
-        print(f"a_{j} = {a}  a_{j}+ = {ap}")
+    with _any_int_length():
+        for j, (a, ap) in enumerate(zip(coeffs.a, coeffs.a_plus), start=1):
+            print(f"a_{j} = {a}  a_{j}+ = {ap}")
     return 0
 
 

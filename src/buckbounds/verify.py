@@ -1,18 +1,22 @@
 """Verification harness: Rayleigh-quotient checks, theorem checks, convergence.
 
 A verification request is checked in full before anything is solved.
-Checks are only asserted on computed spectra at the finest resolution that
-was solved; a violation smaller than the observed resolution-to-resolution
-drift of the same residual is classified inconclusive rather than failed,
-because it is indistinguishable from discretization error.
 
-A ladder of resolutions (``run_verification``'s coarse rungs and the sizes
-of ``convergence_study``) is assembled once, at its finest basis size: the
-bases are nested, so every coarser rung's forms are a leading sub-block of
-the finest rung's, equal bit for bit to assembling that rung directly.
-Only the finest rung goes through ``solve_buckling``, with its conditioning
-warning and its checks of the unscaled forms; each coarser rung goes
-straight to the solver, which factors its scaled B once.
+One ladder study serves ``run_verification`` (its coarse rungs under m) and
+``convergence_study`` (its sizes): it solves a ladder of resolutions and
+tabulates their convergence.  The ladder is assembled once, at its finest
+basis size: the bases are nested, so every coarser rung's forms are a
+leading sub-block of the finest rung's, equal bit for bit to assembling that
+rung directly.  Only the finest rung goes through ``solve_buckling``, with
+its conditioning warning and its checks of the unscaled forms; each coarser
+rung goes straight to the solver, which factors its scaled B once.
+
+Checks are only asserted on computed spectra at the finest resolution that
+was solved, and one verdict rule judges every theorem check there.  A
+satisfied check passes.  A violation is inconclusive when it is no larger
+than its drift from the same check at the next-coarser rung, or when it has
+no such partner, because it is indistinguishable from discretization error.
+Any other violation fails.
 """
 
 from __future__ import annotations
@@ -194,20 +198,21 @@ def convergence_study(domain, l, m_list, count):
         raise InvalidParameterError("m_list must be nonempty")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise InvalidParameterError(f"m_list must be strictly increasing, got {m_list}")
-    spectra = _solve_ladder(domain, l, m_list, [count] * len(m_list))
-    return _table_from_rows(m_list, [spectrum.values for spectrum in spectra])
+    return _study(domain, l, m_list, [count] * len(m_list))[1]
 
 
-def _solve_ladder(domain, l, m_values, counts):
-    # Spectra of counts[i] eigenvalues at the increasing basis sizes
+def _study(domain, l, m_values, counts):
+    # The spectra of counts[i] eigenvalues at the increasing basis sizes
     # m_values[i], from one assembly: the bases are nested, so every coarser
     # rung's forms are a leading sub-block of the finest rung's.  Every rung
-    # is checked before any is solved.
+    # is checked before any is solved.  The table keeps each rung's first
+    # counts[0] values, which no rung has fewer of.
     rungs = list(zip(m_values, counts))
     for mm, count in rungs:
         _check_request(domain, mm, count)
     finest = solve_buckling(domain, l, *rungs[-1])
-    return [_spectrum(_leading_forms(finest.forms, mm), c) for mm, c in rungs[:-1]] + [finest]
+    spectra = [_spectrum(_leading_forms(finest.forms, mm), c) for mm, c in rungs[:-1]] + [finest]
+    return spectra, _table_from_rows(m_values, [s.values[: counts[0]] for s in spectra])
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,16 @@ class VerificationReport:
         }
 
 
+def _verdict(report, partner):
+    # The verdict rule of the module docstring; partner is the same check at
+    # the next-coarser rung, or None.
+    if report.satisfied:
+        return "pass"
+    if partner is None or report.residual <= abs(report.residual - partner.residual):
+        return "inconclusive"
+    return "failed"
+
+
 def _ladder(m):
     return sorted({min(m, max(2, m // 4)), min(m, max(2, m // 2)), m})
 
@@ -263,11 +278,9 @@ def run_verification(domain, l, m, k_max):
 
     The request is checked before anything is solved, down to the
     k_max + 1 <= m**n eigenvalues that the checks read.  The theorem
-    residuals are also scored at the next-coarser resolution; when a
-    violation at the finest resolution is smaller than the residual drift
-    between resolutions it is classified inconclusive, and so is one with
-    no coarse partner because that rung holds fewer than k_max + 1
-    eigenvalues.
+    residuals are also scored at the next-coarser rung, which is no partner
+    when it holds fewer than k_max + 1 eigenvalues, and each check at the
+    finest rung gets the module's verdict: pass, inconclusive or failed.
     """
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
@@ -281,30 +294,15 @@ def run_verification(domain, l, m, k_max):
     _require_eigenvalues(k_max, m**domain.dim)
     count = k_max + 1
     m_values = _ladder(m)
-    spectra = _solve_ladder(domain, l, m_values, [min(count, mm**domain.dim) for mm in m_values])
-    rows = [spectrum.values for spectrum in spectra]
-    table = _table_from_rows(m_values, [row[: min(len(r) for r in rows)] for row in rows])
+    spectra, table = _study(domain, l, m_values, [min(count, mm**domain.dim) for mm in m_values])
     finest = spectra[-1]
     reports = check_theorem11(finest, k_max)
-    coarse_reports = {}
-    if len(m_values) >= 2:
-        coarse = spectra[-2]
-        if coarse.k >= k_max + 1:
-            coarse_reports = {
-                (r.method, r.k): r for r in check_theorem11(coarse, k_max)
-            }
-    checks = []
-    for report in reports:
-        if report.satisfied:
-            verdict = "pass"
-        else:
-            partner = coarse_reports.get((report.method, report.k))
-            if partner is None:
-                verdict = "inconclusive"
-            else:
-                drift = abs(report.residual - partner.residual)
-                verdict = "inconclusive" if report.residual <= drift else "failed"
-        checks.append(TheoremCheck(report=report, verdict=verdict))
+    # check_theorem11 emits the same (k, method) sequence for every spectrum
+    # of at least k_max + 1 values, so partners pair by position.
+    partners = [None] * len(reports)
+    if len(spectra) >= 2 and spectra[-2].k >= count:
+        partners = check_theorem11(spectra[-2], k_max)
+    checks = [TheoremCheck(r, _verdict(r, p)) for r, p in zip(reports, partners)]
     lemma_rows = check_lemma21(finest)
     passed = (
         all(check.report.satisfied for check in checks)

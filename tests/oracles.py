@@ -11,8 +11,9 @@ pass, and a fine upward geometric scan plus bisection instead of doubling
 brackets or a downward walk.  The one exception is
 ``generalized_eigenpairs``, the package's dense reduction written out in
 plain numpy and scipy calls with no buffer reuse, so that the package's
-memory-lean solve can be held to it bit for bit.  Nothing in this module
-imports from the package.
+memory-lean solve can be held to it bit for bit.  The closed sphere's
+spectrum, which the package cannot solve for, comes in closed form from its
+spherical harmonics.  Nothing in this module imports from the package.
 """
 
 import itertools
@@ -464,6 +465,23 @@ def sphere_bound_oracle(lams, n, l, k):
         return lhs - partition_min_objective(a_terms, b_terms)
 
     return scan_bisect_root(excess, lams[k - 1])
+
+
+def closed_sphere_eigenvalues(n, l, count):
+    """The first count buckling eigenvalues of the closed unit sphere S^n.
+
+    The degree-j spherical harmonics, C(n+j, j) - C(n+j-2, j-2) of them, are
+    Laplace eigenfunctions with mu_j = j(j+n-1), so each is a buckling mode
+    with Lambda = mu_j**(l-1).  The constants (j = 0) have a zero Laplacian
+    and are not modes, so j starts at 1.  Every value is an integer.
+    """
+    values = []
+    j = 0
+    while len(values) < count:
+        j += 1
+        multiplicity = math.comb(n + j, j) - (math.comb(n + j - 2, j - 2) if j >= 2 else 0)
+        values += [(j * (j + n - 1)) ** (l - 1)] * multiplicity
+    return values[:count]
 
 
 class InfeasibleSpectrumError(Exception):

@@ -772,6 +772,29 @@ def test_sphere_bound_matches_oracle_up_to_n8_k6():
     assert checked > 12
 
 
+def test_sphere_bound_holds_on_the_closed_sphere():
+    # 1,200 prefixes of an exact spectrum.  The relative 1e-12 allows for
+    # _largest_root returning the midpoint of its last bracket, which can sit
+    # a few 1e-14 below the largest feasible candidate; once it returns the
+    # upper end instead, this becomes an exact >=.
+    for n in range(2, 7):
+        for l in range(2, 6):
+            values = oracles.closed_sphere_eigenvalues(n, l, 61)
+            for k in range(1, 61):
+                bound = next_bound_sphere(Spectrum(values=values[:k], n=n, l=l), k)
+                assert bound >= values[k] * (1.0 - 1e-12), (n, l, k)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_sphere_bound_is_an_equality_on_the_round_two_sphere(l):
+    # on S^2 the first cluster, three values 2**(l-1), bounds the fourth,
+    # 6**(l-1), exactly; the midpoint bracket lands up to 3.4e-14 below it
+    values = oracles.closed_sphere_eigenvalues(2, l, 4)
+    assert values == [2 ** (l - 1)] * 3 + [6 ** (l - 1)]
+    bound = next_bound_sphere(Spectrum(values=values[:3], n=2, l=l), 3)
+    assert bound == pytest.approx(6 ** (l - 1), rel=1e-12)
+
+
 def test_sphere_cap_bounds_the_oracle():
     # the solver scans only up to _sphere_cap; the oracle scans 64
     # doublings, so it sees every probe the cap drops

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import warnings
 
 import pytest
 
-from buckbounds import cli
+from buckbounds import cli, phi_polynomial
 from buckbounds.errors import BracketError, ConvergenceError, InternalConsistencyError
 
 
@@ -73,6 +74,53 @@ def test_coeffs_output(capsys):
     assert out == "l = 4  n = 2\na_1 = 16  a_1+ = 16\na_2 = 17  a_2+ = 17\n"
     code, out, _ = run_cli(["coeffs", "--l", "2", "--n", "5"], capsys)
     assert (code, out) == (0, "l = 2  n = 5\nno interior coefficients at l = 2\n")
+
+
+# At the caps (index 300, n = 2**63 - 1) a coefficient has about 5,700
+# digits, past the 4,300 that Python prints or parses by default.
+BIG_N = 2**63 - 1
+
+
+@contextlib.contextmanager
+def digits_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_phi_prints_coefficients_of_any_length(capsys, monkeypatch):
+    poly = phi_polynomial(300, BIG_N)
+    assert max(abs(c) for c in poly.coefficients).bit_length() > 14_300  # > 4,300 digits
+    # the three forms print the one polynomial, built once: 0.4 s a build
+    monkeypatch.setattr(cli, "phi_polynomial", lambda q, n: poly)
+    argv = ["phi", "--q", "300", "--n", str(BIG_N)]
+    plain, exact, as_json = (run_cli(argv + flag, capsys) for flag in ([], ["--exact"], ["--json"]))
+    assert {(code, err) for code, _, err in (plain, exact, as_json)} == {(0, "")}
+    with digits_limit(0):
+        assert plain[1] == f"{poly}\n"
+        assert [int(word) for word in exact[1].split()] == list(poly.coefficients)
+        assert json.loads(as_json[1])["coefficients"] == list(poly.coefficients)
+
+
+def test_coeffs_prints_coefficients_of_any_length(capsys):
+    code, out, err = run_cli(["coeffs", "--l", "301", "--n", str(BIG_N)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 300
+    assert lines[-1].startswith("a_299 = ")
+    assert max(len(line) for line in lines) > 4300
+
+
+def test_dispatch_restores_the_digits_limit(capsys):
+    # coefficients of about 1,900 digits, past a limit of 1,000
+    with digits_limit(1000):
+        for argv in (["phi", "--q", "100", "--exact"], ["coeffs", "--l", "101"]):
+            assert cli.dispatch(argv + ["--n", str(BIG_N)]) == 0
+            assert sys.get_int_max_str_digits() == 1000
+    capsys.readouterr()
 
 
 def test_solve_text_output(capsys):

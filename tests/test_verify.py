@@ -252,7 +252,9 @@ def test_run_verification_without_coarse_partners_is_inconclusive():
 
 
 @pytest.mark.parametrize(
-    "fine, coarse, verdict", [(0.5, 0.1, "failed"), (0.5, -0.5, "inconclusive")]
+    "fine, coarse, verdict",
+    # a violation exactly as large as its drift is inconclusive
+    [(0.5, 0.1, "failed"), (0.5, -0.5, "inconclusive"), (0.5, 0.0, "inconclusive")],
 )
 def test_run_verification_weighs_a_violation_against_the_drift(monkeypatch, fine, coarse, verdict):
     # a violation larger than its drift from the coarse rung fails
@@ -264,6 +266,18 @@ def test_run_verification_weighs_a_violation_against_the_drift(monkeypatch, fine
     report = run_verification(Domain.rectangle(1.0, 1.0), 2, 8, 1)
     assert report.convergence.m_values == (2, 4, 8)
     assert [c.verdict for c in report.checks] == [verdict]
+    assert not report.passed
+
+
+def test_run_verification_one_rung_violation_is_inconclusive(monkeypatch):
+    # m = 2 is a ladder of one rung, so a violation has no coarse partner
+    def scored(spectrum, k_max):
+        return [BoundReport("cor11", 1, 1.0, 0.5, 0.5, 1e-9, False)]
+
+    monkeypatch.setattr(verify, "check_theorem11", scored)
+    report = run_verification(Domain.rectangle(1.0, 1.0), 2, 2, 1)
+    assert report.convergence.m_values == (2,)
+    assert [c.verdict for c in report.checks] == ["inconclusive"]
     assert not report.passed
 
 
