@@ -801,7 +801,7 @@ def chain_bounds(lambda1, count, n, l, method):
     _require_int(l, "l", 2)
     lambda1 = _require_positive(lambda1, "lambda1")
     solvers = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}
-    if method not in solvers:
+    if not isinstance(method, str) or method not in solvers:
         raise InvalidParameterError(
             f"method must be one of {sorted(solvers)}, got {_shown(method)}"
         )

@@ -7,6 +7,8 @@ through as ``warning: <message>``.  A warning that the filters turn into an
 error (``python -W error``) ends the command as ``error: warning: <message>``
 with exit 3.  Exit codes: 0 success, 1 input or file error, 2 usage error,
 3 numerical failure or a warning raised as an error, 4 verification failure.
+``_FAILURES`` is the one place that maps an error class to its kind and exit
+code; an exception that no entry names is not caught.
 
 numpy loads only for ``solve`` and ``verify``, and scipy only when they reach
 the eigensolver: ``solve_buckling``, ``Domain`` and ``run_verification`` are
@@ -37,6 +39,7 @@ from .bounds import (
     read_spectrum,
 )
 from .errors import (
+    BuckBoundsError,
     DomainViolationError,
     InfeasibleSpectrumError,
     InternalConsistencyError,
@@ -319,6 +322,18 @@ def build_parser():
     return parser
 
 
+# The one map from a failure to its diagnostic: the error classes, the kind in
+# ``error: <kind>: <message>`` and the exit code.  The first entry that
+# matches decides; a Warning reaches dispatch only when a filter raised it.
+_FAILURES = (
+    (InvalidParameterError, "usage", 2),
+    ((SpectrumFormatError, DomainViolationError, InfeasibleSpectrumError, OSError), "input", 1),
+    (NumericalError, "numerical", 3),
+    (InternalConsistencyError, "internal", 3),
+    (Warning, "warning", 3),
+)
+
+
 def dispatch(argv):
     """Run one subcommand and map failures to documented exit codes.
 
@@ -334,28 +349,12 @@ def dispatch(argv):
             return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except InvalidParameterError as exc:
-        _emit("usage", exc)
-        return 2
-    except (SpectrumFormatError, DomainViolationError, InfeasibleSpectrumError) as exc:
-        _emit("input", exc)
-        return 1
-    except OSError as exc:
-        _emit("input", exc)
-        return 1
-    except NumericalError as exc:
-        _emit("numerical", exc)
-        return 3
-    except InternalConsistencyError as exc:
-        _emit("internal", exc)
-        return 3
-    except Warning as exc:  # promoted by a filter such as python -W error
-        _emit("warning", exc)
-        return 3
-
-
-def _emit(kind, exc):
-    print(f"error: {kind}: {exc}", file=sys.stderr)
+    except (BuckBoundsError, OSError, Warning) as exc:
+        for classes, kind, code in _FAILURES:
+            if isinstance(exc, classes):
+                print(f"error: {kind}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):

@@ -26,6 +26,7 @@ from functools import lru_cache
 from .errors import (
     DomainViolationError,
     InvalidParameterError,
+    NumericalError,
     _require_int,
     _require_positive,
     _shown,
@@ -210,13 +211,22 @@ def h_term(l, n, lam):
 
     Nondecreasing in lam since every a_j^+ is nonnegative.  The empty sum at
     l = 2 leaves only the sign term, with the convention 0**0 = 1 at n = 2.
+    A sign term, a coefficient or a sum past the float range raises
+    ``NumericalError``.
     """
     lam = _require_positive(lam, "lam")
     coeffs = extract_a_coefficients(l, n)
-    tail = math.fsum(
-        ap * lam ** (j / (l - 1)) for j, ap in enumerate(coeffs.a_plus, start=1)
-    )
-    return (-1) ** l * (n - 2) ** (l - 2) + tail
+    # an integer past the float range raises OverflowError where it meets a
+    # float, and so does fsum on a finite sum past it; a product past it is inf
+    try:
+        value = (-1) ** l * (n - 2) ** (l - 2) + math.fsum(
+            ap * lam ** (j / (l - 1)) for j, ap in enumerate(coeffs.a_plus, start=1)
+        )
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"h_term at l={l}, n={n}, lam={lam} leaves the float range")
+    return value
 
 
 def s_term(l, n, lam):

@@ -196,8 +196,6 @@ def convergence_study(domain, l, m_list, count):
     m_list = list(m_list)
     if not m_list:
         raise InvalidParameterError("m_list must be nonempty")
-    if any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise InvalidParameterError(f"m_list must be strictly increasing, got {m_list}")
     return _study(domain, l, m_list, [count] * len(m_list))[1]
 
 
@@ -210,6 +208,8 @@ def _study(domain, l, m_values, counts):
     rungs = list(zip(m_values, counts))
     for mm, count in rungs:
         _check_request(domain, mm, count)
+    if any(b <= a for a, b in zip(m_values, m_values[1:])):
+        raise InvalidParameterError(f"m_list must be strictly increasing, got {m_values}")
     finest = solve_buckling(domain, l, *rungs[-1])
     spectra = [_spectrum(_leading_forms(finest.forms, mm), c) for mm, c in rungs[:-1]] + [finest]
     return spectra, _table_from_rows(m_values, [s.values[: counts[0]] for s in spectra])

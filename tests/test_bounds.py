@@ -610,6 +610,15 @@ def test_sphere_overflow_is_a_numerical_error():
             next_bound_sphere(Spectrum(values=(1e80,), n=n, l=2), 1)
 
 
+def test_sphere_terms_past_the_float_range_are_a_numerical_error():
+    # an admissible prefix whose h_term overflows leaked OverflowError
+    spectrum = Spectrum(values=(1e300, 1.1e300), n=10, l=301)
+    with pytest.raises(NumericalError, match="float range"):
+        next_bound_sphere(spectrum, 2)
+    with pytest.raises(NumericalError, match="float range"):
+        eval_thm12(spectrum, 2, 1.2e300, (1.0, 1.0))
+
+
 def test_sphere_overflowed_pooled_sum_is_a_numerical_error():
     # each weight is finite, but the pooled block's sum of g**2 * s_term
     # overflows, which gave delta 0 and a ZeroDivisionError
@@ -657,6 +666,9 @@ def test_chain_entries_do_not_bound_every_feasible_spectrum():
 def test_chain_bounds_validation():
     with pytest.raises(InvalidParameterError):
         chain_bounds(1.0, 3, 2, 2, "sphere")
+    # an unhashable method leaked TypeError from the solver lookup
+    with pytest.raises(InvalidParameterError, match="method must be one of"):
+        chain_bounds(1.0, 3, 2, 2, [1])
     with pytest.raises(InvalidParameterError):
         chain_bounds(-1.0, 3, 2, 2, "cor11")
     with pytest.raises(InvalidParameterError):

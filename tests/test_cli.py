@@ -7,7 +7,12 @@ import warnings
 import pytest
 
 from buckbounds import cli, phi_polynomial
-from buckbounds.errors import BracketError, ConvergenceError, InternalConsistencyError
+from buckbounds.errors import (
+    BracketError,
+    BuckBoundsError,
+    ConvergenceError,
+    InternalConsistencyError,
+)
 
 
 @pytest.fixture()
@@ -421,6 +426,18 @@ def test_bound_next_sphere_overflowed_pooled_sum(capsys, tmp_path):
     assert err.startswith("error: numerical:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["# n=10 l=301\n1e300\n1.1e300\n", "# n=3 l=250\n1e250\n2e250\n"])
+def test_bound_next_sphere_terms_past_the_float_range(capsys, tmp_path, text):
+    # admissible prefixes whose h_term leaves the float range: a 1,040-bit
+    # coefficient, then an fsum overflow, each once an OverflowError traceback
+    path = tmp_path / "far.csv"
+    path.write_text(text, encoding="ascii")
+    argv = ["bound", "next", "--method", "sphere", "--spectrum", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
 def test_bound_next_bracket_failure_is_numerical(capsys, spectra, monkeypatch):
     def no_bracket(spectrum, k):
         raise BracketError("no sign change")
@@ -671,6 +688,91 @@ def test_internal_consistency_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "chain_bounds", stalled)
     argv = ["bound", "chain", "--lambda1", "1", "--count", "3", "--n", "2", "--l", "2"]
     assert run_cli(argv + ["--method", "cor11"], capsys) == (3, "", "error: internal: stub stall\n")
+
+
+def _extreme_commands(tmp_path):
+    # every subcommand at the ends of the float range and of the caps
+    files = []
+    for scale in (5e-324, 1e-300, 1e308):
+        for n, l in ((2, 2), (3, 2), (10, 301), (2**62, 2), (2**62, 301)):
+            files.append(f"# n={n} l={l}\n{scale!r}\n{scale * 1.5!r}\n")
+    files += ["# n=10 l=301\n1e300\n1.1e300\n", "# n=3 l=250\n1e250\n2e250\n"]
+    for i, text in enumerate(files):
+        path = tmp_path / f"extreme{i}.csv"
+        path.write_text(text, encoding="ascii")
+        for method in ("cor11", "sharp", "sphere"):
+            yield ["bound", "next", "--method", method, "--spectrum", str(path)]
+        yield ["bound", "next", "--method", "cor11", "--spectrum", str(path), "--k", "1", "--exact"]
+        yield ["compare-l2", "--spectrum", str(path), "--candidate", "1e308", "--delta", "1e-300"]
+    for lambda1 in ("1e-320", "1e308"):
+        for n, l in ((2, 2), (2**62, 301)):
+            for method in ("cor11", "sharp"):
+                chain = ["--lambda1", lambda1, "--count", "4", "--n", str(n), "--l", str(l)]
+                yield ["bound", "chain", *chain, "--method", method]
+    for edge in ("1e-300", "1e300", "1e-300,1e300"):
+        for dim in (1, 2):
+            yield ["solve", "--dim", str(dim), "--l", "2", "--degree", "2", "--count", "1", "--domain", edge]
+        yield ["verify", "--l", "3", "--degree", "2", "--kmax", "1", "--domain", edge]
+    yield ["solve", "--dim", "3", "--l", "2", "--degree", "2", "--count", "1", "--domain", "1e300"]
+    yield ["phi", "--q", "300", "--n", str(2**62), "--exact"]
+    yield ["coeffs", "--l", "301", "--n", str(2**62)]
+
+
+def test_every_failure_is_one_documented_line(capsys, tmp_path):
+    # no exception escapes dispatch, every exit code is a documented one, and
+    # a failure writes exactly one stderr line
+    escaped = []
+    for argv in _extreme_commands(tmp_path):
+        try:
+            code, _, err = run_cli(argv, capsys)
+        except Exception as exc:
+            escaped.append((argv, repr(exc)))
+            continue
+        assert code in (0, 1, 2, 3, 4), argv
+        if 1 <= code <= 3:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert escaped == []
+
+
+# The README's kind and exit code for every error class of the package.
+_README_EXIT_CODES = {
+    "InvalidParameterError": ("usage", 2),
+    "SpectrumFormatError": ("input", 1),
+    "DomainViolationError": ("input", 1),
+    "InfeasibleSpectrumError": ("input", 1),
+    "NumericalError": ("numerical", 3),
+    "NotPositiveDefiniteError": ("numerical", 3),
+    "ConvergenceError": ("numerical", 3),
+    "BracketError": ("numerical", 3),
+    "InternalConsistencyError": ("internal", 3),
+}
+
+
+def _package_error_classes():
+    pending, found = [BuckBoundsError], []
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub.__module__.startswith("buckbounds."):
+                found.append(sub)
+                pending.append(sub)
+    return found
+
+
+def test_every_error_class_has_its_documented_exit_code(capsys, monkeypatch):
+    # a new error class without an entry here reaches users as a traceback
+    # until it has one in cli._FAILURES and in the README
+    classes = _package_error_classes()
+    assert {cls.__name__ for cls in classes} == set(_README_EXIT_CODES)
+    argv = ["bound", "chain", "--lambda1", "1", "--count", "3", "--n", "2", "--l", "2"]
+    for cls in classes:
+        # __new__ sets the message without the subclass's own __init__ arguments
+        monkeypatch.setattr(cli, "chain_bounds", lambda *a, cls=cls: _raise(cls.__new__(cls, "stub")))
+        kind, code = _README_EXIT_CODES[cls.__name__]
+        assert run_cli(argv + ["--method", "cor11"], capsys) == (code, "", f"error: {kind}: stub\n")
+
+
+def _raise(exc):
+    raise exc
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from buckbounds import (
     ACoefficients,
     DomainViolationError,
     InvalidParameterError,
+    NumericalError,
     Polynomial,
     extract_a_coefficients,
     fg_polynomials,
@@ -123,6 +124,20 @@ def test_h_term_nondecreasing_in_lambda():
         grid = sorted(rng.uniform(0.01, 500.0) for _ in range(25))
         values = [h_term(l, n, lam) for lam in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_h_term_past_the_float_range_is_a_numerical_error():
+    # an integer past the float range met a float and leaked OverflowError,
+    # and so did fsum on a finite sum past it
+    with pytest.raises(NumericalError, match="float range"):
+        h_term(19, 2**63 - 1, 1.0)
+    # two admissible eigenvalues, lam**(1/(l-1)) > n - 2: a 1,040-bit a_j^+,
+    # then an fsum overflow; s_term inherits the error
+    for l, n, lam in ((301, 10, 1e300), (250, 3, 1e250)):
+        with pytest.raises(NumericalError, match="float range"):
+            h_term(l, n, lam)
+        with pytest.raises(NumericalError, match="float range"):
+            s_term(l, n, lam)
 
 
 def test_s_term_values():

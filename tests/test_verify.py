@@ -147,6 +147,10 @@ def test_convergence_study_validation():
         convergence_study(Domain.interval(1.0), 2, (2, 2.5, 4), 1)
     with pytest.raises(InvalidParameterError, match="count=2 exceeds the basis size 1"):
         convergence_study(Domain.rectangle(1.0, 1.0), 2, (1, 2), 2)
+    # a size that is not an integer is refused before the sizes are compared,
+    # which leaked TypeError
+    with pytest.raises(InvalidParameterError, match="m must be an integer, got None"):
+        convergence_study(Domain((1.0, 1.0)), 2, [2, None], 1)
 
 
 def test_a_ladder_assembles_once(monkeypatch):
