@@ -17,16 +17,28 @@ buffer, each intermediate before the eigensolver is dropped as soon as its
 consumer returns, and the symmetric eigensolver overwrites its operand with
 the vectors instead of copying it.
 
+A buckling pencil never couples two of the 2^dim x -> 1-x parity classes
+of its basis: every entry between two classes is exactly 0.0.  Once every
+class has ``SPLIT_MIN_ROWS`` rows, ``_spectrum`` solves it one class at a
+time, since the cost of a solve grows as N^3.  Each class's principal
+sub-pencil takes the same steps as a whole solve: scaling, factor,
+reduction and eigensolver.  The count smallest values over all classes are
+kept, and only their vectors are back-transformed, each exactly 0.0 outside
+its class.  The postconditions then check the merged pairs once, against
+the whole pencil.  Smaller pencils, every interval among them, are solved
+whole, because there the fixed cost of each solve outweighs the saving.
+
 This module alone decides whether a pencil can be solved and how far its
 digits can be trusted; ``galerkin`` only builds exact forms.  Right after
 ``solve_buckling`` assembles, it warns when m is above ``CONDITIONING_NOTE``
 and factors the unscaled A_1 and A_l with ``cholesky_spd``; the solver then
-factors its own Jacobi-scaled B.  The two unscaled checks duplicate that
-factorization, and the unscaled A_1 check can fail where the scaled solve
-succeeds.  They stay because the benchmark harness pins three
-``cholesky_spd`` calls per solve; once that pin is lifted, one
-pivot-checked factor can replace all three.  A ladder's coarser rungs reach
-the solver through ``_spectrum`` and are factored once each.
+factors its own Jacobi-scaled B, whole or one class at a time, so a solve
+makes three ``cholesky_spd`` calls, or 2 + 2^dim when it is split.  The two
+unscaled checks duplicate that factorization, and the unscaled A_1 check
+can fail where the scaled solve succeeds.  They stay because the benchmark
+harness pins three ``cholesky_spd`` calls per whole solve; once that pin
+is lifted, the scaled factors alone can serve.  A ladder's coarser rungs
+reach the solver through ``_spectrum`` and skip the unscaled checks.
 
 scipy supplies only the two LAPACK drivers ``eigh`` and ``solve_triangular``.
 They are module attributes resolved on first use, so importing this module
@@ -55,13 +67,21 @@ from .errors import (
     _converted,
     _require_int,
 )
-from .galerkin import Domain, assemble_forms
+from .galerkin import Domain, _parity_classes, assemble_forms
 
 PIVOT_RELATIVE = 1e-14
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 CONDITIONING_NOTE = 16
+# A pencil is solved one parity class at a time when every class has at
+# least this many rows: 2D from m = 10, 3D from m = 6, never an interval.
+# Split against whole with one BLAS thread, the split took 1.2-1.3x the
+# time at 8-9 rows a class (2D m = 7, 3D m = 4), 0.7-0.94x at 16 (2D m = 8
+# and 9), 0.54x at 25 (2D m = 10) and 0.34x at 27 (3D m = 6).  The rule
+# starts where the split wins clearly, and it keeps the bits of every
+# smaller pencil, the CLI's golden outputs among them.
+SPLIT_MIN_ROWS = 25
 
 # The two scipy.linalg drivers, imported on first lookup (PEP 562): scipy
 # takes longer to import than numpy, and a process that imports this module
@@ -152,6 +172,14 @@ def solve_generalized(a_matrix, b_matrix, count):
     Postconditions are validated before returning: B-orthonormality of the
     vectors to 1e-10 and pair residuals below 1e-8 times max(|A|, 1).
     """
+    a_mat, b_mat, scale = _checked_pencil(a_matrix, b_matrix, count)
+    eigenvalues, transformed, lower = _reduced_eigh(a_mat, b_mat, scale)
+    vectors = _fix_signs(np.ascontiguousarray(_back_transform(lower, transformed, count, scale)))
+    return _checked_solution(a_mat, b_mat, np.ascontiguousarray(eigenvalues[:count]), vectors)
+
+
+def _checked_pencil(a_matrix, b_matrix, count):
+    # The input checks of a solve, then the Jacobi scaling 1 / sqrt(diag B).
     a_mat = _as_symmetric(a_matrix, "A")
     b_mat = _as_symmetric(b_matrix, "B")
     if a_mat.shape != b_mat.shape:
@@ -170,7 +198,12 @@ def solve_generalized(a_matrix, b_matrix, count):
             index=index,
             pivot=float(diag[index]),
         )
-    scale = 1.0 / np.sqrt(diag)
+    return a_mat, b_mat, 1.0 / np.sqrt(diag)
+
+
+def _reduced_eigh(a_mat, b_mat, scale):
+    # Every eigenvalue of the pencil, ascending, with the eigenvectors of
+    # L^-1 A L^-T and the factor L of the Jacobi-scaled B.
     # The scaling's buffer becomes the scaled B once A has read it; at most
     # three N x N work arrays are alive at once (module docstring).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,10 +214,7 @@ def solve_generalized(a_matrix, b_matrix, count):
         raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
     lower = cholesky_spd(b_scaled)
     del b_scaled
-    drivers = sys.modules[__name__]  # looked up now, so patches apply
-    solve = functools.partial(
-        drivers.solve_triangular, lower=True, overwrite_b=True, check_finite=False
-    )
+    solve = _triangular_solve()
     half = solve(lower, a_scaled)
     del a_scaled
     reduced = solve(lower, half.T)
@@ -198,19 +228,35 @@ def solve_generalized(a_matrix, b_matrix, count):
     if not _finite(sym):
         raise NumericalError("the reduced matrix L^-1 A L^-T overflows")
     try:
-        eigenvalues, transformed = drivers.eigh(
+        eigenvalues, transformed = sys.modules[__name__].eigh(
             sym.T, driver="ev", overwrite_a=True, check_finite=False
         )
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
+    return eigenvalues, transformed, lower
+
+
+def _triangular_solve():
+    # The LAPACK triangular solve, looked up now, so patches apply.
+    return functools.partial(
+        sys.modules[__name__].solve_triangular, lower=True, overwrite_b=True, check_finite=False
+    )
+
+
+def _back_transform(lower, transformed, count, scale):
+    # The first count eigenvectors of the pencil, from those of L^-1 A L^-T.
     # Only the kept vectors are back-transformed, but at least two: BLAS
     # solves a single right-hand side with another kernel, which rounds
     # differently, and each vector's bits must not depend on count.
-    back = solve(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
-    eigenvalues = np.ascontiguousarray(eigenvalues[:count])
-    vectors = _fix_signs(np.ascontiguousarray(back * scale[:, None]))
+    back = _triangular_solve()(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
+    return back * scale[:, None]
+
+
+def _checked_solution(a_mat, b_mat, eigenvalues, vectors):
+    # The postconditions of a solve, on the whole pencil: B-orthonormality and
+    # pair residuals.
     gram = vectors.T @ b_mat @ vectors
-    ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
+    ortho_dev = float(np.max(np.abs(gram - np.eye(len(eigenvalues)))))
     if ortho_dev > ORTHONORMALITY_TOL:
         raise ConvergenceError(
             f"eigenvectors deviate from B-orthonormality by {ortho_dev}"
@@ -232,6 +278,37 @@ def solve_generalized(a_matrix, b_matrix, count):
     return EigenSolution(eigenvalues, vectors)
 
 
+def _solve_by_class(a_matrix, b_matrix, count, classes):
+    # solve_generalized for a pencil that couples no two of the given index
+    # classes.  Each class's principal sub-pencil is reduced and solved on its
+    # own; the count smallest values over all classes are kept, ties in class
+    # order, which makes each class's kept pairs its leading ones; their
+    # vectors are exactly 0.0 outside their class.  The postconditions check
+    # the merged pairs against the whole pencil.
+    a_mat, b_mat, scale = _checked_pencil(a_matrix, b_matrix, count)
+    solved = []
+    for index in classes:
+        sub = np.ix_(index, index)
+        try:
+            solved.append(_reduced_eigh(a_mat[sub], b_mat[sub], scale[index]))
+        except NotPositiveDefiniteError as exc:
+            # the pivot's index in the whole pencil, not in its class
+            whole = int(index[exc.index])
+            message = str(exc).replace(f" at index {exc.index} ", f" at index {whole} ", 1)
+            raise NotPositiveDefiniteError(message, index=whole, pivot=exc.pivot) from None
+    values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
+    owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
+    keep = np.argsort(values, kind="stable")[:count]
+    vectors = np.zeros((a_mat.shape[0], count))
+    for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
+        columns = np.flatnonzero(owner[keep] == c)
+        if columns.size:
+            vectors[np.ix_(index, columns)] = _back_transform(
+                lower, transformed, columns.size, scale[index]
+            )
+    return _checked_solution(a_mat, b_mat, values[keep], _fix_signs(vectors))
+
+
 def _check_request(domain, m, count):
     # solve_buckling's argument checks, which a ladder also runs for every
     # rung before it solves any.
@@ -250,7 +327,10 @@ def solve_buckling(domain, l, m, count):
     retained for later verification.  n is the domain dimension.  Above
     m = ``CONDITIONING_NOTE`` it warns that eigenvalues may lose digits.
     Before solving, the unscaled A_1 and A_l must pass ``cholesky_spd``, or
-    ``NotPositiveDefiniteError`` names the failing pivot.
+    ``NotPositiveDefiniteError`` names the failing pivot.  A pencil whose
+    parity classes all have ``SPLIT_MIN_ROWS`` rows (m >= 10 on a
+    rectangle, m >= 6 on a box) is solved one class at a time; each of its
+    vectors is then exactly zero outside one class.
     """
     _check_request(domain, m, count)
     forms = assemble_forms(domain, l, m)
@@ -266,8 +346,15 @@ def solve_buckling(domain, l, m, count):
 
 
 def _spectrum(forms, count):
-    # The first count eigenpairs of the pencil (A_l, A_1) of assembled forms.
-    solution = solve_generalized(forms.matrices[-1], forms.matrices[0], count)
+    # The first count eigenpairs of the pencil (A_l, A_1) of assembled forms,
+    # solved one parity class at a time once every class has SPLIT_MIN_ROWS
+    # rows, and whole below that.
+    pencil = forms.matrices[-1], forms.matrices[0], count
+    dim = forms.domain.dim
+    if (forms.m // 2) ** dim >= SPLIT_MIN_ROWS:
+        solution = _solve_by_class(*pencil, _parity_classes(forms.m, dim))
+    else:
+        solution = solve_generalized(*pencil)
     if float(solution.eigenvalues[0]) <= 0.0:
         raise InternalConsistencyError(
             f"nonpositive buckling eigenvalue {solution.eigenvalues[0]} from a definite pencil"

@@ -254,6 +254,20 @@ def _parity_layout(m, dim):
     return first, other, rows * n + cols, cols * n + rows
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_classes(m, dim):
+    # The flat indices of each x -> 1-x parity class, ascending: class
+    # (g_1, ..., g_dim) holds the rows whose axis-s index has parity g_s, and
+    # the classes come in the lexicographic order of g.  No form couples two
+    # classes: every entry between them is a structural zero.  The cached
+    # arrays are only ever read.
+    digits = (np.arange(0, m, 2), np.arange(1, m, 2))
+    return tuple(
+        _mixed_radix([digits[g] for g in parities], m).ravel()
+        for parities in itertools.product((0, 1), repeat=dim)
+    )
+
+
 def _assemble(domain, basis):
     # Each form is a sum of Kronecker products of 1D Gram blocks, the block of
     # order j scaled by edge**(1 - 2j).  Only the entries that can be nonzero
@@ -344,8 +358,18 @@ def _header(domain, l, m):
     return (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
 
 
+def _require_path(path):
+    # open() takes an integer as a file descriptor and closes it on exit, so
+    # only a str, bytes or os.PathLike path reaches it.
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidParameterError(
+            f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
+        )
+
+
 def export_forms(forms, path):
     """Write a one-line JSON header, then each matrix as row-major binary64."""
+    _require_path(path)
     with open(path, "wb") as handle:
         handle.write(_header(forms.domain, forms.l, forms.m))
         for mat in forms.matrices:
@@ -362,6 +386,7 @@ def load_forms(path):
     ``assemble_forms`` are refused, and the length of the rest is checked,
     before any matrix is read.
     """
+    _require_path(path)
     with open(path, "rb") as handle:
         line = handle.readline()
         try:

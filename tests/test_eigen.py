@@ -21,6 +21,7 @@ from buckbounds import (
     solve_buckling,
     solve_generalized,
 )
+from buckbounds.galerkin import _parity_classes
 
 import oracles
 
@@ -262,6 +263,10 @@ def test_only_solves_factor_and_each_coarse_rung_factors_once(monkeypatch):
     sizes.clear()
     run_verification(domain, 3, 8, 1)  # the ladder 2, 4, 8
     assert sizes == [64, 64, 64, 4, 16]
+    sizes.clear()
+    # a split solve factors each parity class's scaled B instead
+    solve_buckling(domain, 2, 10, 2)
+    assert sizes == [100, 100, 25, 25, 25, 25]
 
 
 def _notes(call, *args):
@@ -411,3 +416,70 @@ def test_solve_keeps_at_most_three_work_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= limit * square, peak / square
+
+
+SPLIT_CASES = [
+    (edges, l, m)
+    for l in (2, 3)
+    for edges, sizes in (
+        ((1.0, 1.0), (10, 16, 24)),
+        ((1.3, 0.7), (10, 16, 24)),
+        ((2.5, 0.4), (10, 16, 24)),
+        ((1.0, 1.0, 1.0), (6, 8)),
+        ((1.2, 0.9, 0.8), (6, 8)),
+    )
+    for m in sizes
+]
+
+
+@pytest.mark.parametrize("edges, l, m", SPLIT_CASES, ids=str)
+def test_split_solve_matches_the_whole_pencil(edges, l, m):
+    # above the size rule each parity class is solved on its own; the values
+    # agree with the whole pencil's, and each vector lives in one class
+    forms = assemble_forms(Domain(edges), l, m)
+    assert (m // 2) ** len(edges) >= eigen.SPLIT_MIN_ROWS
+    whole = solve_generalized(forms.matrices[-1], forms.b_matrix, 8)
+    split = eigen._spectrum(forms, 8)
+    assert split.values == pytest.approx(whole.eigenvalues, rel=1e-9)
+    for column in split.vectors.T:
+        inside = [index for index in _parity_classes(m, len(edges)) if np.any(column[index])]
+        assert len(inside) == 1
+        assert np.count_nonzero(column) == np.count_nonzero(column[inside[0]])
+
+
+def test_split_pairs_do_not_depend_on_count():
+    for domain, m in ((Domain.rectangle(1.3, 0.7), 10), (Domain((1.2, 0.9, 0.8)), 6)):
+        forms = assemble_forms(domain, 3, m)
+        full = eigen._spectrum(forms, 12)
+        for count in range(1, 13):
+            spectrum = eigen._spectrum(forms, count)
+            assert spectrum.values == full.values[:count]
+            kept = np.ascontiguousarray(full.vectors[:, :count])
+            assert spectrum.vectors.tobytes() == kept.tobytes(), (m, count)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("m", [20, 24])
+def test_square_double_eigenvalue_is_split_free(l, m):
+    # the swapped classes (even, odd) and (odd, even) carry lambda_2 and
+    # lambda_3; solved apart they agree far closer than in the whole pencil
+    with pytest.warns(UserWarning, match=f"^basis size m={m} is above 16"):
+        values = solve_buckling(Domain.rectangle(1.0, 1.0), l, m, 3).values
+    assert values[2] == pytest.approx(values[1], rel=1e-12)
+
+
+def test_split_solve_passes_where_the_whole_residual_fails():
+    # the whole pencil's worst residual is 3.01e-8 against a 1e-8 threshold
+    spectrum = solve_buckling(Domain((1.0, 1.0)), 5, 10, 4)
+    assert len(spectrum.values) == 4
+    assert all(b >= a > 0.0 for a, b in zip(spectrum.values, spectrum.values[1:]))
+
+
+def test_split_pivot_failure_names_its_index_in_the_whole_pencil():
+    # classes {0, 2} and {1, 3}: the second one's B is singular at its row 1
+    b_mat = np.eye(4)
+    b_mat[1, 3] = b_mat[3, 1] = 1.0
+    classes = (np.array([0, 2]), np.array([1, 3]))
+    with pytest.raises(NotPositiveDefiniteError, match=r"^pivot \S+ at index 3 is not above") as err:
+        eigen._solve_by_class(np.eye(4), b_mat, 2, classes)
+    assert err.value.index == 3

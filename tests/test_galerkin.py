@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from buckbounds import (
     solve_buckling,
 )
 from buckbounds import galerkin
-from buckbounds.galerkin import DEGREE_CAP, _leading_forms
+from buckbounds.galerkin import DEGREE_CAP, _leading_forms, _parity_classes
 from buckbounds.polyrec import Polynomial
 
 import oracles
@@ -418,6 +419,34 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_bytes(b'{"schema": 2}\n')
     with pytest.raises(InvalidParameterError):
         load_forms(path)
+
+
+def test_export_and_load_refuse_what_is_not_a_path(tmp_path):
+    # open() takes an integer as a file descriptor and closes it on exit
+    forms = assemble_forms(Domain.interval(1.0), 2, 2)
+    descriptor = os.open(tmp_path / "held", os.O_WRONLY | os.O_CREAT)
+    try:
+        for path in (descriptor, None, 1.5):
+            with pytest.raises(InvalidParameterError, match="^path must be a str, bytes or"):
+                export_forms(forms, path)
+            with pytest.raises(InvalidParameterError, match="^path must be a str, bytes or"):
+                load_forms(path)
+        os.fstat(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+def test_parity_classes_partition_the_basis_into_uncoupled_blocks():
+    for edges, m in (((1.3,), 5), ((1.0, 0.7), 4), ((1.2, 0.9, 0.8), 3)):
+        forms = assemble_forms(Domain(edges), 3, m)
+        classes = _parity_classes(m, len(edges))
+        assert len(classes) == 2 ** len(edges)
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(forms.n_basis))
+        for index in classes:
+            assert np.all(np.diff(index) > 0)
+            outside = np.setdiff1d(np.arange(forms.n_basis), index)
+            for mat in forms.matrices:
+                assert not np.any(mat[np.ix_(index, outside)])
 
 
 def _exported(tmp_path, edges=(1.0, 2.0), l=3, m=2):
