@@ -214,10 +214,9 @@ def _reduced_eigh(a_mat, b_mat, scale):
         raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
     lower = cholesky_spd(b_scaled)
     del b_scaled
-    solve = _triangular_solve()
-    half = solve(lower, a_scaled)
+    half = _solve_lower(lower, a_scaled)
     del a_scaled
-    reduced = solve(lower, half.T)
+    reduced = _solve_lower(lower, half.T)
     del half
     # R + R.T is exactly symmetric and C-ordered, so its transpose is the
     # Fortran-ordered operand that LAPACK overwrites with the vectors.
@@ -236,10 +235,10 @@ def _reduced_eigh(a_mat, b_mat, scale):
     return eigenvalues, transformed, lower
 
 
-def _triangular_solve():
-    # The LAPACK triangular solve, looked up now, so patches apply.
-    return functools.partial(
-        sys.modules[__name__].solve_triangular, lower=True, overwrite_b=True, check_finite=False
+def _solve_lower(lower, rhs, trans=0):
+    # LAPACK's triangular solve with the factor, looked up now, so patches apply.
+    return sys.modules[__name__].solve_triangular(
+        lower, rhs, trans=trans, lower=True, overwrite_b=True, check_finite=False
     )
 
 
@@ -248,7 +247,7 @@ def _back_transform(lower, transformed, count, scale):
     # Only the kept vectors are back-transformed, but at least two: BLAS
     # solves a single right-hand side with another kernel, which rounds
     # differently, and each vector's bits must not depend on count.
-    back = _triangular_solve()(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
+    back = _solve_lower(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
     return back * scale[:, None]
 
 
