@@ -591,8 +591,9 @@ def _largest_root(f, start, limit):
     # Probe geometrically from start to the first probe past limit * step,
     # then bisect the last sign change.  The caller's limit bounds every
     # feasible candidate; the extra step keeps a root that sits at the limit
-    # (k = 1 for the sharp form) inside the scan despite roundoff, and the cap
-    # at the largest float ends the scan when the limit overflows.
+    # (k = 1 for the sharp form) inside the scan despite roundoff.  When the
+    # limit overflows, the scan ends at the largest float, which is also the
+    # cap of every probe, so f never sees inf.
     # Sub-doubling spacing matters: a feasible window can open just above
     # start (where f sits at roundoff from a saturated prefix) and close
     # before 2 * start, which factor-2 probes would skip.
@@ -600,10 +601,11 @@ def _largest_root(f, start, limit):
     # first pair with f(lower) <= 0 < f(upper): the last sign change, the one
     # a full upward scan would keep, so no probe below it is evaluated.
     step = 2.0 ** (1.0 / PROBES_PER_DOUBLING)
-    end = min(max(start, limit) * step, sys.float_info.max)
+    top = sys.float_info.max
+    end = min(max(start, limit) * step, top)
     probes = [start]
-    while probes[-1] <= end:
-        probes.append(start * step ** len(probes))
+    while probes[-1] <= end and probes[-1] < top:
+        probes.append(min(start * step ** len(probes), top))
     hi = probes[-1]
     f_hi = f(hi)
     for lo in reversed(probes[:-1]):
@@ -619,12 +621,18 @@ def _largest_root(f, start, limit):
     for _ in range(200):
         if hi - lo <= BISECT_RELATIVE * hi:
             break
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if f(mid) > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
+
+
+def _midpoint(lo, hi):
+    # 0.5 * (lo + hi), unless the sum leaves the float range near its top.
+    total = lo + hi
+    return 0.5 * total if math.isfinite(total) else lo + 0.5 * (hi - lo)
 
 
 def next_bound_sharp(spectrum, k):

@@ -11,29 +11,33 @@ Each input is checked once: square, nonempty, finite, and symmetric to a
 tolerance.  A Jacobi scaling that overflows raises
 ``NumericalError``, and so does a reduced matrix L^-1 A L^-T that overflows,
 so every operand that reaches LAPACK is finite and scipy is told not to check
-it again.  A solve keeps at most three N x N work arrays
-alive besides its inputs.  The scaled B is written into the scaling's own
+it again.
+
+There is one solve, over index classes that the pencil does not couple; the
+whole pencil is the single class.  Each class's principal sub-pencil is
+scaled, factored, reduced and handed to the eigensolver on its own.  The
+count smallest values over all classes are kept, and only their vectors are
+back-transformed, each exactly 0.0 outside its class.  The postconditions
+then check the merged pairs once, against the whole pencil.  A solve keeps
+at most three N x N work arrays alive besides its inputs: A is gathered into
+the buffer it is scaled in, the scaled B is written into the scaling's own
 buffer, each intermediate before the eigensolver is dropped as soon as its
 consumer returns, and the symmetric eigensolver overwrites its operand with
 the vectors instead of copying it.
 
 A buckling pencil never couples two of the 2^dim x -> 1-x parity classes
 of its basis: every entry between two classes is exactly 0.0.  Once every
-class has ``SPLIT_MIN_ROWS`` rows, ``_spectrum`` solves it one class at a
-time, since the cost of a solve grows as N^3.  Each class's principal
-sub-pencil takes the same steps as a whole solve: scaling, factor,
-reduction and eigensolver.  The count smallest values over all classes are
-kept, and only their vectors are back-transformed, each exactly 0.0 outside
-its class.  The postconditions then check the merged pairs once, against
-the whole pencil.  Smaller pencils, every interval among them, are solved
-whole, because there the fixed cost of each solve outweighs the saving.
+class has ``SPLIT_MIN_ROWS`` rows, ``_spectrum`` solves over those classes,
+since the cost of a solve grows as N^3.  Smaller pencils, every interval
+among them, are solved as the single class, because there the fixed cost of
+each class's solve outweighs the saving.
 
 This module alone decides whether a pencil can be solved and how far its
 digits can be trusted; ``galerkin`` only builds exact forms.  Right after
 ``solve_buckling`` assembles, it warns when m is above ``CONDITIONING_NOTE``
 and factors the unscaled A_1 and A_l with ``cholesky_spd``; the solver then
-factors its own Jacobi-scaled B, whole or one class at a time, so a solve
-makes three ``cholesky_spd`` calls, or 2 + 2^dim when it is split.  The two
+factors its own Jacobi-scaled B once per class, so a solve makes three
+``cholesky_spd`` calls, or 2 + 2^dim when it is split.  The two
 unscaled checks duplicate that factorization, and the unscaled A_1 check
 can fail where the scaled solve succeeds.  They stay because the benchmark
 harness pins three ``cholesky_spd`` calls per whole solve; once that pin
@@ -172,14 +176,14 @@ def solve_generalized(a_matrix, b_matrix, count):
     Postconditions are validated before returning: B-orthonormality of the
     vectors to 1e-10 and pair residuals below 1e-8 times max(|A|, 1).
     """
-    a_mat, b_mat, scale = _checked_pencil(a_matrix, b_matrix, count)
-    eigenvalues, transformed, lower = _reduced_eigh(a_mat, b_mat, scale)
-    vectors = _fix_signs(np.ascontiguousarray(_back_transform(lower, transformed, count, scale)))
-    return _checked_solution(a_mat, b_mat, np.ascontiguousarray(eigenvalues[:count]), vectors)
+    return _solve_by_class(a_matrix, b_matrix, count, None)
 
 
-def _checked_pencil(a_matrix, b_matrix, count):
-    # The input checks of a solve, then the Jacobi scaling 1 / sqrt(diag B).
+def _solve_by_class(a_matrix, b_matrix, count, classes):
+    # The one solve (module docstring), for a pencil that couples no two of
+    # the given index classes; None is the whole pencil as its single class.
+    # Ties among the kept values keep class order, which makes each class's
+    # kept pairs its leading ones.
     a_mat = _as_symmetric(a_matrix, "A")
     b_mat = _as_symmetric(b_matrix, "B")
     if a_mat.shape != b_mat.shape:
@@ -198,21 +202,67 @@ def _checked_pencil(a_matrix, b_matrix, count):
             index=index,
             pivot=float(diag[index]),
         )
-    return a_mat, b_mat, 1.0 / np.sqrt(diag)
-
-
-def _reduced_eigh(a_mat, b_mat, scale):
-    # Every eigenvalue of the pencil, ascending, with the eigenvectors of
-    # L^-1 A L^-T and the factor L of the Jacobi-scaled B.
-    # The scaling's buffer becomes the scaled B once A has read it; at most
-    # three N x N work arrays are alive at once (module docstring).
+    scale = 1.0 / np.sqrt(diag)
+    classes = (np.arange(n),) if classes is None else classes
+    solved = [_reduced_eigh(a_mat, b_mat, scale, index) for index in classes]
+    values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
+    owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
+    keep = np.argsort(values, kind="stable")[:count]
+    eigenvalues = values[keep]
+    vectors = np.zeros((n, count))
+    for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
+        columns = np.flatnonzero(owner[keep] == c)
+        if columns.size:
+            # At least two columns: BLAS solves a single right-hand side with
+            # another kernel, which rounds differently, and each vector's bits
+            # must not depend on count.
+            back = _solve_lower(lower, transformed[:, : max(columns.size, 2)], trans="T")
+            vectors[index[:, None], columns] = back[:, : columns.size] * scale[index, None]
+    _fix_signs(vectors)
+    gram = vectors.T @ b_mat @ vectors
+    ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
+    if ortho_dev > ORTHONORMALITY_TOL:
+        raise ConvergenceError(
+            f"eigenvectors deviate from B-orthonormality by {ortho_dev}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        b_scaled = np.outer(scale, scale)
-        a_scaled = a_mat * b_scaled
-        b_scaled *= b_mat
+        norm_a = float(np.linalg.norm(a_mat))
+        residuals = a_mat @ vectors - b_mat @ vectors * eigenvalues[None, :]
+        worst = float(np.max(np.linalg.norm(residuals, axis=0)))
+    # An overflowed norm would make the comparison below vacuous.
+    if not (math.isfinite(norm_a) and math.isfinite(worst)):
+        raise ConvergenceError(
+            f"the residual check overflowed: |A| = {norm_a}, worst pair residual = {worst}"
+        )
+    threshold = RESIDUAL_TOL * max(norm_a, 1.0)
+    if worst > threshold:
+        raise ConvergenceError(
+            f"pair residual {worst} exceeds {RESIDUAL_TOL} * max(|A|, 1) = {threshold}"
+        )
+    return EigenSolution(eigenvalues, vectors)
+
+
+def _reduced_eigh(a_mat, b_mat, scale, index):
+    # Every eigenvalue of the principal sub-pencil on index, ascending, with
+    # the eigenvectors of L^-1 A L^-T and the factor L of its Jacobi-scaled B.
+    # A is gathered into the buffer it is scaled in, and the scaling's buffer
+    # becomes the scaled B; at most three N x N work arrays are alive at once
+    # (module docstring).
+    rows, part = index[:, None], scale[index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_scaled = a_mat[rows, index]
+        b_scaled = np.outer(part, part)
+        a_scaled *= b_scaled
+        b_scaled *= b_mat[rows, index]
     if not (_finite(a_scaled) and _finite(b_scaled)):
         raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
-    lower = cholesky_spd(b_scaled)
+    try:
+        lower = cholesky_spd(b_scaled)
+    except NotPositiveDefiniteError as exc:
+        # the pivot's index in the whole pencil, not in its class
+        whole = int(index[exc.index])
+        message = str(exc).replace(f" at index {exc.index} ", f" at index {whole} ", 1)
+        raise NotPositiveDefiniteError(message, index=whole, pivot=exc.pivot) from None
     del b_scaled
     half = _solve_lower(lower, a_scaled)
     del a_scaled
@@ -240,72 +290,6 @@ def _solve_lower(lower, rhs, trans=0):
     return sys.modules[__name__].solve_triangular(
         lower, rhs, trans=trans, lower=True, overwrite_b=True, check_finite=False
     )
-
-
-def _back_transform(lower, transformed, count, scale):
-    # The first count eigenvectors of the pencil, from those of L^-1 A L^-T.
-    # Only the kept vectors are back-transformed, but at least two: BLAS
-    # solves a single right-hand side with another kernel, which rounds
-    # differently, and each vector's bits must not depend on count.
-    back = _solve_lower(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
-    return back * scale[:, None]
-
-
-def _checked_solution(a_mat, b_mat, eigenvalues, vectors):
-    # The postconditions of a solve, on the whole pencil: B-orthonormality and
-    # pair residuals.
-    gram = vectors.T @ b_mat @ vectors
-    ortho_dev = float(np.max(np.abs(gram - np.eye(len(eigenvalues)))))
-    if ortho_dev > ORTHONORMALITY_TOL:
-        raise ConvergenceError(
-            f"eigenvectors deviate from B-orthonormality by {ortho_dev}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_a = float(np.linalg.norm(a_mat))
-        residuals = a_mat @ vectors - b_mat @ vectors * eigenvalues[None, :]
-        worst = float(np.max(np.linalg.norm(residuals, axis=0)))
-    # An overflowed norm would make the comparison below vacuous.
-    if not (math.isfinite(norm_a) and math.isfinite(worst)):
-        raise ConvergenceError(
-            f"the residual check overflowed: |A| = {norm_a}, worst pair residual = {worst}"
-        )
-    threshold = RESIDUAL_TOL * max(norm_a, 1.0)
-    if worst > threshold:
-        raise ConvergenceError(
-            f"pair residual {worst} exceeds {RESIDUAL_TOL} * max(|A|, 1) = {threshold}"
-        )
-    return EigenSolution(eigenvalues, vectors)
-
-
-def _solve_by_class(a_matrix, b_matrix, count, classes):
-    # solve_generalized for a pencil that couples no two of the given index
-    # classes.  Each class's principal sub-pencil is reduced and solved on its
-    # own; the count smallest values over all classes are kept, ties in class
-    # order, which makes each class's kept pairs its leading ones; their
-    # vectors are exactly 0.0 outside their class.  The postconditions check
-    # the merged pairs against the whole pencil.
-    a_mat, b_mat, scale = _checked_pencil(a_matrix, b_matrix, count)
-    solved = []
-    for index in classes:
-        sub = np.ix_(index, index)
-        try:
-            solved.append(_reduced_eigh(a_mat[sub], b_mat[sub], scale[index]))
-        except NotPositiveDefiniteError as exc:
-            # the pivot's index in the whole pencil, not in its class
-            whole = int(index[exc.index])
-            message = str(exc).replace(f" at index {exc.index} ", f" at index {whole} ", 1)
-            raise NotPositiveDefiniteError(message, index=whole, pivot=exc.pivot) from None
-    values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
-    owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
-    keep = np.argsort(values, kind="stable")[:count]
-    vectors = np.zeros((a_mat.shape[0], count))
-    for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
-        columns = np.flatnonzero(owner[keep] == c)
-        if columns.size:
-            vectors[np.ix_(index, columns)] = _back_transform(
-                lower, transformed, columns.size, scale[index]
-            )
-    return _checked_solution(a_mat, b_mat, values[keep], _fix_signs(vectors))
 
 
 def _check_request(domain, m, count):
@@ -349,9 +333,9 @@ def _spectrum(forms, count):
     # solved one parity class at a time once every class has SPLIT_MIN_ROWS
     # rows, and whole below that.
     pencil = forms.matrices[-1], forms.matrices[0], count
-    dim = forms.domain.dim
-    if (forms.m // 2) ** dim >= SPLIT_MIN_ROWS:
-        solution = _solve_by_class(*pencil, _parity_classes(forms.m, dim))
+    classes = _parity_classes(forms.m, forms.domain.dim)
+    if min(index.size for index in classes) >= SPLIT_MIN_ROWS:
+        solution = _solve_by_class(*pencil, classes)
     else:
         solution = solve_generalized(*pencil)
     if float(solution.eigenvalues[0]) <= 0.0:

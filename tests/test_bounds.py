@@ -537,9 +537,34 @@ def test_sharp_lambda_k_check_is_relative_at_every_scale():
 
 
 def test_sharp_scan_ends_when_its_limit_overflows():
-    # the limit 1e308 * (1 + C) is inf; the scan must still end
-    with pytest.raises(BracketError, match="and inf"):
+    # the limit 1e308 * (1 + C) is inf; the scan must still end, at the
+    # largest float
+    with pytest.raises(BracketError, match=r"and 1\.7976931348623157e\+308;"):
         next_bound_sharp(Spectrum(values=(1e308,), n=2, l=2), 1)
+
+
+def test_scan_and_bisection_stay_in_the_float_range():
+    # the last probe start * step**j and the midpoint 0.5 * (lo + hi) both
+    # overflowed near the largest float, so f saw inf and inf came back
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return x - 1.75e308
+
+    root = bounds._largest_root(recording, 1.7e308, 1e308)
+    assert seen and all(math.isfinite(x) for x in seen)
+    assert math.isfinite(root)
+    assert root == pytest.approx(1.75e308, rel=1e-12)
+    with pytest.raises(BracketError, match=r"and 1\.7976931348623157e\+308;"):
+        bounds._largest_root(lambda x: 1.0, 1.7e308, 1e308)
+
+
+@pytest.mark.parametrize("l", [2, 5, 30])
+def test_sphere_scan_past_the_float_range_names_a_finite_candidate(l):
+    # the weights overflow before the scan ends; the error used to name inf
+    with pytest.raises(NumericalError, match=r"weights at 1\.7976931348623157e\+308 leave"):
+        next_bound_sphere(Spectrum(values=(1e300, 1.1e300), n=6, l=l), 1)
 
 
 def _sharp_cap(spectrum, k):

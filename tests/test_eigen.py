@@ -267,6 +267,17 @@ def test_only_solves_factor_and_each_coarse_rung_factors_once(monkeypatch):
     # a split solve factors each parity class's scaled B instead
     solve_buckling(domain, 2, 10, 2)
     assert sizes == [100, 100, 25, 25, 25, 25]
+    # the crossover on both sides: the largest whole pencils and the
+    # smallest split box
+    box = Domain((1.0, 1.3, 0.8))
+    for shape, m, expected in (
+        (domain, 9, [81, 81, 81]),
+        (box, 5, [125, 125, 125]),
+        (box, 6, [216, 216] + [27] * 8),
+    ):
+        sizes.clear()
+        solve_buckling(shape, 2, m, 2)
+        assert sizes == expected, (shape.dim, m)
 
 
 def _notes(call, *args):
@@ -406,8 +417,15 @@ def test_solve_keeps_at_most_three_work_arrays():
     a_mat = seed_a @ seed_a.T + size * np.eye(size)
     b_mat = seed_b @ seed_b.T + size * np.eye(size)
     solve_generalized(a_mat, b_mat, 4)  # loads scipy outside the trace
+    # the same pencil cut into two uncoupled classes, solved one at a time
+    classes = (np.arange(0, size, 2), np.arange(1, size, 2))
+    split_a, split_b = a_mat.copy(), b_mat.copy()
+    for matrix in (split_a, split_b):
+        matrix[np.ix_(classes[0], classes[1])] = 0.0
+        matrix[np.ix_(classes[1], classes[0])] = 0.0
     square = 8 * size * size
     for call, limit in ((lambda: solve_generalized(a_mat, b_mat, 4), 3.5),
+                        (lambda: eigen._solve_by_class(split_a, split_b, 4, classes), 3.5),
                         (lambda: cholesky_spd(b_mat), 1.25)):
         tracemalloc.start()
         try:
