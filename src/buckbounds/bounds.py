@@ -605,7 +605,14 @@ def _largest_root(f, start, limit):
     end = min(max(start, limit) * step, top)
     probes = [start]
     while probes[-1] <= end and probes[-1] < top:
-        probes.append(min(start * step ** len(probes), top))
+        try:
+            probe = start * step ** len(probes)
+        except OverflowError:
+            # step**j passes the float range from j = 1024 * PROBES_PER_DOUBLING
+            # on, which only a start far below 1 reaches; from there each probe
+            # is the last one times step, and a product past top is inf
+            probe = probes[-1] * step
+        probes.append(min(probe, top))
     hi = probes[-1]
     f_hi = f(hi)
     for lo in reversed(probes[:-1]):

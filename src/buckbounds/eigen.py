@@ -14,16 +14,17 @@ so every operand that reaches LAPACK is finite and scipy is told not to check
 it again.
 
 There is one solve, over index classes that the pencil does not couple; the
-whole pencil is the single class.  Each class's principal sub-pencil is
-scaled, factored, reduced and handed to the eigensolver on its own.  The
-count smallest values over all classes are kept, and only their vectors are
-back-transformed, each exactly 0.0 outside its class.  The postconditions
-then check the merged pairs once, against the whole pencil.  A solve keeps
-at most three N x N work arrays alive besides its inputs: A is gathered into
-the buffer it is scaled in, the scaled B is written into the scaling's own
-buffer, each intermediate before the eigensolver is dropped as soon as its
-consumer returns, and the symmetric eigensolver overwrites its operand with
-the vectors instead of copying it.
+whole pencil is the single class, which is read in place and needs no
+merge.  Each class's principal sub-pencil is scaled, factored, reduced and
+handed to the eigensolver on its own.  The count smallest values over all
+classes are kept, and only their vectors are back-transformed, each exactly
+0.0 outside its class.  The postconditions then check the merged pairs
+once, against the whole pencil.  A solve keeps at most three N x N work
+arrays alive besides its inputs: A is scaled into a buffer of its own, the
+scaled B is written into the scaling's own buffer, each intermediate before
+the eigensolver is dropped as soon as its consumer returns, and the
+symmetric eigensolver overwrites its operand with the vectors instead of
+copying it.
 
 A buckling pencil never couples two of the 2^dim x -> 1-x parity classes
 of its basis: every entry between two classes is exactly 0.0.  Once every
@@ -203,21 +204,26 @@ def _solve_by_class(a_matrix, b_matrix, count, classes):
             pivot=float(diag[index]),
         )
     scale = 1.0 / np.sqrt(diag)
-    classes = (np.arange(n),) if classes is None else classes
-    solved = [_reduced_eigh(a_mat, b_mat, scale, index) for index in classes]
-    values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
-    owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
-    keep = np.argsort(values, kind="stable")[:count]
-    eigenvalues = values[keep]
-    vectors = np.zeros((n, count))
-    for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
-        columns = np.flatnonzero(owner[keep] == c)
-        if columns.size:
-            # At least two columns: BLAS solves a single right-hand side with
-            # another kernel, which rounds differently, and each vector's bits
-            # must not depend on count.
-            back = _solve_lower(lower, transformed[:, : max(columns.size, 2)], trans="T")
-            vectors[index[:, None], columns] = back[:, : columns.size] * scale[index, None]
+    if classes is None:
+        # The whole pencil: no gather and no merge.  eigh returns its values
+        # ascending, so the kept ones lead; the vectors are C-ordered, as a
+        # merge writes them.
+        eigenvalues, transformed, lower = _reduced_eigh(a_mat, b_mat, scale, None)
+        eigenvalues = eigenvalues[:count]
+        back = _back_transform(lower, transformed, count)
+        vectors = np.multiply(back, scale[:, None], order="C")
+    else:
+        solved = [_reduced_eigh(a_mat, b_mat, scale, index) for index in classes]
+        values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
+        owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
+        keep = np.argsort(values, kind="stable")[:count]
+        eigenvalues = values[keep]
+        vectors = np.zeros((n, count))
+        for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
+            columns = np.flatnonzero(owner[keep] == c)
+            if columns.size:
+                back = _back_transform(lower, transformed, columns.size)
+                vectors[index[:, None], columns] = back * scale[index, None]
     _fix_signs(vectors)
     gram = vectors.T @ b_mat @ vectors
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
@@ -244,21 +250,29 @@ def _solve_by_class(a_matrix, b_matrix, count, classes):
 
 def _reduced_eigh(a_mat, b_mat, scale, index):
     # Every eigenvalue of the principal sub-pencil on index, ascending, with
-    # the eigenvectors of L^-1 A L^-T and the factor L of its Jacobi-scaled B.
-    # A is gathered into the buffer it is scaled in, and the scaling's buffer
-    # becomes the scaled B; at most three N x N work arrays are alive at once
-    # (module docstring).
-    rows, part = index[:, None], scale[index]
+    # the eigenvectors of L^-1 A L^-T and the factor L of its Jacobi-scaled B;
+    # index None is the whole pencil, which is read without a gather.  A is
+    # scaled into a buffer of its own, and the scaling's buffer becomes the
+    # scaled B; at most three N x N work arrays are alive at once (module
+    # docstring).
     with np.errstate(over="ignore", invalid="ignore"):
-        a_scaled = a_mat[rows, index]
-        b_scaled = np.outer(part, part)
-        a_scaled *= b_scaled
-        b_scaled *= b_mat[rows, index]
+        if index is None:
+            b_scaled = np.outer(scale, scale)
+            a_scaled = a_mat * b_scaled
+            b_scaled *= b_mat
+        else:
+            rows, part = index[:, None], scale[index]
+            a_scaled = a_mat[rows, index]
+            b_scaled = np.outer(part, part)
+            a_scaled *= b_scaled
+            b_scaled *= b_mat[rows, index]
     if not (_finite(a_scaled) and _finite(b_scaled)):
         raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
     try:
         lower = cholesky_spd(b_scaled)
     except NotPositiveDefiniteError as exc:
+        if index is None:
+            raise
         # the pivot's index in the whole pencil, not in its class
         whole = int(index[exc.index])
         message = str(exc).replace(f" at index {exc.index} ", f" at index {whole} ", 1)
@@ -285,6 +299,14 @@ def _reduced_eigh(a_mat, b_mat, scale, index):
     return eigenvalues, transformed, lower
 
 
+def _back_transform(lower, transformed, count):
+    # The leading count vectors of L^-T times the reduced eigenvectors.  At
+    # least two columns are solved: BLAS solves a single right-hand side with
+    # another kernel, which rounds differently, and each vector's bits must
+    # not depend on count.
+    return _solve_lower(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
+
+
 def _solve_lower(lower, rhs, trans=0):
     # LAPACK's triangular solve with the factor, looked up now, so patches apply.
     return sys.modules[__name__].solve_triangular(
@@ -307,8 +329,9 @@ def solve_buckling(domain, l, m, count):
     """Buckling spectrum of order l on a domain: A_l x = lambda A_1 x.
 
     Returns a computed Spectrum with the eigenvectors and assembled forms
-    retained for later verification.  n is the domain dimension.  Above
-    m = ``CONDITIONING_NOTE`` it warns that eigenvalues may lose digits.
+    retained for later verification; only the pencil's two forms are built
+    here, and the others on their first read.  n is the domain dimension.
+    Above m = ``CONDITIONING_NOTE`` it warns that eigenvalues may lose digits.
     Before solving, the unscaled A_1 and A_l must pass ``cholesky_spd``, or
     ``NotPositiveDefiniteError`` names the failing pivot.  A pencil whose
     parity classes all have ``SPLIT_MIN_ROWS`` rows (m >= 10 on a
@@ -323,16 +346,17 @@ def solve_buckling(domain, l, m, count):
             "ill conditioned and eigenvalues may lose digits",
             stacklevel=2,
         )
-    cholesky_spd(forms.matrices[0])
-    cholesky_spd(forms.matrices[-1])
+    cholesky_spd(forms.b_matrix)
+    cholesky_spd(forms._a_matrix)
     return _spectrum(forms, count)
 
 
 def _spectrum(forms, count):
     # The first count eigenpairs of the pencil (A_l, A_1) of assembled forms,
     # solved one parity class at a time once every class has SPLIT_MIN_ROWS
-    # rows, and whole below that.
-    pencil = forms.matrices[-1], forms.matrices[0], count
+    # rows, and whole below that.  Only the pencil is read, so no other form
+    # is built.
+    pencil = forms._a_matrix, forms.b_matrix, count
     classes = _parity_classes(forms.m, forms.domain.dim)
     if min(index.size for index in classes) >= SPLIT_MIN_ROWS:
         solution = _solve_by_class(*pencil, classes)

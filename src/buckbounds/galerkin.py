@@ -7,23 +7,33 @@ at both endpoints.  In t = 2x - 1 the basis is 4^-l (1 - t^2)^l L_a(t), and
 (the even/odd split of Legendre bases, J. Shen, SIAM J. Sci. Comput. 15,
 1994).  Those integer rows in t, ``_basis_rows``, are the only form of the
 basis that is built; ``Basis1D`` holds just (l, m).  So the Gram block
-G_j[a, b] of the j-th derivatives is zero for odd a + b, and its even-a and
-odd-a parts are two integer Hilbert products c H' c^T over about half the
-powers each, H' holding only the odd denominators p + q + 1; an exact right
-shift puts them over one common denominator, lcm(1..2w - 1) for w = 2l + m
-coefficients.  The bases are nested (b_a does not depend on m), so each
-block is built once per (l, j) and size and kept: a smaller m gets the
-leading sub-block of the largest one built, divided exactly by the ratio of
-the two denominators, since both are the same integrals times an integer
-denominator.  Every form is a weighted Kronecker sum of these equal-order
-blocks: on a box the order-k form is the sum, over per-axis orders j with
-|j| = k, of the multinomial k! / prod(j_i!) times the Kronecker product of
-the blocks G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), of size
-N = m**dim.  Only the parity-even upper half of each form is computed:
-G_j[a, b] = 0 for odd a + b, and the first axis keeps a <= b; the lower half
-is written as the mirror image.  All of it is integer arithmetic; each
-matrix entry is rounded to binary64 exactly once, and a form beyond the
-binary64 range raises ``NumericalError``.
+G_j[a, b] of the j-th derivatives is zero for odd a + b.  Integrating by
+parts j times moves every derivative onto one factor, since the clamp zeroes
+each boundary term for j <= l: G_j = (-1)^j (C H') C_(2j)^T, with C the rows
+of one parity class, C_(2j) the rows of their (2j)-th derivatives and H'
+the Hilbert matrix over that class's powers, holding only the odd
+denominators p + q + 1.  The product C H' is built once per parity class
+and shared by every order; an exact right shift puts the blocks over one
+common denominator, lcm(1..2w - 1) for w = 2l + m coefficients.  The bases
+are nested (b_a does not depend on m), so each block is built once per
+(l, j) and size and kept: a smaller m gets the leading sub-block of the
+largest one built, divided exactly by the ratio of the two denominators,
+since both are the same integrals times an integer denominator.  Every form
+is a weighted Kronecker sum of these equal-order blocks: on a box the
+order-k form is the sum, over per-axis orders j with |j| = k, of the
+multinomial k! / prod(j_i!) times the Kronecker product of the blocks
+G_(j_i) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), of size N = m**dim.
+Only the parity-even upper half of each form is computed: G_j[a, b] = 0 for
+odd a + b, and the first axis keeps a <= b; the lower half is written as
+the mirror image.  All of it is integer arithmetic; each matrix entry is
+rounded to binary64 exactly once, and a form beyond the binary64 range
+raises ``NumericalError`` when it is built.
+
+Only the forms a caller reads are built.  ``assemble_forms`` builds the
+pencil (A_l, A_1) at once, from the 1D blocks of the orders those two forms
+use; A_2..A_(l-1), which only Lemma 2.1's check and an export read, are
+built together on the first read of ``OperatorForms.matrices`` and kept.
+Each form is the same exact rational rounded once whenever it is built.
 
 This module builds, rounds, slices, exports and loads exact forms, and
 imports no solver: it factors no matrix and never warns about conditioning,
@@ -38,7 +48,7 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
@@ -121,13 +131,17 @@ def derivative_integral_table(basis, orders):
 
     The integrals are taken in t = 2x - 1, on the integer rows
     2^(m-1) 4^l b_a of ``_basis_rows``, each holding only powers of the
-    parity of a.  Since d/dx = 2 d/dt, row a of order j has the coefficient
-    of t^(p+j) times (p + j)! / p! * 2^j at t^p.  Half the integral over
-    [-1, 1] of t^(p+q) is 1/(p + q + 1) for even p + q and 0 otherwise, so
-    entries with odd a + b are exact zeros, and the even and the odd a
-    each make one product c H' c^T over about half the powers, with the
-    Hilbert entries H'[p, q] = odd / (p + q + 1) over the odd part of den.
-    That sum is the integral times odd * 2^(4l + 2(m-1)); a right shift by
+    parity of a.  Since d/dx = 2 d/dt, and since j integrations by parts
+    leave no boundary term for j <= l, the order-j entry is (-1)^j times
+    the integral of row a against the (2j)-th derivative of row b, whose
+    coefficient at t^p is that of t^(p+2j) times (p + 2j)! / p! * 4^j.
+    Half the integral over [-1, 1] of t^(p+q) is 1/(p + q + 1) for even
+    p + q and 0 otherwise, so entries with odd a + b are exact zeros, and
+    the even and the odd a each make one product (C H') C_(2j)^T over about
+    half the powers, with the Hilbert entries H'[p, q] = odd / (p + q + 1)
+    over the odd part of den.  C H' does not depend on j: it is built once
+    per parity class and shared by every order asked for.  That sum is the
+    integral times odd * 2^(4l + 2(m-1)); a right shift by
     4l + 2(m-1) - v_2(den) turns it into the integral times den, dropping
     only zero bits.
 
@@ -175,36 +189,68 @@ def _basis_rows(l, m):
 
 def _integer_blocks(l, m, orders, den):
     # The Gram blocks of the given orders at basis size m, times den, built
-    # from the parity-split Hilbert products described above.
+    # from the parity-split Hilbert products described above: the product
+    # C H' of each parity class is shared by every order.
     width = 2 * l + m
     v = (2 * width - 1).bit_length() - 1  # den is its odd part times 2^v
     # H'[p, q] for even p + q, a Hankel matrix: entry (p + q) / 2 of this vector
     hilbert = np.array([(den >> v) // (2 * n + 1) for n in range(width)], dtype=object)
     rows = _basis_rows(l, m)
     blocks = {j: np.zeros((m, m), dtype=object) for j in orders}
-    for j, block in blocks.items():
-        for g in (0, 1):  # rows a = g (mod 2) of order j hold the powers p = g + j (mod 2)
-            p = np.arange((g + j) % 2, width - j, 2)
-            c = rows[g::2, p + j] * np.array([perm(q, j) << j for q in p + j], dtype=object)
-            block[g::2, g::2] = c @ hilbert[np.add.outer(p, p) // 2] @ c.T
+    for g in (0, 1):  # rows a = g (mod 2) hold the powers p = g (mod 2)
+        p = np.arange(g, width, 2)
+        shared = rows[g::2, p] @ hilbert[np.add.outer(p, p) // 2]
+        for j, block in blocks.items():
+            # the (2j)-th derivative of row b, signed (-1)^j, at the powers q
+            q = p[p + 2 * j < width]
+            factors = [(-1) ** j * perm(n, 2 * j) << 2 * j for n in q + 2 * j]
+            derivative = rows[g::2, q + 2 * j] * np.array(factors, dtype=object)
+            block[g::2, g::2] = shared[:, : q.size] @ derivative.T
     return {j: block >> 4 * l + 2 * (m - 1) - v for j, block in blocks.items()}
 
 
-@dataclass(frozen=True)
 class OperatorForms:
     """Form matrices A_1..A_l of one domain discretization, binary64, symmetric.
 
     ``matrices[k-1]`` represents the order-k polyharmonic form; the first one
-    doubles as the mass-like matrix B of the buckling pencil.  The matrix
-    size ``n_basis`` is derived, m**dim, at most ``BASIS_CAP``.  Indices are
-    mixed radix m: the product b_a(x) b_c(y) b_e(z) of a box is row
-    (a*m + c)*m + e, and a*m + c on a rectangle.
+    doubles as the mass-like matrix B of the buckling pencil, ``b_matrix``.
+    The matrix size ``n_basis`` is derived, m**dim, at most ``BASIS_CAP``.
+    Indices are mixed radix m: the product b_a(x) b_c(y) b_e(z) of a box is
+    row (a*m + c)*m + e, and a*m + c on a rectangle.
+
+    Forms from ``assemble_forms`` hold the pencil (A_l, A_1) from the start;
+    the first read of ``matrices`` builds every other form, in one assembly,
+    and keeps it, so each later read returns the same arrays.  A form that
+    overflows binary64 raises ``NumericalError`` on the read that builds it.
     """
 
-    domain: Domain
-    l: int
-    m: int
-    matrices: tuple = field(repr=False)
+    def __init__(self, domain, l, m, matrices):
+        self.domain = domain
+        self.l = l
+        self.m = m
+        self._forms = dict(enumerate(matrices, start=1))
+        self._build = None  # the forms of the orders it is given, as {k: matrix}
+
+    @classmethod
+    def _deferred(cls, domain, l, m, build):
+        # Forms that build(orders) makes on first read, and that are kept.
+        forms = cls(domain, l, m, ())
+        forms._build = build
+        return forms
+
+    def __repr__(self):
+        return f"OperatorForms(domain={self.domain!r}, l={self.l!r}, m={self.m!r})"
+
+    def _read(self, orders):
+        # The forms of the orders k, building together those not yet built.
+        missing = [k for k in orders if k not in self._forms]
+        if missing:
+            self._forms.update(self._build(missing))
+        return tuple(self._forms[k] for k in orders)
+
+    @property
+    def matrices(self):
+        return self._read(range(1, self.l + 1))
 
     @property
     def n_basis(self):
@@ -212,7 +258,12 @@ class OperatorForms:
 
     @property
     def b_matrix(self):
-        return self.matrices[0]
+        return self._read((1,))[0]
+
+    @property
+    def _a_matrix(self):
+        # A_l, the pencil's other form.
+        return self._read((self.l,))[0]
 
 
 def _form_terms(k, dim):
@@ -268,25 +319,27 @@ def _parity_classes(m, dim):
     )
 
 
-def _assemble(domain, basis):
-    # Each form is a sum of Kronecker products of 1D Gram blocks, the block of
-    # order j scaled by edge**(1 - 2j).  Only the entries that can be nonzero
-    # are computed, each once: block pairs (a, b) with a + b even (the x -> 1-x
-    # parity zeroes the rest), and on the first axis only a <= b, the other
-    # half being the mirror image of a symmetric form.  The weighted sum over
-    # terms is one integer product: the first-axis pair values, a column per
-    # term, times the term's integer weight times the outer product of the
-    # other axes' pair values, a row per term.  On an interval that row is
-    # the weight alone, so the product is the weighting itself.
+def _assemble(domain, basis, ks):
+    # The forms of the orders k in ks, as {k: matrix}, from one table call
+    # for the 1D blocks they use.  Each form is a sum of Kronecker products
+    # of 1D Gram blocks, the block of order j scaled by edge**(1 - 2j).  Only
+    # the entries that can be nonzero are computed, each once: block pairs
+    # (a, b) with a + b even (the x -> 1-x parity zeroes the rest), and on the
+    # first axis only a <= b, the other half being the mirror image of a
+    # symmetric form.  The weighted sum over terms is one integer product:
+    # the first-axis pair values, a column per term, times the term's integer
+    # weight times the outer product of the other axes' pair values, a row
+    # per term.  On an interval that row is the weight alone, so the product
+    # is the weighting itself.
     # The correctly rounded int / int division rounds each entry once.
-    forms = [list(_form_terms(k, domain.dim)) for k in range(1, basis.l + 1)]
-    used = {j for terms in forms for _, orders in terms for j in orders}
+    forms = {k: list(_form_terms(k, domain.dim)) for k in sorted(ks)}
+    used = {j for terms in forms.values() for _, orders in terms for j in orders}
     blocks, den = derivative_integral_table(basis, used)
     edges = [Fraction(e) for e in domain.edges]
     n = basis.m**domain.dim
     first, other, upper, lower = _parity_layout(basis.m, domain.dim)
-    matrices = []
-    for k, terms in enumerate(forms, start=1):
+    matrices = {}
+    for k, terms in forms.items():
         weights = []
         for weight, orders in terms:
             for edge, j in zip(edges, orders):
@@ -308,15 +361,19 @@ def _assemble(domain, basis):
             raise NumericalError(
                 f"the order-{k} form overflows binary64 on edges {domain.edges}"
             ) from None
-        matrices.append(out.reshape(n, n))
-    return tuple(matrices)
+        matrices[k] = out.reshape(n, n)
+    return matrices
 
 
 def assemble_forms(domain, l, m):
     """Assemble A_1..A_l on the given domain from exact rationals.
 
     Every matrix is exactly symmetric because symmetric entries are the same
-    rational rounded once.  The basis size m**dim is capped at
+    rational rounded once.  The pencil (A_l, A_1) is built here, in one
+    assembly, from the 1D blocks of orders {1, l} on an interval and 0..l on
+    a rectangle or box, and raises ``NumericalError`` if either form
+    overflows binary64.  A_2..A_(l-1) are built on the first read of
+    ``matrices`` (see ``OperatorForms``).  The basis size m**dim is capped at
     ``BASIS_CAP``, which keeps a box at m <= 8.  Nothing here factors or
     solves: whether the pencil is definite enough to solve, and the m > 16
     conditioning warning, are ``solve_buckling``'s to check.
@@ -328,7 +385,9 @@ def assemble_forms(domain, l, m):
         raise InvalidParameterError(
             f"basis size m**dim = {m**domain.dim} exceeds the supported cap {BASIS_CAP}"
         )
-    return OperatorForms(domain=domain, l=l, m=m, matrices=_assemble(domain, basis))
+    forms = OperatorForms._deferred(domain, l, m, functools.partial(_assemble, domain, basis))
+    forms._read((1, l))
+    return forms
 
 
 def _leading_forms(forms, m):
@@ -336,10 +395,15 @@ def _leading_forms(forms, m):
     # the rows and columns whose every axis index is below m, at their mixed
     # radix positions in the basis of size M = forms.m, in that order.  Each
     # entry is the same exact rational rounded once (den cancels), so the
-    # copy equals assemble_forms(forms.domain, forms.l, m) bit for bit.
+    # copy equals assemble_forms(forms.domain, forms.l, m) bit for bit.  A
+    # form is sliced on its first read, from the same form of forms.
     index = _mixed_radix([np.arange(m)] * forms.domain.dim, forms.m).ravel()
-    matrices = tuple(mat[np.ix_(index, index)] for mat in forms.matrices)
-    return OperatorForms(domain=forms.domain, l=forms.l, m=m, matrices=matrices)
+    sub = np.ix_(index, index)
+
+    def build(orders):
+        return {k: mat[sub] for k, mat in zip(orders, forms._read(orders))}
+
+    return OperatorForms._deferred(forms.domain, forms.l, m, build)
 
 
 def _header(domain, l, m):

@@ -560,6 +560,22 @@ def test_scan_and_bisection_stay_in_the_float_range():
         bounds._largest_root(lambda x: 1.0, 1.7e308, 1e308)
 
 
+def test_scan_from_the_smallest_subnormal_to_the_largest_float_ends():
+    # step**j leaves the float range at j = 1024 * PROBES_PER_DOUBLING,
+    # halfway up a scan from 5e-324 to 1.7e308, and used to raise a bare
+    # OverflowError there
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return x - 1.0
+
+    root = bounds._largest_root(recording, 5e-324, 1.7e308)
+    assert abs(root - 1.0) <= 1e-13
+    assert seen and all(math.isfinite(x) for x in seen)
+    assert max(seen) > 1.7e308
+
+
 @pytest.mark.parametrize("l", [2, 5, 30])
 def test_sphere_scan_past_the_float_range_names_a_finite_candidate(l):
     # the weights overflow before the scan ends; the error used to name inf

@@ -20,6 +20,7 @@ from buckbounds import (
     NumericalError,
     assemble_forms,
     build_basis_1d,
+    convergence_study,
     derivative_integral_table,
     export_forms,
     load_forms,
@@ -211,6 +212,67 @@ def test_solve_builds_no_basis_polynomials(monkeypatch):
     solve_buckling(Domain.interval(0.7), 4, 6, 2)
 
 
+def _record_builds(monkeypatch):
+    # The orders k of every form build and the orders j of every table call.
+    built, tables = [], []
+    assemble, table = galerkin._assemble, galerkin.derivative_integral_table
+
+    def recorded_assemble(domain, basis, orders):
+        built.append(sorted(orders))
+        return assemble(domain, basis, orders)
+
+    def recorded_table(basis, orders):
+        tables.append(sorted(orders))
+        return table(basis, orders)
+
+    monkeypatch.setattr(galerkin, "_assemble", recorded_assemble)
+    monkeypatch.setattr(galerkin, "derivative_integral_table", recorded_table)
+    return built, tables
+
+
+def test_a_solve_builds_only_the_pencil(monkeypatch):
+    # A solve reads only (A_l, A_1); the other forms wait for a first read
+    # of matrices, which builds them once, together, and keeps them.
+    built, tables = _record_builds(monkeypatch)
+    spectrum = solve_buckling(Domain.interval(1.1), 6, 16, 4)
+    assert (built, tables) == ([[1, 6]], [[1, 6]])
+    first = spectrum.forms.matrices
+    assert (built, tables) == ([[1, 6], [2, 3, 4, 5]], [[1, 6], [2, 3, 4, 5]])
+    assert all(a is b for a, b in zip(first, spectrum.forms.matrices))
+    assert len(built) == 2
+    built.clear()
+    tables.clear()
+    solve_buckling(Domain.rectangle(1.3, 0.7), 4, 6, 3)
+    assert (built, tables) == ([[1, 4]], [[0, 1, 2, 3, 4]])
+    # a ladder's coarser rungs slice the finest rung's pencil and build nothing
+    built.clear()
+    tables.clear()
+    convergence_study(Domain.rectangle(1.3, 0.7), 3, (2, 4, 6), 2)
+    assert (built, tables) == ([[1, 3]], [[0, 1, 2, 3]])
+
+
+def test_every_read_of_the_forms_gives_the_same_bytes(monkeypatch, tmp_path):
+    # Forms built at assembly, all at once on a first read of matrices or one
+    # order at a time in ascending or descending k, sliced from a larger
+    # basis, or exported and loaded back are the same bytes as a fresh
+    # assembly's.
+    monkeypatch.setattr(galerkin, "_TABLES", {})
+    path = tmp_path / "forms.bin"
+    for domain, l, m in ((Domain.interval(1.1), 6, 16), (Domain.rectangle(1.3, 0.7), 4, 6)):
+        expected = [mat.tobytes() for mat in assemble_forms(domain, l, m).matrices]
+        leading = [mat.tobytes() for mat in assemble_forms(domain, l, m - 2).matrices]
+        for orders in (range(1, l + 1), range(l, 0, -1), ()):
+            forms = solve_buckling(domain, l, m, 2).forms
+            lead = _leading_forms(solve_buckling(domain, l, m, 2).forms, m - 2)
+            export_forms(solve_buckling(domain, l, m, 2).forms, path)
+            back = load_forms(path)
+            for read, full in ((forms, expected), (lead, leading), (back, expected)):
+                galerkin._TABLES.clear()  # each deferred form builds its own blocks
+                got = [read._read((k,))[0].tobytes() for k in orders]
+                assert got == [full[k - 1] for k in orders], (domain, l, orders)
+                assert [mat.tobytes() for mat in read.matrices] == full
+
+
 def test_assemble_interval_example():
     forms = assemble_forms(Domain.interval(1.0), 2, 1)
     assert forms.n_basis == 1
@@ -343,9 +405,11 @@ def test_assemble_validation():
 
 
 def test_assemble_overflow_is_a_numerical_error():
-    # the order-2 form scales with edge**-3, beyond binary64 for these edges
-    for domain, l in ((Domain.interval(1e-150), 2), (Domain.rectangle(1e-120, 1.0), 3)):
-        with pytest.raises(NumericalError, match="order-2 form overflows"):
+    # the order-k form scales with edge**(1 - 2k), beyond binary64 for these
+    # edges from k = 2 on; assembly builds the pencil's A_1 and A_l, and the
+    # first of them to overflow is named
+    for domain, l, k in ((Domain.interval(1e-150), 2, 2), (Domain.rectangle(1e-120, 1.0), 3, 3)):
+        with pytest.raises(NumericalError, match=f"order-{k} form overflows"):
             assemble_forms(domain, l, 3)
 
 

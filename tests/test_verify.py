@@ -164,6 +164,14 @@ def test_a_ladder_assembles_once(monkeypatch):
     assert calls == [(square, 2, 8), (interval, 3, 8)]
 
 
+def test_lemma_rows_do_not_depend_on_when_the_forms_are_built():
+    # A_2 and A_3 are built by the check's first read, or before the check
+    domain = Domain.rectangle(1.3, 0.7)
+    early = solve_buckling(domain, 4, 6, 3)
+    early.forms.matrices
+    assert check_lemma21(solve_buckling(domain, 4, 6, 3)) == check_lemma21(early)
+
+
 def test_run_verification_square_passes():
     report = run_verification(Domain.rectangle(1.0, 1.0), 2, 6, 1)
     assert report.passed
