@@ -101,6 +101,7 @@ from .errors import (
     SpectrumFormatError,
     _converted,
     _require_int,
+    _require_path,
     _require_positive,
     _require_positive_floats,
     _shown,
@@ -207,6 +208,7 @@ def parse_spectrum(text):
 
 def _read_ascii(path):
     # The spectrum format is ASCII text; any other byte is a format error.
+    _require_path(path)
     try:
         with open(path, "r", encoding="ascii") as handle:
             return handle.read()

@@ -7,20 +7,29 @@ both matrices keeps the reduction well conditioned; it is a congruence, so
 eigenvalues are untouched.  Results are deterministic: the same matrices give
 bitwise identical output.
 
-Each input is checked once: square, nonempty, finite, and symmetric to a
-tolerance.  A Jacobi scaling that overflows raises
-``NumericalError``, and so does a reduced matrix L^-1 A L^-T that overflows,
-so every operand that reaches LAPACK is finite and scipy is told not to check
-it again.
+Each input is checked once, by the public entry point that receives it:
+square, nonempty, finite, and symmetric to a tolerance.  ``cholesky_spd``
+checks its matrix and ``solve_generalized`` its pencil and count.  The
+internal solve, ``_solve_by_class``, trusts one precondition instead: its
+operands are finite symmetric float arrays of one shape, and 1 <= count
+<= N.  Its callers meet it by construction.  ``assemble_forms`` rounds the
+two halves of each form from the same rational and raises on overflow;
+``solve_buckling`` has just checked both forms through its two unscaled
+``cholesky_spd`` calls; a ladder's coarser rungs are principal sub-blocks
+of those forms; and ``_check_request`` has checked count for every rung.
+The solver still checks that B's diagonal is positive, and every
+postcondition.  A Jacobi scaling that overflows raises ``NumericalError``,
+and so does a reduced matrix L^-1 A L^-T that overflows, so every operand
+that reaches LAPACK is finite and scipy is told not to check it again.
 
 There is one solve, over index classes that the pencil does not couple; the
-whole pencil is the single class, which is read in place and needs no
-merge.  Each class's principal sub-pencil is scaled, factored, reduced and
-handed to the eigensolver on its own.  The count smallest values over all
+whole pencil is the single class of all N rows, gathered and merged like
+any other.  Each class's principal sub-pencil is scaled, factored, reduced
+and handed to the eigensolver on its own.  The count smallest values over all
 classes are kept, and only their vectors are back-transformed, each exactly
 0.0 outside its class.  The postconditions then check the merged pairs
 once, against the whole pencil.  A solve keeps at most three N x N work
-arrays alive besides its inputs: A is scaled into a buffer of its own, the
+arrays alive besides its inputs: A's gathered copy is scaled in place, the
 scaled B is written into the scaling's own buffer, each intermediate before
 the eigensolver is dropped as soon as its consumer returns, and the
 symmetric eigensolver overwrites its operand with the vectors instead of
@@ -41,8 +50,10 @@ factors its own Jacobi-scaled B once per class, so a solve makes three
 ``cholesky_spd`` calls, or 2 + 2^dim when it is split.  The two
 unscaled checks duplicate that factorization, and the unscaled A_1 check
 can fail where the scaled solve succeeds.  They stay because the benchmark
-harness pins three ``cholesky_spd`` calls per whole solve; once that pin
-is lifted, the scaled factors alone can serve.  A ladder's coarser rungs
+harness pins three ``cholesky_spd`` calls per whole solve, and because
+they are the checks of the two forms that the solver trusts; once that pin
+is lifted, the scaled factors alone can serve, with the forms checked
+where they are built.  A ladder's coarser rungs
 reach the solver through ``_spectrum`` and skip the unscaled checks.
 
 scipy supplies only the two LAPACK drivers ``eigh`` and ``solve_triangular``.
@@ -160,31 +171,24 @@ class EigenSolution:
 
 
 def _fix_signs(vectors):
-    # First significant component positive, columnwise.
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        peak = float(np.max(np.abs(column)))
-        significant = np.nonzero(np.abs(column) > 1e-12 * peak)[0]
-        lead = significant[0] if significant.size else 0
-        if column[lead] < 0.0:
-            vectors[:, j] = -column
-    return vectors
+    # First significant component positive, columnwise: a column's lead is
+    # its first entry above 1e-12 times its largest magnitude, or its first
+    # entry where none is.
+    magnitudes = np.abs(vectors)
+    significant = magnitudes > 1e-12 * magnitudes.max(axis=0)
+    lead = np.argmax(significant, axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    np.negative(vectors, out=vectors, where=flip)
 
 
 def solve_generalized(a_matrix, b_matrix, count):
     """First ``count`` eigenpairs of A x = lambda B x with B positive definite.
 
-    Postconditions are validated before returning: B-orthonormality of the
-    vectors to 1e-10 and pair residuals below 1e-8 times max(|A|, 1).
+    Both matrices are checked here: square, nonempty, finite, symmetric to
+    a tolerance and of one shape, with 1 <= count <= N.  Postconditions are
+    validated before returning: B-orthonormality of the vectors to 1e-10
+    and pair residuals below 1e-8 times max(|A|, 1).
     """
-    return _solve_by_class(a_matrix, b_matrix, count, None)
-
-
-def _solve_by_class(a_matrix, b_matrix, count, classes):
-    # The one solve (module docstring), for a pencil that couples no two of
-    # the given index classes; None is the whole pencil as its single class.
-    # Ties among the kept values keep class order, which makes each class's
-    # kept pairs its leading ones.
     a_mat = _as_symmetric(a_matrix, "A")
     b_mat = _as_symmetric(b_matrix, "B")
     if a_mat.shape != b_mat.shape:
@@ -195,6 +199,17 @@ def _solve_by_class(a_matrix, b_matrix, count, classes):
     _require_int(count, "count", 1)
     if count > n:
         raise InvalidParameterError(f"count={count} exceeds the matrix size {n}")
+    return _solve_by_class(a_mat, b_mat, count, (np.arange(n),))
+
+
+def _solve_by_class(a_mat, b_mat, count, classes):
+    # The one solve (module docstring), for a pencil that couples no two of
+    # the given index classes.  Its operands are trusted: float arrays of
+    # one shape that pass _as_symmetric, with 1 <= count <= N.  Every caller
+    # meets that by construction (module docstring).  Ties among the kept
+    # values keep class order, which makes each class's kept pairs its
+    # leading ones.
+    n = a_mat.shape[0]
     diag = np.diagonal(b_mat).copy()
     if np.any(diag <= 0.0):
         index = int(np.argmax(diag <= 0.0))
@@ -204,26 +219,21 @@ def _solve_by_class(a_matrix, b_matrix, count, classes):
             pivot=float(diag[index]),
         )
     scale = 1.0 / np.sqrt(diag)
-    if classes is None:
-        # The whole pencil: no gather and no merge.  eigh returns its values
-        # ascending, so the kept ones lead; the vectors are C-ordered, as a
-        # merge writes them.
-        eigenvalues, transformed, lower = _reduced_eigh(a_mat, b_mat, scale, None)
-        eigenvalues = eigenvalues[:count]
-        back = _back_transform(lower, transformed, count)
-        vectors = np.multiply(back, scale[:, None], order="C")
-    else:
-        solved = [_reduced_eigh(a_mat, b_mat, scale, index) for index in classes]
-        values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
-        owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
-        keep = np.argsort(values, kind="stable")[:count]
-        eigenvalues = values[keep]
-        vectors = np.zeros((n, count))
-        for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
-            columns = np.flatnonzero(owner[keep] == c)
-            if columns.size:
-                back = _back_transform(lower, transformed, columns.size)
-                vectors[index[:, None], columns] = back * scale[index, None]
+    solved = [_reduced_eigh(a_mat, b_mat, scale, index) for index in classes]
+    values = np.concatenate([eigenvalues for eigenvalues, _, _ in solved])
+    owner = np.repeat(np.arange(len(classes)), [index.size for index in classes])
+    keep = np.argsort(values, kind="stable")[:count]
+    eigenvalues = values[keep]
+    vectors = np.zeros((n, count))
+    for c, (index, (_, transformed, lower)) in enumerate(zip(classes, solved)):
+        columns = np.flatnonzero(owner[keep] == c)
+        if columns.size:
+            # L^-T times the class's leading reduced vectors.  At least two
+            # columns are solved: BLAS solves a single right-hand side with
+            # another kernel, which rounds differently, and each vector's
+            # bits must not depend on count.
+            back = _solve_lower(lower, transformed[:, : max(columns.size, 2)], trans="T")
+            vectors[index[:, None], columns] = back[:, : columns.size] * scale[index, None]
     _fix_signs(vectors)
     gram = vectors.T @ b_mat @ vectors
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
@@ -250,29 +260,21 @@ def _solve_by_class(a_matrix, b_matrix, count, classes):
 
 def _reduced_eigh(a_mat, b_mat, scale, index):
     # Every eigenvalue of the principal sub-pencil on index, ascending, with
-    # the eigenvectors of L^-1 A L^-T and the factor L of its Jacobi-scaled B;
-    # index None is the whole pencil, which is read without a gather.  A is
-    # scaled into a buffer of its own, and the scaling's buffer becomes the
+    # the eigenvectors of L^-1 A L^-T and the factor L of its Jacobi-scaled B.
+    # The gathered A is scaled in place, and the scaling's buffer becomes the
     # scaled B; at most three N x N work arrays are alive at once (module
     # docstring).
+    rows, part = index[:, None], scale[index]
     with np.errstate(over="ignore", invalid="ignore"):
-        if index is None:
-            b_scaled = np.outer(scale, scale)
-            a_scaled = a_mat * b_scaled
-            b_scaled *= b_mat
-        else:
-            rows, part = index[:, None], scale[index]
-            a_scaled = a_mat[rows, index]
-            b_scaled = np.outer(part, part)
-            a_scaled *= b_scaled
-            b_scaled *= b_mat[rows, index]
+        a_scaled = a_mat[rows, index]
+        b_scaled = np.outer(part, part)
+        a_scaled *= b_scaled
+        b_scaled *= b_mat[rows, index]
     if not (_finite(a_scaled) and _finite(b_scaled)):
         raise NumericalError("the Jacobi scaling by the diagonal of B overflows")
     try:
         lower = cholesky_spd(b_scaled)
     except NotPositiveDefiniteError as exc:
-        if index is None:
-            raise
         # the pivot's index in the whole pencil, not in its class
         whole = int(index[exc.index])
         message = str(exc).replace(f" at index {exc.index} ", f" at index {whole} ", 1)
@@ -297,14 +299,6 @@ def _reduced_eigh(a_mat, b_mat, scale, index):
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigeniteration failed: {exc}") from None
     return eigenvalues, transformed, lower
-
-
-def _back_transform(lower, transformed, count):
-    # The leading count vectors of L^-T times the reduced eigenvectors.  At
-    # least two columns are solved: BLAS solves a single right-hand side with
-    # another kernel, which rounds differently, and each vector's bits must
-    # not depend on count.
-    return _solve_lower(lower, transformed[:, : max(count, 2)], trans="T")[:, :count]
 
 
 def _solve_lower(lower, rhs, trans=0):
@@ -354,14 +348,13 @@ def solve_buckling(domain, l, m, count):
 def _spectrum(forms, count):
     # The first count eigenpairs of the pencil (A_l, A_1) of assembled forms,
     # solved one parity class at a time once every class has SPLIT_MIN_ROWS
-    # rows, and whole below that.  Only the pencil is read, so no other form
-    # is built.
-    pencil = forms._a_matrix, forms.b_matrix, count
+    # rows, and as the single class of all N rows below that.  Only the
+    # pencil is read, so no other form is built.  The forms are not checked
+    # again: they meet _solve_by_class's precondition (module docstring).
     classes = _parity_classes(forms.m, forms.domain.dim)
-    if min(index.size for index in classes) >= SPLIT_MIN_ROWS:
-        solution = _solve_by_class(*pencil, classes)
-    else:
-        solution = solve_generalized(*pencil)
+    if min(index.size for index in classes) < SPLIT_MIN_ROWS:
+        classes = (np.arange(forms.n_basis),)
+    solution = _solve_by_class(forms._a_matrix, forms.b_matrix, count, classes)
     if float(solution.eigenvalues[0]) <= 0.0:
         raise InternalConsistencyError(
             f"nonpositive buckling eigenvalue {solution.eigenvalues[0]} from a definite pencil"

@@ -2,12 +2,14 @@
 
 The input checks that every module shares live here too, next to the
 ``InvalidParameterError`` they raise: ``_require_int`` for integer arguments,
-``_converted`` for a conversion to float, and ``_require_positive_floats``
-with its scalar form ``_require_positive`` for positive finite reals.  A
+``_converted`` for a conversion to float, ``_require_positive_floats``
+with its scalar form ``_require_positive`` for positive finite reals, and
+``_require_path`` for a file path.  A
 message shows a refused value through ``_shown``, which names its type where
 its ``repr`` cannot be built.
 """
 
+import os
 from math import inf
 
 # _require_int refuses an integer this large in magnitude before formatting
@@ -111,3 +113,12 @@ def _require_positive(value, name):
     if not 0.0 < value < inf:
         raise InvalidParameterError(f"{name} must be positive finite, got {value}")
     return value
+
+
+def _require_path(path):
+    # open() takes an integer as a file descriptor and closes it on exit, so
+    # only a str, bytes or os.PathLike path reaches it.
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidParameterError(
+            f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
+        )

@@ -54,7 +54,13 @@ from math import comb, factorial, lcm, perm, prod
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalError, _require_int, _require_positive_floats
+from .errors import (
+    InvalidParameterError,
+    NumericalError,
+    _require_int,
+    _require_path,
+    _require_positive_floats,
+)
 
 DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
@@ -93,24 +99,26 @@ class Domain:
 class Basis1D:
     """The clamped basis b_0..b_(m-1) on [0, 1] for boundary order l.
 
-    Made by ``build_basis_1d``, which checks (l, m).  It holds only l and m:
-    the polynomials themselves are the integer rows of ``_basis_rows(l, m)``,
-    which the 1D table integrates.
+    It holds only l and m, and checks them when it is made: l >= 2 and
+    1 <= m <= ``DEGREE_CAP``, both integers.  The polynomials themselves are
+    the integer rows of ``_basis_rows(l, m)``, which the 1D table integrates.
     """
 
     l: int
     m: int
 
+    def __post_init__(self):
+        _require_int(self.l, "l", 2)
+        _require_int(self.m, "m", 1)
+        if self.m > DEGREE_CAP:
+            raise InvalidParameterError(f"m={self.m} exceeds the supported cap {DEGREE_CAP}")
+
 
 def build_basis_1d(l, m):
-    """Check (l, m) and name the clamped basis of size m; b_a has degree 2l + a.
+    """The checked clamped basis of size m; b_a has degree 2l + a.
 
     Its polynomials are the integer rows of ``_basis_rows(l, m)``.
     """
-    _require_int(l, "l", 2)
-    _require_int(m, "m", 1)
-    if m > DEGREE_CAP:
-        raise InvalidParameterError(f"m={m} exceeds the supported cap {DEGREE_CAP}")
     return Basis1D(l=l, m=m)
 
 
@@ -222,6 +230,8 @@ class OperatorForms:
     the first read of ``matrices`` builds every other form, in one assembly,
     and keeps it, so each later read returns the same arrays.  A form that
     overflows binary64 raises ``NumericalError`` on the read that builds it.
+    The constructor takes all l matrices, and refuses any other count with
+    ``InvalidParameterError``.
     """
 
     def __init__(self, domain, l, m, matrices):
@@ -230,12 +240,18 @@ class OperatorForms:
         self.m = m
         self._forms = dict(enumerate(matrices, start=1))
         self._build = None  # the forms of the orders it is given, as {k: matrix}
+        if len(self._forms) != l:
+            raise InvalidParameterError(
+                f"forms of order l={l} need {l} matrices, got {len(self._forms)}"
+            )
 
     @classmethod
     def _deferred(cls, domain, l, m, build):
-        # Forms that build(orders) makes on first read, and that are kept.
-        forms = cls(domain, l, m, ())
-        forms._build = build
+        # Forms that build(orders) makes on first read, and that are kept;
+        # none is given yet, so the constructor's count check is skipped.
+        forms = cls.__new__(cls)
+        forms.domain, forms.l, forms.m = domain, l, m
+        forms._forms, forms._build = {}, build
         return forms
 
     def __repr__(self):
@@ -420,15 +436,6 @@ def _header(domain, l, m):
         "order": "C",
     }
     return (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
-
-
-def _require_path(path):
-    # open() takes an integer as a file descriptor and closes it on exit, so
-    # only a str, bytes or os.PathLike path reaches it.
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise InvalidParameterError(
-            f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
-        )
 
 
 def export_forms(forms, path):

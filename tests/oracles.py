@@ -359,6 +359,19 @@ def _euclidean_coefficient(n, l):
     return (6 * l * l + 3 * n * l - 14 * l + 8 - 3 * n) / 3.0
 
 
+def cor11_weyl_limit(n, l):
+    """Exact large-k limit of cor11's lhs/rhs on a Weyl spectrum lam_i = i^p.
+
+    With p = 2(l-1)/n and the candidate lam_(k+1), both sums become Beta
+    integrals as k grows, so the ratio tends to the rational
+    [1 - 2/(p+1) + 1/(2p+1)] / (C [1/(p+1) - 1/(2p+1)]), where
+    C = 4(l-1)(3n+6l-8) / (3n^2) is the corollary's constant.
+    """
+    p = Fraction(2 * (l - 1), n)
+    big_c = Fraction(4 * (l - 1) * (3 * n + 6 * l - 8), 3 * n * n)
+    return (1 - 2 / (p + 1) + 1 / (2 * p + 1)) / (big_c * (1 / (p + 1) - 1 / (2 * p + 1)))
+
+
 def yang_quadratic_bound(lams, k, n, l):
     """Largest root of the gap quadratic, straight from the abc formula."""
     coeff = _euclidean_coefficient(n, l)

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,19 @@ def test_read_spectrum_rejects_non_ascii(tmp_path):
     path.write_bytes(b"# n=2 l=2\n1.0\n\xc3\xa9\n")
     with pytest.raises(SpectrumFormatError, match="not ASCII"):
         read_spectrum(str(path))
+
+
+def test_read_spectrum_refuses_a_descriptor_and_leaves_it_open():
+    # open() takes an integer as a file descriptor and closes it on exit
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"# n=2 l=2\n1.0\n2.0\n")
+        with pytest.raises(InvalidParameterError, match="^path must be a str, bytes or"):
+            read_spectrum(read_end)
+        os.fstat(read_end)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_spectrum_validation():
@@ -233,6 +247,26 @@ def test_cor11_hand_instance():
     report = eval_cor11(spectrum, 2, 4.0)
     assert report.lhs == 13.0
     assert report.rhs == pytest.approx(4.0 * (10.0 / 3.0) / 4.0 * 7.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_cor11_ratio_rises_to_its_weyl_limit(n, l):
+    # on lam_i = i^p, p = 2(l-1)/n, with the candidate lam_(k+1), cor11's
+    # lhs/rhs rises with k toward the exact limit, 0.19-0.70% below it at
+    # k = 400
+    limit = oracles.cor11_weyl_limit(n, l)
+    assert isinstance(limit, Fraction)
+    if (n, l) == (2, 2):  # p = 1 and C = 10/3: (1/3) / (10/3 * 1/6)
+        assert limit == Fraction(3, 5)
+    p = 2 * (l - 1) / n
+    ratios = []
+    for k in (25, 100, 400):
+        values = tuple(i**p for i in range(1, k + 2))
+        report = eval_cor11(Spectrum(values=values, n=n, l=l), k, values[k])
+        ratios.append(report.lhs / report.rhs)
+    assert ratios[0] < ratios[1] < ratios[2] < limit
+    assert limit - ratios[2] < 0.01 * limit
 
 
 # -- weight optimization

@@ -501,3 +501,55 @@ def test_split_pivot_failure_names_its_index_in_the_whole_pencil():
     with pytest.raises(NotPositiveDefiniteError, match=r"^pivot \S+ at index 3 is not above") as err:
         eigen._solve_by_class(np.eye(4), b_mat, 2, classes)
     assert err.value.index == 3
+
+
+def test_each_pencil_is_checked_once(monkeypatch):
+    # the two unscaled cholesky_spd calls check the forms, and each class's
+    # scaled factorization checks its own B; the solver trusts the forms
+    checked = []
+    as_symmetric = eigen._as_symmetric
+
+    def counting(matrix, name):
+        checked.append(name)
+        return as_symmetric(matrix, name)
+
+    monkeypatch.setattr(eigen, "_as_symmetric", counting)
+    cases = [((1.0,), 2, 8, 3), ((1.0, 1.0), 2, 5, 3), ((1.0, 1.0), 3, 9, 3),
+             ((1.3, 0.7), 2, 10, 4 + 2), ((1.2, 0.9, 0.8), 2, 6, 8 + 2)]
+    for edges, l, m, expected in cases:
+        checked.clear()
+        solve_buckling(Domain(edges), l, m, 4)
+        assert len(checked) == expected, (edges, m, checked)
+    checked.clear()
+    solve_generalized(2.0 * np.eye(3), np.eye(3), 2)
+    assert checked == ["A", "B", "matrix"]
+
+
+def _solved_bits(solve):
+    try:
+        values, vectors = solve()
+    except ConvergenceError as exc:
+        return str(exc)
+    return np.asarray(values).tobytes(), vectors.tobytes(), vectors.flags.c_contiguous
+
+
+def test_whole_pencils_solve_as_solve_generalized_does():
+    # below the split rule _spectrum solves the single class of all N rows,
+    # with no check of its own: the same bits as the checked public solve
+    cases = [(Domain.interval(1.0), l, m) for l in range(2, 7) for m in range(1, 25)]
+    cases += [(Domain.rectangle(*edges), l, m)
+              for edges in ((1.0, 1.0), (1.3, 0.7)) for l in (2, 3) for m in range(1, 10)]
+    for domain, l, m in cases:
+        forms = assemble_forms(domain, l, m)
+        count = min(8, forms.n_basis)
+        assert min(index.size for index in _parity_classes(m, domain.dim)) < eigen.SPLIT_MIN_ROWS
+
+        def private():
+            spectrum = eigen._spectrum(forms, count)
+            return spectrum.values, spectrum.vectors
+
+        def public():
+            solution = solve_generalized(forms._a_matrix, forms.b_matrix, count)
+            return solution.eigenvalues, solution.eigenvectors
+
+        assert _solved_bits(private) == _solved_bits(public), (domain, l, m)

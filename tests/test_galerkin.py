@@ -14,10 +14,12 @@ import pytest
 import sympy
 
 from buckbounds import (
+    Basis1D,
     Domain,
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalError,
+    OperatorForms,
     assemble_forms,
     build_basis_1d,
     convergence_study,
@@ -88,6 +90,27 @@ def test_basis_cap_and_conditioning_warning(tmp_path):
         export_forms(assemble_forms(Domain.interval(1.0), 2, 17), tmp_path / "forms.bin")
     with pytest.warns(UserWarning, match="basis size m=17 is above 16"):
         solve_buckling(Domain.interval(1.0), 2, 17, 1)
+
+
+def test_basis_checks_itself_when_made_directly():
+    # the table reads only l and m, so a basis built past the checks would
+    # give a 30 x 30 block beyond the cap, or empty blocks at m = 0
+    with pytest.raises(InvalidParameterError, match=f"m=30 exceeds the supported cap {DEGREE_CAP}"):
+        derivative_integral_table(Basis1D(l=2, m=30), [1])
+    with pytest.raises(InvalidParameterError, match="m must be >= 1, got 0"):
+        Basis1D(2, 0)
+    with pytest.raises(InvalidParameterError, match="l must be an integer, got 2.5"):
+        Basis1D(2.5, 3)
+
+
+def test_forms_constructor_refuses_a_matrix_count_other_than_l():
+    domain = Domain.interval(1.0)
+    for l, count in ((3, 2), (2, 0), (2, 3)):
+        with pytest.raises(InvalidParameterError, match=f"l={l} need {l} matrices, got {count}"):
+            OperatorForms(domain, l, 2, [np.eye(2)] * count)
+    forms = OperatorForms(domain, 2, 2, [np.eye(2), 2.0 * np.eye(2)])
+    assert np.array_equal(forms._a_matrix, 2.0 * np.eye(2))
+    assert forms.matrices[0] is forms.b_matrix
 
 
 def _entry(table, j, a, b):
