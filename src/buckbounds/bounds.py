@@ -307,9 +307,12 @@ def _as_delta(delta, k):
 
 
 def _check_k(spectrum, k):
+    # The checks every bound function makes, directly or through
+    # _check_candidate, once per call: k, then n >= 2 (a Spectrum has l >= 2).
     _require_int(k, "k", 1)
     if k > spectrum.k:
         raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
+    _require_int(spectrum.n, "n", 2)
 
 
 def _check_candidate(spectrum, k, candidate):
@@ -352,15 +355,13 @@ def _euclidean_powers(spectrum, k, candidate):
     tilt = (l - 2) * shift // (l - 1)
     heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), tilt) for v in spectrum.values[:k]]
     light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in spectrum.values[:k]]
-    return shift, tilt, scaled, gaps, float(euclidean_coefficient(spectrum.n, l)), heavy, light
+    return shift, tilt, scaled, gaps, float(_coefficient(spectrum.n, l)), heavy, light
 
 
 def _quadratic_constant(spectrum):
     # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
-    # of the powers that _euclidean_powers computes; validated like
-    # euclidean_coefficient on every call, built once per (n, l).
-    _require_int(spectrum.n, "n", 2)
-    _require_int(spectrum.l, "l", 2)
+    # of the powers that _euclidean_powers computes; built once per (n, l),
+    # for a spectrum that _check_k has passed.
     return _quadratic_constant_of(spectrum.n, spectrum.l)
 
 
@@ -455,8 +456,8 @@ def eval_cor11(spectrum, k, candidate):
     Decided in the Euclidean units, like the quadratic priors of
     ``eval_l2_priors``.
     """
-    big_c = _quadratic_constant(spectrum)
     shift, values, gaps = _euclidean_units(spectrum, k, candidate)
+    big_c = _quadratic_constant(spectrum)
     lhs = math.fsum(g * g for g in gaps)
     return _report("cor11", k, lhs, big_c * math.fsum(map(mul, gaps, values)), shift)
 
@@ -847,7 +848,6 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
-    _require_int(spectrum.n, "n", 2)
     shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
     delta_scalar = _require_positive(delta_scalar, "delta")
     n = spectrum.n

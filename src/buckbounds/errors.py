@@ -68,7 +68,8 @@ class BracketError(NumericalError):
 
 def _require_int(value, name, minimum):
     # type() is bool matches isinstance(value, bool), as bool has no
-    # subclasses, and costs less: chain_bounds makes five checks a step
+    # subclasses, and costs less: chain_bounds makes four checks a step with
+    # the cor11 solver and six with the sharp one
     if type(value) is bool or not isinstance(value, int):
         raise InvalidParameterError(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum or value >= _INT_LIMIT:

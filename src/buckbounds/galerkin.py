@@ -31,9 +31,11 @@ raises ``NumericalError`` when it is built.
 
 Only the forms a caller reads are built.  ``assemble_forms`` builds the
 pencil (A_l, A_1) at once, from the 1D blocks of the orders those two forms
-use; A_2..A_(l-1), which only Lemma 2.1's check and an export read, are
-built together on the first read of ``OperatorForms.matrices`` and kept.
-Each form is the same exact rational rounded once whenever it is built.
+use, and a ladder's coarser rung slices that pencil out of the finest one.
+A_2..A_(l-1), which only Lemma 2.1's check and an export read, are
+assembled at the forms' own m on their first read, in one
+``OperatorForms._read``, and kept.  Each form is the same exact rational
+rounded once whenever and at whatever size it is built.
 
 This module builds, rounds, slices, exports and loads exact forms, and
 imports no solver: it factors no matrix and never warns about conditioning,
@@ -57,6 +59,7 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     NumericalError,
+    _converted,
     _require_int,
     _require_path,
     _require_positive_floats,
@@ -226,42 +229,50 @@ class OperatorForms:
     Indices are mixed radix m: the product b_a(x) b_c(y) b_e(z) of a box is
     row (a*m + c)*m + e, and a*m + c on a rectangle.
 
-    Forms from ``assemble_forms`` hold the pencil (A_l, A_1) from the start;
-    the first read of ``matrices`` builds every other form, in one assembly,
-    and keeps it, so each later read returns the same arrays.  A form that
-    overflows binary64 raises ``NumericalError`` on the read that builds it.
-    The constructor takes all l matrices, and refuses any other count with
-    ``InvalidParameterError``.
+    The constructor takes all l matrices and checks them once: it refuses
+    with ``InvalidParameterError`` a domain that is not a ``Domain``, an l
+    or m that ``assemble_forms`` refuses, a count other than l, and any
+    matrix that does not convert to a finite, exactly symmetric float array
+    of shape (m**dim, m**dim).  So ``export_forms`` writes any forms it
+    accepts to a file that ``load_forms`` reads back bit for bit.  Forms
+    from ``assemble_forms`` hold the pencil (A_l, A_1) from the start; the
+    first read of any other order assembles it at this m, together with the
+    other orders of that read not yet built, and keeps it, so each later
+    read returns the same arrays.  A form that overflows binary64 raises
+    ``NumericalError`` on the read that builds it.
     """
 
     def __init__(self, domain, l, m, matrices):
-        self.domain = domain
-        self.l = l
-        self.m = m
-        self._forms = dict(enumerate(matrices, start=1))
-        self._build = None  # the forms of the orders it is given, as {k: matrix}
-        if len(self._forms) != l:
-            raise InvalidParameterError(
-                f"forms of order l={l} need {l} matrices, got {len(self._forms)}"
-            )
+        _checked_basis(domain, l, m)
+        n = m**domain.dim
+        forms = {}
+        for k, mat in enumerate(matrices, start=1):
+            mat = _converted(functools.partial(np.asarray, dtype=float), mat, f"matrix {k}")
+            if mat.shape != (n, n) or not np.isfinite(mat).all() or not np.array_equal(mat, mat.T):
+                raise InvalidParameterError(f"matrix {k} is not a finite symmetric {n} x {n} array")
+            forms[k] = mat
+        if len(forms) != l:
+            raise InvalidParameterError(f"forms of order l={l} need {l} matrices, got {len(forms)}")
+        self.domain, self.l, self.m, self._forms = domain, l, m, forms
 
     @classmethod
-    def _deferred(cls, domain, l, m, build):
-        # Forms that build(orders) makes on first read, and that are kept;
-        # none is given yet, so the constructor's count check is skipped.
-        forms = cls.__new__(cls)
-        forms.domain, forms.l, forms.m = domain, l, m
-        forms._forms, forms._build = {}, build
-        return forms
+    def _built(cls, domain, l, m, forms):
+        # Forms built in this module, as {k: matrix}: exact by construction,
+        # so they are not checked again.  Every other order is assembled on
+        # its first read.
+        built = cls.__new__(cls)
+        built.domain, built.l, built.m, built._forms = domain, l, m, forms
+        return built
 
     def __repr__(self):
         return f"OperatorForms(domain={self.domain!r}, l={self.l!r}, m={self.m!r})"
 
     def _read(self, orders):
-        # The forms of the orders k, building together those not yet built.
+        # The forms of the orders k, assembling at this m, in one call, those
+        # not yet built: the one place a missing order is built.
         missing = [k for k in orders if k not in self._forms]
         if missing:
-            self._forms.update(self._build(missing))
+            self._forms.update(_assemble(self.domain, Basis1D(self.l, self.m), missing))
         return tuple(self._forms[k] for k in orders)
 
     @property
@@ -381,19 +392,9 @@ def _assemble(domain, basis, ks):
     return matrices
 
 
-def assemble_forms(domain, l, m):
-    """Assemble A_1..A_l on the given domain from exact rationals.
-
-    Every matrix is exactly symmetric because symmetric entries are the same
-    rational rounded once.  The pencil (A_l, A_1) is built here, in one
-    assembly, from the 1D blocks of orders {1, l} on an interval and 0..l on
-    a rectangle or box, and raises ``NumericalError`` if either form
-    overflows binary64.  A_2..A_(l-1) are built on the first read of
-    ``matrices`` (see ``OperatorForms``).  The basis size m**dim is capped at
-    ``BASIS_CAP``, which keeps a box at m <= 8.  Nothing here factors or
-    solves: whether the pencil is definite enough to solve, and the m > 16
-    conditioning warning, are ``solve_buckling``'s to check.
-    """
+def _checked_basis(domain, l, m):
+    # The basis of a checked request: a Domain, l and m that Basis1D takes,
+    # and a basis size m**dim within BASIS_CAP.
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
     basis = build_basis_1d(l, m)
@@ -401,25 +402,39 @@ def assemble_forms(domain, l, m):
         raise InvalidParameterError(
             f"basis size m**dim = {m**domain.dim} exceeds the supported cap {BASIS_CAP}"
         )
-    forms = OperatorForms._deferred(domain, l, m, functools.partial(_assemble, domain, basis))
-    forms._read((1, l))
-    return forms
+    return basis
+
+
+def assemble_forms(domain, l, m):
+    """Assemble A_1..A_l on the given domain from exact rationals.
+
+    Every matrix is exactly symmetric because symmetric entries are the same
+    rational rounded once.  The pencil (A_l, A_1) is built here, in one
+    assembly, from the 1D blocks of orders {1, l} on an interval and 0..l on
+    a rectangle or box, and raises ``NumericalError`` if either form
+    overflows binary64.  A_2..A_(l-1) are built on their first read (see
+    ``OperatorForms``).  The basis size m**dim is capped at ``BASIS_CAP``,
+    which keeps a box at m <= 8.  Nothing here factors or solves: whether
+    the pencil is definite enough to solve, and the m > 16 conditioning
+    warning, are ``solve_buckling``'s to check.
+    """
+    basis = _checked_basis(domain, l, m)
+    return OperatorForms._built(domain, l, m, _assemble(domain, basis, (1, l)))
 
 
 def _leading_forms(forms, m):
-    # The forms of basis size m <= forms.m: the bases are nested, so they are
-    # the rows and columns whose every axis index is below m, at their mixed
-    # radix positions in the basis of size M = forms.m, in that order.  Each
-    # entry is the same exact rational rounded once (den cancels), so the
-    # copy equals assemble_forms(forms.domain, forms.l, m) bit for bit.  A
-    # form is sliced on its first read, from the same form of forms.
+    # The pencil (A_l, A_1) of basis size m <= forms.m: the bases are nested,
+    # so it is the rows and columns whose every axis index is below m, at
+    # their mixed radix positions in the basis of size M = forms.m, in that
+    # order.  Each entry is the same exact rational rounded once (den
+    # cancels), so the copy equals assemble_forms(forms.domain, forms.l, m)
+    # bit for bit.  Any other order is assembled at m on its first read, like
+    # that of assembled forms.
     index = _mixed_radix([np.arange(m)] * forms.domain.dim, forms.m).ravel()
     sub = np.ix_(index, index)
-
-    def build(orders):
-        return {k: mat[sub] for k, mat in zip(orders, forms._read(orders))}
-
-    return OperatorForms._deferred(forms.domain, forms.l, m, build)
+    pencil = (1, forms.l)
+    sliced = {k: mat[sub] for k, mat in zip(pencil, forms._read(pencil))}
+    return OperatorForms._built(forms.domain, forms.l, m, sliced)
 
 
 def _header(domain, l, m):
@@ -453,9 +468,10 @@ def load_forms(path):
     The file loads only when its first line is, byte for byte, the header
     that ``export_forms`` writes for the domain, l and m it names, and the
     rest is exactly l little-endian row-major binary64 matrices of size
-    m**dim, each exactly symmetric.  Sizes above the caps of
-    ``assemble_forms`` are refused, and the length of the rest is checked,
-    before any matrix is read.
+    m**dim.  Sizes above the caps of ``assemble_forms`` are refused, and the
+    length of the rest is checked, before any matrix is read; the matrices
+    are then checked by the ``OperatorForms`` constructor, which refuses any
+    that is not finite and exactly symmetric.
     """
     _require_path(path)
     with open(path, "rb") as handle:
@@ -489,7 +505,4 @@ def load_forms(path):
         data = np.empty((l, n, n), dtype="<f8")
         if handle.readinto(data) != size:
             raise InvalidParameterError(f"{path} changed while it was read")
-    for k, mat in enumerate(data, start=1):
-        if not np.array_equal(mat, mat.T):
-            raise InvalidParameterError(f"matrix {k} in {path} is not symmetric")
     return OperatorForms(domain=domain, l=l, m=m, matrices=tuple(data))

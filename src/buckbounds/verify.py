@@ -4,12 +4,14 @@ A verification request is checked in full before anything is solved.
 
 One ladder study serves ``run_verification`` (its coarse rungs under m) and
 ``convergence_study`` (its sizes): it solves a ladder of resolutions and
-tabulates their convergence.  The ladder is assembled once, at its finest
-basis size: the bases are nested, so every coarser rung's forms are a
-leading sub-block of the finest rung's, equal bit for bit to assembling that
-rung directly.  Only the finest rung goes through ``solve_buckling``, with
-its conditioning warning and its checks of the unscaled forms; each coarser
-rung goes straight to the solver, which factors its scaled B once.
+tabulates their convergence.  The ladder's pencil is assembled once, at its
+finest basis size: the bases are nested, so every coarser rung's pencil
+(A_l, A_1) is a leading sub-block of the finest rung's, equal bit for bit to
+assembling that rung directly; any other form a coarser rung is asked for
+is assembled at that rung's own size.  Only the finest rung goes through
+``solve_buckling``, with its conditioning warning and its checks of the
+unscaled forms; each coarser rung goes straight to the solver, which
+factors its scaled B once.
 
 Checks are only asserted on computed spectra at the finest resolution that
 was solved, and one verdict rule judges every theorem check there.  A
@@ -202,7 +204,7 @@ def convergence_study(domain, l, m_list, count):
 def _study(domain, l, m_values, counts):
     # The spectra of counts[i] eigenvalues at the increasing basis sizes
     # m_values[i], from one assembly: the bases are nested, so every coarser
-    # rung's forms are a leading sub-block of the finest rung's.  Every rung
+    # rung's pencil is a leading sub-block of the finest rung's.  Every rung
     # is checked before any is solved.  The table keeps each rung's first
     # counts[0] values, which no rung has fewer of.
     rungs = list(zip(m_values, counts))

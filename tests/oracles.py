@@ -372,6 +372,26 @@ def cor11_weyl_limit(n, l):
     return (1 - 2 / (p + 1) + 1 / (2 * p + 1)) / (big_c * (1 / (p + 1) - 1 / (2 * p + 1)))
 
 
+def eq112_weyl_limit_squared(n, l):
+    """Exact square of the large-k limit of eq112's lhs/rhs on lam_i = i^p.
+
+    With p = 2(l-1)/n and the candidate lam_(k+1), the three sums of the
+    square-root form become Beta integrals as k grows: the squared gaps give
+    S = 1 - 2/(p+1) + 1/(2p+1), the squared gaps times lam^((l-2)/(l-1))
+    give I_h at a = p(l-2)/(l-1), and the gaps times lam^(1/(l-1)) give I_c
+    at b = p/(l-1).  The powers of k cancel since a + b = p, so the squared
+    ratio tends to the rational n^2 S^2 / (4 coeff I_h I_c), with coeff the
+    Euclidean coefficient (l-1)(3n+6l-8)/3.
+    """
+    p = Fraction(2 * (l - 1), n)
+    a, b = p * (l - 2) / (l - 1), p / (l - 1)
+    coeff = Fraction((l - 1) * (3 * n + 6 * l - 8), 3)
+    squares = 1 - 2 / (p + 1) + 1 / (2 * p + 1)
+    heavy = 1 / (a + 1) - 2 / (a + p + 1) + 1 / (a + 2 * p + 1)
+    light = 1 / (b + 1) - 1 / (b + p + 1)
+    return n * n * squares * squares / (4 * coeff * heavy * light)
+
+
 def yang_quadratic_bound(lams, k, n, l):
     """Largest root of the gap quadratic, straight from the abc formula."""
     coeff = _euclidean_coefficient(n, l)

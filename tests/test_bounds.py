@@ -269,6 +269,28 @@ def test_cor11_ratio_rises_to_its_weyl_limit(n, l):
     assert limit - ratios[2] < 0.01 * limit
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_eq112_ratio_rises_to_its_weyl_limit(n, l):
+    # on lam_i = i^p, p = 2(l-1)/n, with the candidate lam_(k+1), eq112's
+    # lhs/rhs rises with k toward the square root of the exact limit, about
+    # 0.2-0.4% below it at k = 400; at l = 2 the square-root form's heavy
+    # weight is 1, and its limit is cor11's
+    squared = oracles.eq112_weyl_limit_squared(n, l)
+    assert isinstance(squared, Fraction)
+    if l == 2:
+        assert squared == oracles.cor11_weyl_limit(n, 2)
+    limit = math.sqrt(squared)
+    p = 2 * (l - 1) / n
+    ratios = []
+    for k in (25, 100, 400):
+        values = tuple(i**p for i in range(1, k + 2))
+        report = eval_eq112(Spectrum(values=values, n=n, l=l), k, values[k])
+        ratios.append(report.lhs / report.rhs)
+    assert ratios[0] < ratios[1] < ratios[2] < limit
+    assert limit - ratios[2] < 0.01 * limit
+
+
 # -- weight optimization
 
 
@@ -1121,8 +1143,12 @@ def test_quadratic_constant_is_built_once_and_validated_every_call():
     spectrum = Spectrum(values=(1.0, 2.0), n=3, l=4)
     assert bounds._quadratic_constant(spectrum) is bounds._quadratic_constant(spectrum)
     assert bounds._quadratic_constant(spectrum) == 4.0 * float(euclidean_coefficient(3, 4)) / 9
-    with pytest.raises(InvalidParameterError):
-        bounds._quadratic_constant(Spectrum(values=(1.0,), n=1, l=2))
+    # n is checked once per call, by the public function that reads C
+    line = Spectrum(values=(1.0,), n=1, l=2)
+    with pytest.raises(InvalidParameterError, match="^n must be >= 2, got 1$"):
+        eval_cor11(line, 1, 2.0)
+    with pytest.raises(InvalidParameterError, match="^n must be >= 2, got 1$"):
+        next_bound_cor11(line, 1)
 
 
 # -- order-2 comparison forms

@@ -103,6 +103,27 @@ def test_basis_checks_itself_when_made_directly():
         Basis1D(2.5, 3)
 
 
+def test_forms_constructor_refuses_what_export_could_not_load_back(tmp_path):
+    # a form of the wrong size, an asymmetric or infinite one, and a domain
+    # that is not a Domain are refused before export_forms could write them
+    interval = Domain.interval(1.0)
+    for domain, m, matrix, message in (
+        (interval, 3, np.eye(2), "matrix 1 is not a finite symmetric 3 x 3 array"),
+        (interval, 2, [[1, 2], [3, 4]], "matrix 1 is not a finite symmetric 2 x 2 array"),
+        (interval, 2, [[1.0, np.inf], [np.inf, 1.0]], "matrix 1 is not a finite symmetric"),
+        ("x", 2, np.eye(2), "^domain must be a Domain instance$"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            OperatorForms(domain, 2, m, [matrix] * 2)
+    # a nested list comes back as a float array, and round-trips bit for bit
+    forms = OperatorForms(Domain.rectangle(1.0, 2.0), 2, 2, [np.eye(4).tolist(), np.ones((4, 4))])
+    assert isinstance(forms.b_matrix, np.ndarray) and forms.b_matrix.dtype == float
+    assert np.array_equal(forms.b_matrix, np.eye(4))
+    export_forms(forms, tmp_path / "forms.bin")
+    back = load_forms(tmp_path / "forms.bin")
+    assert [mat.tobytes() for mat in back.matrices] == [mat.tobytes() for mat in forms.matrices]
+
+
 def test_forms_constructor_refuses_a_matrix_count_other_than_l():
     domain = Domain.interval(1.0)
     for l, count in ((3, 2), (2, 0), (2, 3)):
@@ -235,13 +256,16 @@ def test_solve_builds_no_basis_polynomials(monkeypatch):
     solve_buckling(Domain.interval(0.7), 4, 6, 2)
 
 
-def _record_builds(monkeypatch):
-    # The orders k of every form build and the orders j of every table call.
+def _record_builds(monkeypatch, sizes=None):
+    # The orders k of every form build and the orders j of every table call,
+    # and the basis size m of every form build in sizes, when it is given.
     built, tables = [], []
     assemble, table = galerkin._assemble, galerkin.derivative_integral_table
 
     def recorded_assemble(domain, basis, orders):
         built.append(sorted(orders))
+        if sizes is not None:
+            sizes.append(basis.m)
         return assemble(domain, basis, orders)
 
     def recorded_table(basis, orders):
@@ -281,7 +305,9 @@ def test_every_read_of_the_forms_gives_the_same_bytes(monkeypatch, tmp_path):
     # assembly's.
     monkeypatch.setattr(galerkin, "_TABLES", {})
     path = tmp_path / "forms.bin"
-    for domain, l, m in ((Domain.interval(1.1), 6, 16), (Domain.rectangle(1.3, 0.7), 4, 6)):
+    cases = [(Domain.interval(1.1), 6, 16), (Domain.rectangle(1.3, 0.7), 4, 6)]
+    cases += [(Domain.interval(0.9), 6, 24), (Domain((1.2, 0.8, 1.1)), 3, 4)]
+    for domain, l, m in cases:
         expected = [mat.tobytes() for mat in assemble_forms(domain, l, m).matrices]
         leading = [mat.tobytes() for mat in assemble_forms(domain, l, m - 2).matrices]
         for orders in (range(1, l + 1), range(l, 0, -1), ()):
@@ -294,6 +320,19 @@ def test_every_read_of_the_forms_gives_the_same_bytes(monkeypatch, tmp_path):
                 got = [read._read((k,))[0].tobytes() for k in orders]
                 assert got == [full[k - 1] for k in orders], (domain, l, orders)
                 assert [mat.tobytes() for mat in read.matrices] == full
+
+
+def test_a_coarse_rung_assembles_its_other_forms_at_its_own_size(monkeypatch):
+    # a coarse rung holds only the sliced pencil; its A_2 is assembled at the
+    # rung's m, alone, and never at the finest m
+    cases = ((Domain.interval(0.9), 6, 24, 22), (Domain((1.2, 0.8, 1.1)), 3, 4, 2))
+    leads = [_leading_forms(assemble_forms(domain, l, m), small) for domain, l, m, small in cases]
+    sizes = []
+    built, _ = _record_builds(monkeypatch, sizes)
+    second = [lead._read((2,))[0].tobytes() for lead in leads]
+    assert (built, sizes) == ([[2], [2]], [22, 2])
+    for (domain, l, _, small), got in zip(cases, second):
+        assert got == assemble_forms(domain, l, small).matrices[1].tobytes()
 
 
 def test_assemble_interval_example():
@@ -613,9 +652,11 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
     path, header, data = _exported(tmp_path)
     values = np.frombuffer(data, dtype="<f8").copy()
     values[1] += 1.0  # entry (0, 1) of the first matrix; (1, 0) keeps its value
-    _rewrite(path, header, values.tobytes())
-    with pytest.raises(InvalidParameterError):
-        load_forms(path)
+    # a body of inf entries is symmetric, but not finite
+    for body in (values.tobytes(), np.full(values.size, np.inf, dtype="<f8").tobytes()):
+        _rewrite(path, header, body)
+        with pytest.raises(InvalidParameterError):
+            load_forms(path)
 
 
 @pytest.mark.parametrize(
