@@ -505,13 +505,26 @@ def _pool_adjacent_violators(a, b):
 
 
 def delta_objective(delta, a, b):
-    """The bilinear objective sum(delta_i a_i) + sum(b_i / delta_i)."""
-    values = list(delta)
+    """The bilinear objective sum(delta_i a_i) + sum(b_i / delta_i).
+
+    The weights are checked as ``optimize_delta`` checks them, and the
+    delta entries too: positive and finite, in any order.  An objective
+    that leaves the float range raises ``NumericalError``.
+    """
+    values = _require_positive_floats(delta, "delta entries")
+    a = _require_positive_floats(a, "weights")
+    b = _require_positive_floats(b, "weights")
     if len(values) != len(a) or len(a) != len(b):
         raise InvalidParameterError("objective needs matching lengths")
-    return math.fsum(d * ai for d, ai in zip(values, a)) + math.fsum(
-        bi / d for d, bi in zip(values, b)
-    )
+    try:
+        total = math.fsum(d * ai for d, ai in zip(values, a)) + math.fsum(
+            bi / d for d, bi in zip(values, b)
+        )
+    except OverflowError:  # fsum's intermediate overflow
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError("the objective leaves the float range")
+    return total
 
 
 def thm11_optimal_delta(spectrum, k, candidate):

@@ -16,11 +16,14 @@ operands are finite symmetric float arrays of one shape, and 1 <= count
 two halves of each form from the same rational and raises on overflow;
 ``solve_buckling`` has just checked both forms through its two unscaled
 ``cholesky_spd`` calls; a ladder's coarser rungs are principal sub-blocks
-of those forms; and ``_check_request`` has checked count for every rung.
-The solver still checks that B's diagonal is positive, and every
-postcondition.  A Jacobi scaling that overflows raises ``NumericalError``,
-and so does a reduced matrix L^-1 A L^-T that overflows, so every operand
-that reaches LAPACK is finite and scipy is told not to check it again.
+of those forms; and ``_check_request`` has checked every rung's request.
+It leaves the domain, l, m and the caps to galerkin's one request check,
+``_checked_basis``, and checks only its own rule, 1 <= count <= m**dim, so
+a new domain kind changes one check, not one per module.  The solver
+still checks that B's diagonal is positive, and every postcondition.  A
+Jacobi scaling that overflows raises ``NumericalError``, and so does a
+reduced matrix L^-1 A L^-T that overflows, so every operand that reaches
+LAPACK is finite and scipy is told not to check it again.
 
 There is one solve, over index classes that the pencil does not couple; the
 whole pencil is the single class of all N rows, gathered and merged like
@@ -64,7 +67,6 @@ whatever the two attributes hold at call time.
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import sys
@@ -80,10 +82,9 @@ from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalError,
-    _converted,
     _require_int,
 )
-from .galerkin import Domain, _parity_classes, assemble_forms
+from .galerkin import _checked_basis, _float_array, _parity_classes, assemble_forms
 
 PIVOT_RELATIVE = 1e-14
 ORTHONORMALITY_TOL = 1e-10
@@ -118,7 +119,7 @@ def _as_symmetric(matrix, name):
     # The one check of an input: square, nonempty and finite, then symmetric
     # to SYMMETRY_TOL times max(1, largest |entry|).  max and min reach every
     # NaN and inf without a temporary array; the difference is the only one.
-    mat = _converted(functools.partial(np.asarray, dtype=float), matrix, name)
+    mat = _float_array(matrix, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {mat.shape}")
     if not mat.size:
@@ -308,12 +309,11 @@ def _solve_lower(lower, rhs, trans=0):
     )
 
 
-def _check_request(domain, m, count):
+def _check_request(domain, l, m, count):
     # solve_buckling's argument checks, which a ladder also runs for every
-    # rung before it solves any.
-    if not isinstance(domain, Domain):
-        raise InvalidParameterError("domain must be a Domain instance")
-    _require_int(m, "m", 1)
+    # rung before it solves any: galerkin's check of the domain, l, m and
+    # the caps, then 1 <= count <= m**dim.
+    _checked_basis(domain, l, m)
     _require_int(count, "count", 1)
     if count > m**domain.dim:
         raise InvalidParameterError(f"count={count} exceeds the basis size {m**domain.dim}")
@@ -332,7 +332,7 @@ def solve_buckling(domain, l, m, count):
     rectangle, m >= 6 on a box) is solved one class at a time; each of its
     vectors is then exactly zero outside one class.
     """
-    _check_request(domain, m, count)
+    _check_request(domain, l, m, count)
     forms = assemble_forms(domain, l, m)
     if m > CONDITIONING_NOTE:
         warnings.warn(

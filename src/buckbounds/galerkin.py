@@ -134,11 +134,11 @@ def derivative_integral_table(basis, orders):
 
     Returns ``(blocks, den)``: the integral of b_a^(j) * b_b^(j) over [0, 1]
     is ``blocks[j][a, b] / den``, with each block a fresh m x m integer
-    array and den = lcm(1, ..., 2(2l + m) - 1).  Only ``basis.l`` and
-    ``basis.m`` are read.  Orders run from 0 to l; beyond l the
-    integration-by-parts identities used downstream stop holding at the
-    boundary, so larger orders are refused, all of them before any block is
-    built.
+    array and den = lcm(1, ..., 2(2l + m) - 1).  The basis must be a
+    ``Basis1D``, which checked its l and m when it was made.  Orders run
+    from 0 to l; beyond l the integration-by-parts identities used
+    downstream stop holding at the boundary, so larger orders are refused,
+    all of them before any block is built.
 
     The integrals are taken in t = 2x - 1, on the integer rows
     2^(m-1) 4^l b_a of ``_basis_rows``, each holding only powers of the
@@ -166,6 +166,8 @@ def derivative_integral_table(basis, orders):
     their entries.  Orders are keys, so an interval's orders 1..l also
     serve a rectangle's.
     """
+    if not isinstance(basis, Basis1D):
+        raise InvalidParameterError(f"basis must be a Basis1D, got {type(basis).__name__}")
     l, m = basis.l, basis.m
     orders = set(orders)
     for j in orders:
@@ -220,6 +222,16 @@ def _integer_blocks(l, m, orders, den):
     return {j: block >> 4 * l + 2 * (m - 1) - v for j, block in blocks.items()}
 
 
+def _float_array(value, name):
+    # value as a float array, with what float() refuses raised as
+    # InvalidParameterError, and a complex array refused too: numpy would
+    # drop its imaginary part with only a warning
+    array = _converted(np.asarray, value, name)
+    if np.iscomplexobj(array):
+        raise InvalidParameterError(f"{name} must be real")
+    return _converted(functools.partial(np.asarray, dtype=float), array, name)
+
+
 class OperatorForms:
     """Form matrices A_1..A_l of one domain discretization, binary64, symmetric.
 
@@ -231,15 +243,15 @@ class OperatorForms:
 
     The constructor takes all l matrices and checks them once: it refuses
     with ``InvalidParameterError`` a domain that is not a ``Domain``, an l
-    or m that ``assemble_forms`` refuses, a count other than l, and any
-    matrix that does not convert to a finite, exactly symmetric float array
-    of shape (m**dim, m**dim).  So ``export_forms`` writes any forms it
-    accepts to a file that ``load_forms`` reads back bit for bit.  Forms
-    from ``assemble_forms`` hold the pencil (A_l, A_1) from the start; the
-    first read of any other order assembles it at this m, together with the
-    other orders of that read not yet built, and keeps it, so each later
-    read returns the same arrays.  A form that overflows binary64 raises
-    ``NumericalError`` on the read that builds it.
+    or m that ``assemble_forms`` refuses, a count other than l, a complex
+    matrix, and any matrix that does not convert to a finite, exactly
+    symmetric float array of shape (m**dim, m**dim).  So ``export_forms``
+    writes any forms it accepts to a file that ``load_forms`` reads back bit
+    for bit.  Forms from ``assemble_forms`` hold the pencil (A_l, A_1) from
+    the start; the first read of any other order assembles it at this m,
+    together with the other orders of that read not yet built, and keeps it,
+    so each later read returns the same arrays.  A form that overflows
+    binary64 raises ``NumericalError`` on the read that builds it.
     """
 
     def __init__(self, domain, l, m, matrices):
@@ -247,7 +259,7 @@ class OperatorForms:
         n = m**domain.dim
         forms = {}
         for k, mat in enumerate(matrices, start=1):
-            mat = _converted(functools.partial(np.asarray, dtype=float), mat, f"matrix {k}")
+            mat = _float_array(mat, f"matrix {k}")
             if mat.shape != (n, n) or not np.isfinite(mat).all() or not np.array_equal(mat, mat.T):
                 raise InvalidParameterError(f"matrix {k} is not a finite symmetric {n} x {n} array")
             forms[k] = mat
@@ -393,8 +405,10 @@ def _assemble(domain, basis, ks):
 
 
 def _checked_basis(domain, l, m):
-    # The basis of a checked request: a Domain, l and m that Basis1D takes,
-    # and a basis size m**dim within BASIS_CAP.
+    # The one check of a discretization request, which every entry point
+    # that takes one makes before its own rules: a Domain, l and m that
+    # Basis1D takes, and a basis size m**dim within BASIS_CAP.  Returns the
+    # basis.
     if not isinstance(domain, Domain):
         raise InvalidParameterError("domain must be a Domain instance")
     basis = build_basis_1d(l, m)
@@ -468,10 +482,10 @@ def load_forms(path):
     The file loads only when its first line is, byte for byte, the header
     that ``export_forms`` writes for the domain, l and m it names, and the
     rest is exactly l little-endian row-major binary64 matrices of size
-    m**dim.  Sizes above the caps of ``assemble_forms`` are refused, and the
-    length of the rest is checked, before any matrix is read; the matrices
-    are then checked by the ``OperatorForms`` constructor, which refuses any
-    that is not finite and exactly symmetric.
+    m**dim.  Its domain, l and m are checked as ``assemble_forms`` checks
+    them, caps included, and the length of the rest too, before any matrix
+    is read; the matrices are then checked by the ``OperatorForms``
+    constructor, which refuses any that is not finite and exactly symmetric.
     """
     _require_path(path)
     with open(path, "rb") as handle:
@@ -486,13 +500,8 @@ def load_forms(path):
             raise InvalidParameterError(f"unknown forms schema {header.get('schema')!r}")
         domain = Domain(header.get("domain"))
         l, m = header.get("l"), header.get("m")
-        _require_int(l, "l", 2)
-        _require_int(m, "m", 1)
+        _checked_basis(domain, l, m)
         n = m**domain.dim
-        if m > DEGREE_CAP or n > BASIS_CAP:
-            raise InvalidParameterError(
-                f"m={m}, dim={domain.dim} in {path} exceed the caps {DEGREE_CAP} and {BASIS_CAP}"
-            )
         if line != _header(domain, l, m):
             raise InvalidParameterError(
                 f"the header of {path} is not the one export_forms writes for its domain, l and m"

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .bounds import (
     BoundReport,
     eval_cor11,
@@ -36,8 +34,8 @@ from .bounds import (
     thm11_optimal_delta,
 )
 from .eigen import _check_request, _spectrum, solve_buckling
-from .errors import InvalidParameterError, _converted, _require_int
-from .galerkin import Domain, _leading_forms
+from .errors import InvalidParameterError, _require_int
+from .galerkin import Domain, _checked_basis, _float_array, _leading_forms
 
 NORMALIZATION_TOL = 1e-8
 LEMMA_SLACK = 1e-6
@@ -52,7 +50,7 @@ def rayleigh_quantities(vector, forms):
     The vector must be B-normalized: |x^T B x - 1| <= 1e-8.  r_1 is that
     normalization, so it always sits at 1 up to solver roundoff.
     """
-    x = _converted(lambda v: np.asarray(v, dtype=float), vector, "vector").reshape(-1)
+    x = _float_array(vector, "vector").reshape(-1)
     if x.shape[0] != forms.n_basis:
         raise InvalidParameterError(
             f"vector length {x.shape[0]} does not match the basis size {forms.n_basis}"
@@ -209,7 +207,7 @@ def _study(domain, l, m_values, counts):
     # counts[0] values, which no rung has fewer of.
     rungs = list(zip(m_values, counts))
     for mm, count in rungs:
-        _check_request(domain, mm, count)
+        _check_request(domain, l, mm, count)
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise InvalidParameterError(f"m_list must be strictly increasing, got {m_values}")
     finest = solve_buckling(domain, l, *rungs[-1])
@@ -278,21 +276,20 @@ def _ladder(m):
 def run_verification(domain, l, m, k_max):
     """Full verification at basis size m with a coarse ladder underneath it.
 
-    The request is checked before anything is solved, down to the
-    k_max + 1 <= m**n eigenvalues that the checks read.  The theorem
-    residuals are also scored at the next-coarser rung, which is no partner
-    when it holds fewer than k_max + 1 eigenvalues, and each check at the
-    finest rung gets the module's verdict: pass, inconclusive or failed.
+    The request is checked before anything is solved: its domain, l, m and
+    caps by galerkin's request check, then n >= 2 and the k_max + 1 <= m**n
+    eigenvalues that the checks read.  The theorem residuals are also scored
+    at the next-coarser rung, which is no partner when it holds fewer than
+    k_max + 1 eigenvalues, and each check at the finest rung gets the
+    module's verdict: pass, inconclusive or failed.
     """
-    if not isinstance(domain, Domain):
-        raise InvalidParameterError("domain must be a Domain instance")
+    _checked_basis(domain, l, m)
     _require_int(k_max, "k_max", 0)
     if domain.dim < 2:
         raise InvalidParameterError(
             "run_verification needs a rectangle or a box: the inequalities take n from "
             "the domain dimension and require n >= 2"
         )
-    _require_int(m, "m", 1)
     _require_eigenvalues(k_max, m**domain.dim)
     count = k_max + 1
     m_values = _ladder(m)

@@ -392,6 +392,49 @@ def eq112_weyl_limit_squared(n, l):
     return n * n * squares * squares / (4 * coeff * heavy * light)
 
 
+def thm11_weyl_limit(n, l):
+    """Large-k limit of thm11's lhs/rhs at its optimal delta on lam_i = i^p.
+
+    With p = 2(l-1)/n, t = i/k and the candidate lam_(k+1), the weights of
+    the delta optimization become, up to powers of k that cancel,
+    A(t) = coeff (1 - t^p)^2 t^a and B(t) = (1 - t^p) t^b, with a and b as in
+    ``eq112_weyl_limit_squared``, and the ratio tends to n S over the least
+    integral of delta A + B / delta over nonincreasing delta.  The
+    pointwise minimizer sqrt(B / A) is proportional to
+    sqrt(t^(b-a) / (1 - t^p)).  For l <= 3, b >= a and it rises, so one
+    constant delta is optimal and the limit is eq112's.  For l >= 4 it falls
+    until t^p = (a - b) / (p + a - b) and then rises: the optimal delta
+    follows it on [0, tau] and pools [tau, 1] at the pointwise value at
+    tau, so tau solves B / A = (int_tau^1 B) / (int_tau^1 A).  tau comes
+    from ``mpmath.findroot`` and the integrals from ``mpmath.quad``, at 20
+    digits.
+    """
+    if l <= 3:
+        return math.sqrt(eq112_weyl_limit_squared(n, l))
+    with mpmath.workdps(20):
+        p = mpmath.mpf(2 * (l - 1)) / n
+        a, b = p * (l - 2) / (l - 1), p / (l - 1)
+        coeff = mpmath.mpf((l - 1) * (3 * n + 6 * l - 8)) / 3
+
+        def heavy(t):
+            return coeff * (1 - t**p) ** 2 * t**a
+
+        def light(t):
+            return (1 - t**p) * t**b
+
+        def excess(tau):
+            return light(tau) / heavy(tau) - mpmath.quad(light, [tau, 1]) / mpmath.quad(
+                heavy, [tau, 1]
+            )
+
+        bottom = ((a - b) / (p + a - b)) ** (1 / p)
+        tau = mpmath.findroot(excess, (bottom / 1000, bottom), solver="anderson")
+        followed = mpmath.quad(lambda t: 2 * mpmath.sqrt(heavy(t) * light(t)), [0, tau])
+        pooled = 2 * mpmath.sqrt(mpmath.quad(heavy, [tau, 1]) * mpmath.quad(light, [tau, 1]))
+        squares = mpmath.quad(lambda t: (1 - t**p) ** 2, [0, 1])
+        return float(n * squares / (followed + pooled))
+
+
 def yang_quadratic_bound(lams, k, n, l):
     """Largest root of the gap quadratic, straight from the abc formula."""
     coeff = _euclidean_coefficient(n, l)

@@ -242,6 +242,25 @@ def test_eq112_equals_thm11_at_constant_optimal_delta():
     assert worst <= 1e-12
 
 
+def test_thm11_at_its_optimal_delta_is_eq112_up_to_order_three():
+    # b_i / a_i of the delta optimization is lam_i / (coeff g_i) at l = 2 and
+    # 1 / (coeff g_i) at l = 3, both rising in i, so every index pools into
+    # one constant delta: the one that gives the square-root form
+    rng = np.random.default_rng(34)
+    worst = 0.0
+    for _ in range(300):
+        for l in (2, 3):
+            spectrum = random_spectrum(rng, l=l, k=int(rng.integers(1, 30)))
+            k = spectrum.k
+            candidate = spectrum.values[-1] * float(rng.uniform(1.001, 3.0))
+            delta = thm11_optimal_delta(spectrum, k, candidate)
+            weighted = eval_thm11(spectrum, k, candidate, delta)
+            plain = eval_eq112(spectrum, k, candidate)
+            assert weighted.lhs == plain.lhs
+            worst = max(worst, abs(weighted.rhs - plain.rhs) / plain.rhs)
+    assert worst <= 1e-12
+
+
 def test_cor11_hand_instance():
     spectrum = Spectrum(values=(1.0, 2.0), n=2, l=2)
     report = eval_cor11(spectrum, 2, 4.0)
@@ -286,6 +305,27 @@ def test_eq112_ratio_rises_to_its_weyl_limit(n, l):
     for k in (25, 100, 400):
         values = tuple(i**p for i in range(1, k + 2))
         report = eval_eq112(Spectrum(values=values, n=n, l=l), k, values[k])
+        ratios.append(report.lhs / report.rhs)
+    assert ratios[0] < ratios[1] < ratios[2] < limit
+    assert limit - ratios[2] < 0.01 * limit
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_thm11_ratio_rises_to_its_weyl_limit(n, l):
+    # on lam_i = i^p, p = 2(l-1)/n, with the candidate lam_(k+1), thm11's
+    # lhs/rhs at its optimal delta rises with k toward the limit, 0.17-0.36%
+    # below it at k = 400; up to l = 3 that limit is eq112's
+    limit = oracles.thm11_weyl_limit(n, l)
+    if (n, l) == (2, 4):
+        assert limit == pytest.approx(0.757379, abs=1e-6)
+    p = 2 * (l - 1) / n
+    ratios = []
+    for k in (25, 100, 400):
+        values = tuple(i**p for i in range(1, k + 2))
+        spectrum = Spectrum(values=values, n=n, l=l)
+        delta = thm11_optimal_delta(spectrum, k, values[k])
+        report = eval_thm11(spectrum, k, values[k], delta)
         ratios.append(report.lhs / report.rhs)
     assert ratios[0] < ratios[1] < ratios[2] < limit
     assert limit - ratios[2] < 0.01 * limit
@@ -365,6 +405,24 @@ def test_optimize_delta_past_the_float_range_is_a_numerical_error():
     for a, b in (((1e-300,), (1e300,)), ((1e300,), (1e-300,))):
         with pytest.raises(NumericalError, match="^the minimizing delta leaves the float range$"):
             optimize_delta(a, b)
+
+
+def test_delta_objective_checks_its_input():
+    # unchecked, these would raise a bare TypeError and ZeroDivisionError,
+    # and return nan and inf
+    for delta, a, b, message in (
+        ([1.0], ["x"], [1.0], "^weights must be numeric and within the float range$"),
+        ([0.0], [1.0], [1.0], "^delta entries must be positive finite, got 0.0$"),
+        ([1.0], [math.nan], [1.0], "^weights must be positive finite, got nan$"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            delta_objective(delta, a, b)
+    # a term past the float range, and fsum's intermediate overflow
+    for delta, a, b in (([1e308], [1e308], [1.0]), ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0])):
+        with pytest.raises(NumericalError, match="^the objective leaves the float range$"):
+            delta_objective(delta, a, b)
+    # delta need not be monotone: rival deltas are scored too
+    assert delta_objective((1.0, 2.0), (1.0, 1.0), (1.0, 2.0)) == 5.0
 
 
 def test_delta_objective_refuses_mismatched_lengths():

@@ -322,6 +322,35 @@ def test_solve_generalized_validation():
         solve_generalized(np.eye(2), np.diag([1.0, -1.0]), 1)
 
 
+def test_complex_matrices_are_refused_not_truncated():
+    # numpy's float conversion would keep the real part with only a
+    # ComplexWarning, and the first pencil would solve to 2.0
+    with pytest.raises(InvalidParameterError, match="^A must be real$"):
+        solve_generalized(np.eye(2) * (2 + 5j), np.eye(2), 1)
+    with pytest.raises(InvalidParameterError, match="^B must be real$"):
+        solve_generalized(np.eye(2), [[1, 0], [0, 1 + 0j]], 1)
+    with pytest.raises(InvalidParameterError, match="^matrix must be real$"):
+        cholesky_spd(np.eye(2) * (1 + 1j))
+
+
+def test_solve_buckling_checks_l_and_the_caps_with_count(monkeypatch):
+    # the request's l, m and caps are galerkin's one check, made with the
+    # count check and before anything is assembled
+    def refuse(*args):
+        raise AssertionError("assembled forms for an invalid request")
+
+    monkeypatch.setattr(eigen, "assemble_forms", refuse)
+    box = Domain((1.0, 1.0, 1.0))
+    for domain, l, m, message in (
+        (box, 1, 2, "^l must be >= 2, got 1$"),
+        (box, 2, 9, r"^basis size m\*\*dim = 729 exceeds the supported cap 576$"),
+        (Domain.interval(1.0), 2, 25, "^m=25 exceeds the supported cap 24$"),
+        ("x", 2, 2, "^domain must be a Domain instance$"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            solve_buckling(domain, l, m, 1)
+
+
 def _assert_matches_referee(a_mat, b_mat, count):
     values, vectors = oracles.generalized_eigenpairs(a_mat, b_mat, count)
     try:

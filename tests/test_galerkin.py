@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_forms_constructor_refuses_what_export_could_not_load_back(tmp_path):
     export_forms(forms, tmp_path / "forms.bin")
     back = load_forms(tmp_path / "forms.bin")
     assert [mat.tobytes() for mat in back.matrices] == [mat.tobytes() for mat in forms.matrices]
+
+
+def test_forms_constructor_refuses_a_complex_matrix():
+    # numpy's float conversion would keep B = I and drop the imaginary part
+    # with only a ComplexWarning
+    interval = Domain.interval(1.0)
+    for matrix in (np.eye(2) * (1 + 1j), np.eye(2).astype(complex), [[1j, 0], [0, 1]]):
+        with pytest.raises(InvalidParameterError, match="^matrix 1 must be real$"):
+            OperatorForms(interval, 2, 2, [matrix] * 2)
+
+
+def test_table_takes_only_a_basis():
+    # anything else would be read for .l and .m unchecked: a tuple would
+    # raise AttributeError, a fractional l TypeError, and m = 10**5 would
+    # run past 15 s
+    for basis in ((2, 3), SimpleNamespace(l=2.5, m=3), SimpleNamespace(l=2, m=10**5)):
+        with pytest.raises(InvalidParameterError, match="^basis must be a Basis1D, got "):
+            derivative_integral_table(basis, [1])
 
 
 def test_forms_constructor_refuses_a_matrix_count_other_than_l():
@@ -612,7 +631,7 @@ def test_load_refuses_sizes_above_the_caps_before_reading(tmp_path, edges, m, n)
     path, header, data = _exported(tmp_path, edges=edges, l=2, m=2)
     header.update(domain=list(edges), m=m, n_basis=n)
     _rewrite(path, header, data)
-    with pytest.raises(InvalidParameterError, match="exceed the caps"):
+    with pytest.raises(InvalidParameterError, match="exceeds the supported cap"):
         load_forms(path)
 
 

@@ -40,6 +40,14 @@ def test_rayleigh_quantities_rejects_bad_vectors():
         rayleigh_quantities(vectors[:2, 0], spectrum.forms)
 
 
+def test_rayleigh_quantities_refuses_a_complex_vector():
+    # numpy's float conversion would keep the real part, which is B-normalized
+    spectrum = solve_buckling(Domain.interval(1.0), 2, 4, 1)
+    vector = np.asarray(spectrum.vectors)[:, 0] + 1j
+    with pytest.raises(InvalidParameterError, match="^vector must be real$"):
+        rayleigh_quantities(vector, spectrum.forms)
+
+
 def test_lemma_rows_are_trivial_at_order_two():
     spectrum = solve_buckling(Domain.rectangle(1.0, 1.0), 2, 4, 2)
     rows = check_lemma21(spectrum)
@@ -249,6 +257,25 @@ def test_run_verification_checks_the_request_before_solving(monkeypatch):
         run_verification(square, 2, 2, 9)
     with pytest.raises(InvalidParameterError, match="have 8$"):
         run_verification(Domain((1.0, 1.0, 1.0)), 2, 2, 8)
+
+
+def test_every_rung_is_checked_by_the_one_request_check(monkeypatch):
+    # run_verification and each ladder rung check l, m and the caps through
+    # galerkin's request check, before anything is assembled
+    def refuse(*args):
+        raise AssertionError("assembled forms for an invalid request")
+
+    monkeypatch.setattr(eigen, "assemble_forms", refuse)
+    box = Domain((1.0, 1.0, 1.0))
+    cap = r"^basis size m\*\*dim = 729 exceeds the supported cap 576$"
+    with pytest.raises(InvalidParameterError, match=cap):
+        run_verification(box, 2, 9, 1)
+    with pytest.raises(InvalidParameterError, match=cap):
+        convergence_study(box, 2, (2, 9), 1)
+    with pytest.raises(InvalidParameterError, match="^l must be >= 2, got 1$"):
+        run_verification(box, 1, 4, 1)
+    with pytest.raises(InvalidParameterError, match="^l must be an integer, got 2.5$"):
+        convergence_study(box, 2.5, (2, 4), 1)
 
 
 def test_run_verification_without_coarse_partners_is_inconclusive():
