@@ -27,6 +27,12 @@ thm11's rhs can overflow in units alone, when delta is far from its natural
 scale; its report then keeps the verdict and, where the rhs is finite at raw
 scale, gives the rhs, residual and tolerance there.
 
+One float-range rule holds for every public function here and for the
+spherical terms of ``polyrec``: a report side may read +-inf, and every
+other number returned (a bound, a delta, an objective, a spherical term) is
+finite, or the call raises ``NumericalError``.  ``errors._finite_sum`` is
+that rule for each sum that must stay finite.
+
 The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
 to just past a limit that their own inequality puts on every feasible
 candidate, walk it down from the top probe to the first sign change met,
@@ -100,6 +106,7 @@ from .errors import (
     NumericalError,
     SpectrumFormatError,
     _converted,
+    _finite_sum,
     _require_int,
     _require_path,
     _require_positive,
@@ -428,12 +435,14 @@ def eval_thm11(spectrum, k, candidate, delta):
 
 def _thm11_rhs(delta, gaps, coeff, heavy, light):
     # A delta that underflows to 0 makes its term g c / delta overflow, as
-    # one that overflows does its other term.
+    # one that overflows does its other term; every term is positive, so a
+    # sum that fsum finds past the float range is +inf too.  A zero gap adds
+    # nothing, also where its delta overflows and d g**2 would be inf * 0.
     try:
         return math.fsum(
-            d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy)
+            d * g * g * coeff * h for d, g, h in zip(delta, gaps, heavy) if g
         ) + math.fsum(g / d * c for d, g, c in zip(delta, gaps, light))
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         return math.inf
 
 
@@ -475,9 +484,13 @@ def optimize_delta(a, b):
     b = _require_positive_floats(b, "weights")
     if len(a) != len(b) or not a:
         raise InvalidParameterError("weight lists must be nonempty and of equal length")
-    delta = _pool_adjacent_violators(a, b)
+    return _minimizing_delta(_pool_adjacent_violators(a, b))
+
+
+def _minimizing_delta(delta):
+    # The DeltaSequence of a minimizer, whose entries must lie in (0, inf):
     # sqrt(sum b / sum a) is 0, inf or nan where a quotient or a sum leaves
-    # the float range
+    # the float range, and so is a minimizer scaled back from the units.
     if not all(0.0 < d < math.inf for d in delta):
         raise NumericalError("the minimizing delta leaves the float range")
     return DeltaSequence(tuple(delta))
@@ -516,15 +529,9 @@ def delta_objective(delta, a, b):
     b = _require_positive_floats(b, "weights")
     if len(values) != len(a) or len(a) != len(b):
         raise InvalidParameterError("objective needs matching lengths")
-    try:
-        total = math.fsum(d * ai for d, ai in zip(values, a)) + math.fsum(
-            bi / d for d, bi in zip(values, b)
-        )
-    except OverflowError:  # fsum's intermediate overflow
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError("the objective leaves the float range")
-    return total
+    return _finite_sum(
+        lambda: "the objective leaves the float range", map(mul, values, a), map(truediv, b, values)
+    )
 
 
 def thm11_optimal_delta(spectrum, k, candidate):
@@ -540,9 +547,8 @@ def thm11_optimal_delta(spectrum, k, candidate):
         return DeltaSequence((1.0,) * k)
     a = [g * g * coeff * h for g, h in zip(gaps[:kept], heavy)]
     b = [g * c for g, c in zip(gaps[:kept], light)]
-    head = [math.ldexp(d, tilt) for d in optimize_delta(a, b)]
-    tail = [head[-1]] * (k - kept)
-    return DeltaSequence(tuple(head + tail))
+    head = [_ldexp(d, tilt) for d in optimize_delta(a, b)]
+    return _minimizing_delta(head + [head[-1]] * (k - kept))
 
 
 def next_bound_cor11(spectrum, k):
@@ -727,16 +733,13 @@ def eval_thm12(spectrum, k, candidate, delta):
     delta = _as_delta(delta, k)
     values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
     gaps = [candidate - v for v in values]
-    # fsum raises on a finite sum past the float range, and on inf - inf
-    try:
-        lhs = math.fsum(g * g * w for g, w in zip(gaps, lhs_weights))
-        rhs = math.fsum(g * g * d * s for g, d, s in zip(gaps, delta, s_values)) + math.fsum(
-            g / d * c for g, d, c in zip(gaps, delta, light)
-        )
-    except (OverflowError, ValueError):
-        raise _out_of_range(candidate) from None
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise _out_of_range(candidate)
+    describe = lambda: _out_of_range(candidate)
+    lhs = _finite_sum(describe, (g * g * w for g, w in zip(gaps, lhs_weights)))
+    rhs = _finite_sum(
+        describe,
+        (g * g * d * s for g, d, s in zip(gaps, delta, s_values)),
+        (g / d * c for g, d, c in zip(gaps, delta, light)),
+    )
     return _report("thm12", k, lhs, rhs)
 
 
@@ -771,19 +774,13 @@ def next_bound_sphere(spectrum, k):
         # Positive finite factors: a weight of 0 or inf is an underflow or
         # overflow.
         if not (0.0 < min(a) and max(a) < math.inf and 0.0 < min(b) and max(b) < math.inf):
-            raise _out_of_range(x)
+            raise NumericalError(_out_of_range(x))
         delta = _pool_adjacent_violators(a, b)
         # A pooled block whose sum of a overflows gets delta 0, one whose sum
-        # of b overflows gets inf (nan when both do); fsum raises on a finite
-        # sum past the float range.
-        try:
-            lhs = math.fsum(map(mul, squares, lhs_weights))
-            rhs = math.fsum(map(mul, delta, a)) + math.fsum(map(truediv, b, delta))
-        except (ZeroDivisionError, OverflowError):
-            raise _out_of_range(x) from None
-        if not rhs < math.inf:
-            raise _out_of_range(x)
-        return lhs, rhs
+        # of b overflows gets inf (nan when both do).
+        describe = lambda: _out_of_range(x)
+        lhs = _finite_sum(describe, map(mul, squares, lhs_weights))
+        return lhs, _finite_sum(describe, map(mul, delta, a), map(truediv, b, delta))
 
     # A zero last gap leaves the (k-1)-th inequality at eigenvalue k, which
     # every buckling spectrum satisfies.
@@ -802,7 +799,8 @@ def next_bound_sphere(spectrum, k):
 
 
 def _out_of_range(x):
-    return NumericalError(f"the spherical weights at {x} leave the float range")
+    # the message of a spherical sum or weight past the float range at x
+    return f"the spherical weights at {x} leave the float range"
 
 
 def _sphere_cap(values, s_values, light):
@@ -857,7 +855,8 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     prior19 is the spherical single-weight form and uses ``delta_scalar``.
     Only meaningful at l = 2.  All three are decided in the Euclidean units
     like ``eval_cor11``; prior19 raises ``NumericalError`` when delta * lam
-    underflows to 0 at n = 2.
+    underflows to 0 at n = 2, and when its rhs is undefined in the float
+    range: weights past it of both signs, or one that is inf / inf.
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
@@ -866,13 +865,16 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     n = spectrum.n
     values = spectrum.values[:k]
     d = delta_scalar
+    # A zero gap adds nothing to either sum, also where its weight is not
+    # finite and g * g * inf would be nan.
     try:
         # n - 2 is added as an exact integer, so d lam + (n - 2) is 0 only
         # when d lam underflows
-        heavy = math.fsum(
+        heavy = [
             g * g * (d * v + d * d * (v - (n - 2)) / (4.0 * (d * v + (n - 2))))
             for g, v in zip(gaps, values)
-        )
+            if g
+        ]
     except ZeroDivisionError:
         raise NumericalError(
             f"the prior19 weight delta * lam + n - 2 underflows to 0 at delta = {d}"
@@ -880,12 +882,25 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     # prior19's weights are not homogeneous in lam, so they are taken of the
     # raw eigenvalues; the gaps carry 2**shift, and so does each light factor,
     # so that every term carries 4**shift
-    light = math.fsum(g * _ldexp(v + (n - 2) ** 2 / 4.0, shift) for g, v in zip(gaps, values)) / d
+    light = [g * _ldexp(v + (n - 2) ** 2 / 4.0, shift) for g, v in zip(gaps, values) if g]
+    rhs = _side_sum(heavy) + _side_sum(light) / d
+    if math.isnan(rhs):
+        raise NumericalError(f"the prior19 rhs at delta = {d} is undefined in the float range")
     # prior16 and prior18 are sum g**2 <= C sum g lam, like eval_cor11
     squares = math.fsum(g * g for g in gaps)
     tilted = math.fsum(map(mul, gaps, scaled))
     return [
         _report("prior16", k, squares, 4.0 * (n + 2.0) / (n * n) * tilted, shift),
         _report("prior18", k, squares, 4.0 * (n + 4.0 / 3.0) / (n * n) * tilted, shift),
-        _report("prior19", k, 2.0 * squares, heavy + light, shift),
+        _report("prior19", k, 2.0 * squares, rhs, shift),
     ]
+
+
+def _side_sum(terms):
+    # The fsum of a report side's terms, +inf where fsum finds a sum of
+    # nonnegative terms past the float range, and nan where the sum is
+    # undefined: terms of both signs past it, or inf - inf.
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.inf if all(t >= 0.0 for t in terms) else math.nan

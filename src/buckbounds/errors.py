@@ -6,11 +6,13 @@ The input checks that every module shares live here too, next to the
 with its scalar form ``_require_positive`` for positive finite reals, and
 ``_require_path`` for a file path.  A
 message shows a refused value through ``_shown``, which names its type where
-its ``repr`` cannot be built.
+its ``repr`` cannot be built.  ``_finite_sum`` is the one float-range rule of
+the sums that ``bounds`` and ``polyrec`` must keep finite: a sum that leaves
+the float range raises ``NumericalError``.
 """
 
 import os
-from math import inf
+from math import fsum, inf
 
 # _require_int refuses an integer this large in magnitude before formatting
 # it: str() raises ValueError past sys.get_int_max_str_digits() digits.
@@ -123,3 +125,20 @@ def _require_path(path):
         raise InvalidParameterError(
             f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
         )
+
+
+def _finite_sum(describe, first, *rest):
+    # The fsum of each part, added in order, or NumericalError(describe())
+    # where fsum raises or the total is not finite.  fsum raises OverflowError
+    # on a finite sum past the float range and on an integer too large for a
+    # float, ValueError on inf - inf, and a term's own ZeroDivisionError
+    # passes through it.  describe is called only on failure.
+    try:
+        total = fsum(first)
+        for part in rest:
+            total += fsum(part)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise NumericalError(describe()) from None
+    if not -inf < total < inf:  # NaN fails too
+        raise NumericalError(describe())
+    return total

@@ -19,14 +19,13 @@ q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     DomainViolationError,
     InvalidParameterError,
-    NumericalError,
+    _finite_sum,
     _require_int,
     _require_positive,
     _shown,
@@ -216,24 +215,20 @@ def h_term(l, n, lam):
     """
     lam = _require_positive(lam, "lam")
     coeffs = extract_a_coefficients(l, n)
-    # an integer past the float range raises OverflowError where it meets a
-    # float, and so does fsum on a finite sum past it; a product past it is inf
-    try:
-        value = (-1) ** l * (n - 2) ** (l - 2) + math.fsum(
-            ap * lam ** (j / (l - 1)) for j, ap in enumerate(coeffs.a_plus, start=1)
-        )
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"h_term at l={l}, n={n}, lam={lam} leaves the float range")
-    return value
+    # the sign term is added as a float, as int + float converts it
+    return _finite_sum(
+        lambda: f"h_term at l={l}, n={n}, lam={lam} leaves the float range",
+        ((-1) ** l * (n - 2) ** (l - 2),),
+        (ap * lam ** (j / (l - 1)) for j, ap in enumerate(coeffs.a_plus, start=1)),
+    )
 
 
 def s_term(l, n, lam):
     """Scalar term lam*(1 - 1/(lam**(1/(l-1)) - (n-2))) + h_term(l, n, lam).
 
     Requires lam**(1/(l-1)) > n - 2; otherwise the reciprocal is undefined
-    and a domain violation is raised.
+    and a domain violation is raised.  A term past the float range, as the
+    reciprocal of a subnormal root gap is, raises ``NumericalError``.
     """
     lam = _require_positive(lam, "lam")
     _require_int(l, "l", 2)
@@ -245,4 +240,8 @@ def s_term(l, n, lam):
             f"s_term requires lam**(1/(l-1)) > n - 2; got lam={lam} with "
             f"lam**(1/(l-1))={root} and n-2={n - 2}"
         )
-    return lam * (1.0 - 1.0 / gap) + h_term(l, n, lam)
+    return _finite_sum(
+        lambda: f"s_term at l={l}, n={n}, lam={lam} leaves the float range",
+        (lam * (1.0 - 1.0 / gap),),
+        (h_term(l, n, lam),),
+    )

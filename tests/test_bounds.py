@@ -207,6 +207,23 @@ def test_evaluators_decide_in_units_far_from_one():
     assert (report.rhs, report.tolerance) == (math.inf, math.inf)  # inf at raw scale too
 
 
+def test_thm11_rhs_past_the_float_range_in_units_is_inf():
+    # every rhs term is positive and finite in units, and fsum's overflow of
+    # their sum, a bare OverflowError before, is +inf; the rhs is inf at raw
+    # scale too
+    spectrum = Spectrum(values=(1e300, 1.0000000000000005e300, 1e302), n=2, l=30)
+    report = eval_thm11(spectrum, 3, 1e302, (1e5, 1e5, 1e5))
+    assert report.satisfied
+    assert (report.lhs, report.rhs, report.residual) == (math.inf, math.inf, -math.inf)
+
+
+def test_thm11_zero_gap_adds_nothing_where_its_delta_overflows_in_units():
+    # delta = 1e300 is inf in the units of l = 30; times the zero gap it made
+    # a nan rhs and a failed verdict where both sides are 0
+    report = eval_thm11(Spectrum(values=(1e300,), n=2, l=30), 1, 1e300, (1e300,))
+    assert (report.lhs, report.rhs, report.satisfied) == (0.0, 0.0, True)
+
+
 def test_candidate_must_dominate_kth_eigenvalue():
     spectrum = Spectrum(values=(1.0, 2.0), n=2, l=2)
     with pytest.raises(InvalidParameterError):
@@ -453,6 +470,14 @@ def test_thm11_optimal_delta_handles_zero_gaps():
     assert values[1] == values[2]
     flat = thm11_optimal_delta(Spectrum(values=(2.0, 2.0), n=2, l=2), 2, 2.0)
     assert tuple(flat) == (1.0, 1.0)
+
+
+def test_thm11_optimal_delta_past_the_float_range_at_raw_scale():
+    # the minimizer is finite in units, and scaling it back by 2**tilt
+    # passes the float range, where math.ldexp raised a bare OverflowError
+    spectrum = Spectrum(values=(1e-320,), n=2, l=60)
+    with pytest.raises(NumericalError, match="^the minimizing delta leaves the float range$"):
+        thm11_optimal_delta(spectrum, 1, 2e-320)
 
 
 # -- next-eigenvalue solvers, Euclidean
@@ -1261,6 +1286,28 @@ def test_l2_prior19_adds_n_minus_two_exactly():
     tiny = Spectrum(values=(1e-200, 2e-200), n=2, l=2)
     with pytest.raises(NumericalError, match="underflows to 0"):
         eval_l2_priors(tiny, 2, 3e-200, 1e-200)
+
+
+def test_l2_prior19_undefined_rhs_is_a_numerical_error():
+    # d**2 overflows at delta = 1e300: the weight of lam = 5 < n - 2 is -inf
+    # and that of lam = 600 is +inf, and fsum raised a bare ValueError
+    mixed = Spectrum(values=(5.0, 600.0), n=10, l=2)
+    with pytest.raises(NumericalError, match="^the prior19 rhs at delta = 1e\\+300 is undefined"):
+        eval_l2_priors(mixed, 2, 700.0, 1e300)
+    # a weight of inf / inf is nan, which the rhs read with a failed verdict
+    with pytest.raises(NumericalError, match="undefined in the float range"):
+        eval_l2_priors(Spectrum(values=(1e10, 2e10), n=2, l=2), 2, 3e10, 1e300)
+
+
+def test_l2_prior19_light_sum_past_the_float_range_in_units_is_inf():
+    # (n-2)**2/4 near 2**122 carries 2**shift in units; five such positive
+    # finite terms passed the float range, a bare OverflowError from fsum
+    report = eval_l2_priors(Spectrum(values=(1e-291,) * 5, n=2**62, l=2), 5, 1e-271)[2]
+    assert (report.rhs, report.satisfied) == (math.inf, True)
+    # a zero gap adds nothing where its light factor is inf in units, and
+    # 0 * inf made the rhs nan
+    report = eval_l2_priors(Spectrum(values=(1e-300, 2e-300), n=2**62, l=2), 2, 2e-300)[2]
+    assert (report.rhs, report.satisfied) == (math.inf, True)
 
 
 def test_thm11_order_two_matches_literal_oracle():

@@ -704,6 +704,10 @@ def _extreme_commands(tmp_path):
             yield ["bound", "next", "--method", method, "--spectrum", str(path)]
         yield ["bound", "next", "--method", "cor11", "--spectrum", str(path), "--k", "1", "--exact"]
         yield ["compare-l2", "--spectrum", str(path), "--candidate", "1e308", "--delta", "1e-300"]
+    # prior19 weights of -inf and +inf at delta = 1e300, as lam = 5 < n - 2
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("# n=10 l=2\n5\n600\n", encoding="ascii")
+    yield ["compare-l2", "--spectrum", str(mixed), "--candidate", "700", "--delta", "1e300"]
     for lambda1 in ("1e-320", "1e308"):
         for n, l in ((2, 2), (2**62, 301)):
             for method in ("cor11", "sharp"):

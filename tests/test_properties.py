@@ -1,4 +1,5 @@
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -7,23 +8,30 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from buckbounds import (
+    BoundReport,
     Domain,
     Spectrum,
     assemble_forms,
+    chain_bounds,
     convergence_study,
+    delta_objective,
     eval_cor11,
     eval_eq112,
+    eval_l2_priors,
     eval_thm11,
+    eval_thm12,
     format_spectrum_csv,
     next_bound_cor11,
     next_bound_sharp,
+    next_bound_sphere,
     optimize_delta,
     parse_spectrum,
     solve_buckling,
     thm11_optimal_delta,
 )
 from buckbounds.bounds import _largest_root, _sphere_cap
-from buckbounds.errors import BracketError, NumericalError
+from buckbounds.errors import BracketError, BuckBoundsError, NumericalError
+from buckbounds.polyrec import h_term, s_term
 
 import oracles
 
@@ -319,3 +327,67 @@ def test_largest_root_walk_matches_the_full_scan(start, span, cuts, levels):
     assert _largest_root(counted, start, limit) == root
     assert min(calls) == bracket[0]
     assert len(calls) == sum(p >= bracket[0] for p in probes) + bisections
+
+
+def _decades(low, high):
+    # positive floats m * 10**e with 1 <= m < 10 and low <= e <= high
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(low, high))
+
+
+@st.composite
+def extreme_bound_inputs(draw):
+    # A prefix at any scale from 1e-320 to 1e308, a candidate at, just above
+    # or far above its last eigenvalue, and a non-increasing delta from 1e-300
+    # to 1e300.
+    values = [draw(_decades(-320, 307))]
+    for ratio in draw(st.lists(st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5, 1e3]), max_size=3)):
+        values.append(min(values[-1] * ratio, sys.float_info.max))
+    top = values[-1]
+    candidate = draw(st.sampled_from([top, math.nextafter(top, math.inf), top * 1.5, top * 1e30]))
+    weights = st.lists(_decades(-300, 299), min_size=len(values), max_size=len(values))
+    delta = sorted(draw(weights), reverse=True)
+    n = draw(st.sampled_from([2, 3, 10]))
+    l = draw(st.sampled_from([2, 3, 5, 30, 80, 301]))
+    return tuple(values), n, l, min(candidate, sys.float_info.max), tuple(delta)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=extreme_bound_inputs())
+# a prior19 rhs of -inf + inf, a thm11 rhs whose positive terms overflow in
+# units, and a minimizing delta past the float range at raw scale
+@example(case=((5.0, 600.0), 10, 2, 700.0, (1e300, 1e300)))
+@example(case=((1e300, 1.0000000000000005e300, 1e302), 2, 30, 1e302, (1e5, 1e5, 1e5)))
+@example(case=((1e-320,), 2, 60, 2e-320, (1.0,)))
+def test_bound_functions_keep_the_float_range_rule(case):
+    # the bounds are homogeneous, so they are evaluated and solved at every
+    # scale: each public bound function, and each spherical term, raises
+    # only a BuckBoundsError, never a bare float exception, and what it
+    # returns is finite except a report side, which may read +-inf, not nan
+    values, n, l, candidate, delta = case
+    spectrum = Spectrum(values=values, n=n, l=l)
+    k = len(values)
+    calls = [
+        (eval_thm11, spectrum, k, candidate, delta),
+        (eval_eq112, spectrum, k, candidate),
+        (eval_cor11, spectrum, k, candidate),
+        (thm11_optimal_delta, spectrum, k, candidate),
+        (eval_thm12, spectrum, k, candidate, delta),
+        (eval_l2_priors, spectrum, k, candidate, delta[0]),
+        (next_bound_cor11, spectrum, k),
+        (next_bound_sharp, spectrum, k),
+        (next_bound_sphere, spectrum, k),
+        (chain_bounds, values[0], 3, n, l, "cor11"),
+        (chain_bounds, values[0], 3, n, l, "sharp"),
+        (delta_objective, delta, values, delta[::-1]),
+        *((term, l, n, v) for term in (h_term, s_term) for v in values),
+    ]
+    for function, *args in calls:
+        try:
+            result = function(*args)
+        except BuckBoundsError:
+            continue
+        for item in result if isinstance(result, list) else [result]:
+            if isinstance(item, BoundReport):
+                assert not any(map(math.isnan, (item.lhs, item.rhs, item.residual))), item
+            elif isinstance(item, float):
+                assert math.isfinite(item), (function.__name__, args, item)
