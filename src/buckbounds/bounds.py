@@ -27,6 +27,16 @@ thm11's rhs can overflow in units alone, when delta is far from its natural
 scale; its report then keeps the verdict and, where the rhs is finite at raw
 scale, gives the rhs, residual and tolerance there.
 
+A public function here is the boundary: it checks and converts each
+argument once, at its entry (``_check_k`` and ``_check_candidate`` hand back
+the prefix, n, l and the candidate as plain floats and ints), and then calls
+private kernels, which never call a public function and raise only
+``NumericalError``, ``InfeasibleSpectrumError``, ``BracketError`` and
+``InternalConsistencyError``.  ``chain_bounds`` loops the cor11 or sharp
+kernel over one growing float list, which is a checked prefix at every
+step, and the spherical functions read their s_terms from the kernel of
+``polyrec``.
+
 One float-range rule holds for every public function here and for the
 spherical terms of ``polyrec``: a report side may read +-inf, and every
 other number returned (a bound, a delta, an objective, a spherical term) is
@@ -95,7 +105,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, truediv
+from operator import mul, sub, truediv
 
 from .errors import (
     BracketError,
@@ -107,13 +117,14 @@ from .errors import (
     SpectrumFormatError,
     _converted,
     _finite_sum,
+    _real,
     _require_int,
     _require_path,
-    _require_positive,
     _require_positive_floats,
     _shown,
 )
-from .polyrec import s_term
+# s_term is imported only for perfbench's tracer, which replaces bounds.s_term
+from .polyrec import _require_index, _s_term, s_term  # noqa: F401
 
 RESIDUAL_TOLERANCE = 1e-9
 PROBES_PER_DOUBLING = 16
@@ -174,11 +185,8 @@ class Spectrum:
         values = _require_positive_floats(self.values, "eigenvalues")
         if not values:
             raise InvalidParameterError("a spectrum needs at least one eigenvalue")
-        previous = 0.0
-        for v in values:
-            if v < previous:
-                raise InvalidParameterError("eigenvalues must be nondecreasing")
-            previous = v
+        if any(b < a for a, b in zip(values, values[1:])):
+            raise InvalidParameterError("eigenvalues must be nondecreasing")
         object.__setattr__(self, "values", values)
 
     @property
@@ -243,11 +251,8 @@ class DeltaSequence:
         values = _require_positive_floats(self.values, "delta entries")
         if not values:
             raise InvalidParameterError("delta sequence must be nonempty")
-        previous = math.inf
-        for v in values:
-            if v > previous:
-                raise InvalidParameterError("delta entries must be non-increasing")
-            previous = v
+        if any(b > a for a, b in zip(values, values[1:])):
+            raise InvalidParameterError("delta entries must be non-increasing")
         object.__setattr__(self, "values", values)
 
     def __len__(self):
@@ -314,66 +319,59 @@ def _as_delta(delta, k):
 
 
 def _check_k(spectrum, k):
-    # The checks every bound function makes, directly or through
-    # _check_candidate, once per call: k, then n >= 2 (a Spectrum has l >= 2).
+    # The checks every bound function makes once, at its entry, directly or
+    # through _check_candidate: k, then n >= 2 (a Spectrum has l >= 2).  It
+    # returns what the kernels take: the first k eigenvalues, n and l.
     _require_int(k, "k", 1)
     if k > spectrum.k:
         raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
     _require_int(spectrum.n, "n", 2)
+    return spectrum.values[:k], spectrum.n, spectrum.l
 
 
 def _check_candidate(spectrum, k, candidate):
-    _check_k(spectrum, k)
-    candidate = _converted(float, candidate, "candidate")
+    # _check_k, and the candidate as a float at or above eigenvalue k
+    values, n, l = _check_k(spectrum, k)
+    candidate = _converted(_real, candidate, "candidate")
     if not math.isfinite(candidate):
         raise InvalidParameterError(f"candidate must be finite, got {candidate}")
-    if candidate < spectrum.values[k - 1]:
-        raise InvalidParameterError(
-            f"candidate {candidate} is below eigenvalue {k} = {spectrum.values[k - 1]}"
-        )
-    return candidate
+    if candidate < values[-1]:
+        raise InvalidParameterError(f"candidate {candidate} is below eigenvalue {k} = {values[-1]}")
+    return values, n, l, candidate
 
 
-def _unit_prefix(spectrum, k, top):
+def _unit_prefix(values, l, top):
     # The Euclidean units (module docstring): shift = 2 (l-1) w, which brings
-    # top near 1, and the first k eigenvalues times 2**shift.  The cor11
-    # solver, which has no candidate, takes its units from here.
-    l = spectrum.l
+    # top near 1, and the eigenvalues times 2**shift.  The cor11 solver,
+    # which has no candidate, takes its units from here.
     shift = -2 * (l - 1) * round(math.frexp(top)[1] / (2 * (l - 1)))
-    return shift, [math.ldexp(v, shift) for v in spectrum.values[:k]]
+    return shift, [math.ldexp(v, shift) for v in values]
 
 
-def _euclidean_units(spectrum, k, candidate):
-    # _unit_prefix at the candidate, which is validated, and the candidate's
-    # gaps to the first k eigenvalues, also times 2**shift.
-    candidate = _check_candidate(spectrum, k, candidate)
-    shift, scaled = _unit_prefix(spectrum, k, candidate)
+def _euclidean_units(values, l, candidate):
+    # _unit_prefix at the candidate, and its gaps to the eigenvalues, also
+    # times 2**shift.
+    shift, scaled = _unit_prefix(values, l, candidate)
     x = math.ldexp(candidate, shift)
     return shift, scaled, [x - v for v in scaled]
 
 
-def _euclidean_powers(spectrum, k, candidate):
+def _euclidean_powers(values, n, l, candidate):
     # _euclidean_units, then tilt = 2 (l-2) w, the coefficient as a float,
     # and the heavy powers lam**((l-2)/(l-1)) * 2**tilt and light powers
-    # lam**(1/(l-1)) * 4**w of the first k eigenvalues, each taken of the raw
+    # lam**(1/(l-1)) * 4**w of the eigenvalues, each taken of the raw
     # eigenvalue.  delta carries 2**-tilt in these units.
-    shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
-    l = spectrum.l
+    shift, scaled, gaps = _euclidean_units(values, l, candidate)
     tilt = (l - 2) * shift // (l - 1)
-    heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), tilt) for v in spectrum.values[:k]]
-    light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in spectrum.values[:k]]
-    return shift, tilt, scaled, gaps, float(_coefficient(spectrum.n, l)), heavy, light
-
-
-def _quadratic_constant(spectrum):
-    # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
-    # of the powers that _euclidean_powers computes; built once per (n, l),
-    # for a spectrum that _check_k has passed.
-    return _quadratic_constant_of(spectrum.n, spectrum.l)
+    heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), tilt) for v in values]
+    light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in values]
+    return shift, tilt, scaled, gaps, float(_coefficient(n, l)), heavy, light
 
 
 @lru_cache
-def _quadratic_constant_of(n, l):
+def _quadratic_constant(n, l):
+    # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
+    # of the powers that _euclidean_powers computes; built once per (n, l).
     return 4.0 * float(_coefficient(n, l)) / n**2
 
 
@@ -384,12 +382,11 @@ def _sqrt_form_sums(gaps, heavy, light):
     return math.fsum(squares), math.fsum(map(mul, squares, heavy)), math.fsum(map(mul, gaps, light))
 
 
-def _sphere_prefix(spectrum, k):
-    # The first k eigenvalues with their lhs weights, s_terms and plain-gap
-    # weights root + (n-2)**2/4, where every root = lam**(1/(l-1)) must
-    # exceed n - 2.
-    n, l = spectrum.n, spectrum.l
-    values = spectrum.values[:k]
+def _sphere_prefix(values, n, l):
+    # The lhs weights, s_terms and plain-gap weights root + (n-2)**2/4 of
+    # the eigenvalues, where every root = lam**(1/(l-1)) must exceed n - 2
+    # and l must be within the cap of the s_terms' coefficient table: the
+    # spherical functions' last checks, before the s_term kernel runs.
     quarter = (n - 2) ** 2 / 4.0
     lhs_weights, light = [], []
     for i, v in enumerate(values, start=1):
@@ -401,7 +398,8 @@ def _sphere_prefix(spectrum, k):
             )
         lhs_weights.append(2.0 + (n - 2) / (root - (n - 2)))
         light.append(root + quarter)
-    return values, lhs_weights, [s_term(l, n, v) for v in values], light
+    _require_index(l - 1, 1)
+    return lhs_weights, [_s_term(l, n, v) for v in values], light
 
 
 def eval_thm11(spectrum, k, candidate, delta):
@@ -411,19 +409,18 @@ def eval_thm11(spectrum, k, candidate, delta):
     coefficient from ``euclidean_coefficient`` times lam**((l-2)/(l-1)) and
     each plain gap to lam**(1/(l-1)) / delta.
     """
-    shift, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    shift, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(values, n, l, candidate)
     delta = _as_delta(delta, k)
-    lhs = spectrum.n * math.fsum(g * g for g in gaps)
+    lhs = n * math.fsum(g * g for g in gaps)
     rhs = _thm11_rhs([_ldexp(d, -tilt) for d in delta], gaps, coeff, heavy, light)
     report = _report("thm11", k, lhs, rhs, shift)
     if rhs == math.inf:
         # perhaps in units alone (module docstring); the lhs is then far
         # below the rhs at either scale, so the raw report keeps the verdict
-        values = spectrum.values[:k]
-        l = spectrum.l
         raw = _thm11_rhs(
             delta,
-            [float(candidate) - v for v in values],
+            [candidate - v for v in values],
             coeff,
             [v ** ((l - 2) / (l - 1)) for v in values],
             [v ** (1 / (l - 1)) for v in values],
@@ -453,10 +450,11 @@ def eval_eq112(spectrum, k, candidate):
     residual here equals the weighted residual at the optimal constant
     delta.
     """
-    shift, _, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    shift, _, _, gaps, coeff, heavy, light = _euclidean_powers(values, n, l, candidate)
     squares, t_heavy, t_light = _sqrt_form_sums(gaps, heavy, light)
     rhs = 2.0 * math.sqrt(coeff) * math.sqrt(t_heavy) * math.sqrt(t_light)
-    return _report("eq112", k, spectrum.n * squares, rhs, shift)
+    return _report("eq112", k, n * squares, rhs, shift)
 
 
 def eval_cor11(spectrum, k, candidate):
@@ -465,10 +463,11 @@ def eval_cor11(spectrum, k, candidate):
     Decided in the Euclidean units, like the quadratic priors of
     ``eval_l2_priors``.
     """
-    shift, values, gaps = _euclidean_units(spectrum, k, candidate)
-    big_c = _quadratic_constant(spectrum)
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    shift, scaled, gaps = _euclidean_units(values, l, candidate)
+    big_c = _quadratic_constant(n, l)
     lhs = math.fsum(g * g for g in gaps)
-    return _report("cor11", k, lhs, big_c * math.fsum(map(mul, gaps, values)), shift)
+    return _report("cor11", k, lhs, big_c * math.fsum(map(mul, gaps, scaled)), shift)
 
 
 def optimize_delta(a, b):
@@ -496,8 +495,16 @@ def _minimizing_delta(delta):
     return DeltaSequence(tuple(delta))
 
 
+def _minimizer(a, b, describe):
+    # optimize_delta's minimizer of weights computed in floats, where a
+    # weight of 0 or inf is an underflow or overflow: NumericalError(describe())
+    if not (0.0 < min(a) and max(a) < math.inf and 0.0 < min(b) and max(b) < math.inf):
+        raise NumericalError(describe())
+    return _pool_adjacent_violators(a, b)
+
+
 def _pool_adjacent_violators(a, b):
-    # optimize_delta's minimizer as a list, for weight lists it has validated.
+    # optimize_delta's minimizer as a list, for positive finite weights.
     blocks = []  # (sum_a, sum_b, count, value)
     for ai, bi in zip(a, b):
         sum_a, sum_b, count = ai, bi, 1
@@ -541,13 +548,15 @@ def thm11_optimal_delta(spectrum, k, candidate):
     indices are excluded from the optimization and inherit the last
     optimized value (1.0 when every gap vanishes).
     """
-    _, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, candidate)
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    _, tilt, _, gaps, coeff, heavy, light = _euclidean_powers(values, n, l, candidate)
     kept = sum(1 for g in gaps if g > 0.0)
     if kept == 0:
         return DeltaSequence((1.0,) * k)
     a = [g * g * coeff * h for g, h in zip(gaps[:kept], heavy)]
     b = [g * c for g, c in zip(gaps[:kept], light)]
-    head = [_ldexp(d, tilt) for d in optimize_delta(a, b)]
+    describe = lambda: "the minimizing delta leaves the float range"
+    head = [_ldexp(d, tilt) for d in _minimizer(a, b, describe)]
     return _minimizing_delta(head + [head[-1]] * (k - kept))
 
 
@@ -561,23 +570,27 @@ def next_bound_cor11(spectrum, k):
     It is solved in the Euclidean units, so only a bound beyond the float
     range raises ``NumericalError``.
     """
-    _check_k(spectrum, k)
-    top = spectrum.values[k - 1]
-    shift, values = _unit_prefix(spectrum, k, top)
-    big_c = _quadratic_constant(spectrum)
-    s1 = math.fsum(values)
-    s2 = math.fsum(v * v for v in values)
+    return _next_cor11(*_check_k(spectrum, k))
+
+
+def _next_cor11(values, n, l):
+    # next_bound_cor11 of a checked prefix: the kernel that chain_bounds loops
+    k, top = len(values), values[-1]
+    shift, scaled = _unit_prefix(values, l, top)
+    big_c = _quadratic_constant(n, l)
+    s1 = math.fsum(scaled)
+    s2 = math.fsum(v * v for v in scaled)
     root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
     if root is None:
         raise InfeasibleSpectrumError(
             "negative discriminant: no candidate satisfies the quadratic bound"
         )
-    if root < values[-1] * (1.0 - 1e-12):
+    if root < scaled[-1] * (1.0 - 1e-12):
         raise InfeasibleSpectrumError(
             f"largest root {math.ldexp(root, -shift)} lies below eigenvalue {k} = {top}"
         )
     try:
-        return math.ldexp(max(root, values[-1]), -shift)
+        return math.ldexp(max(root, scaled[-1]), -shift)
     except OverflowError:
         raise NumericalError(
             f"the quadratic bound after eigenvalue {k} = {top} exceeds the float range"
@@ -672,22 +685,26 @@ def next_bound_sharp(spectrum, k):
     the scale of the prefix: a prefix that fails it there is not a buckling
     spectrum prefix and is rejected before probing.
     """
-    _check_k(spectrum, k)
-    values = spectrum.values[:k]
-    shift, _, scaled, gaps, coeff, heavy, light = _euclidean_powers(spectrum, k, values[-1])
+    return _next_sharp(*_check_k(spectrum, k))
+
+
+def _next_sharp(values, n, l):
+    # next_bound_sharp of a checked prefix: the kernel that chain_bounds loops
+    k = len(values)
+    shift, _, scaled, gaps, coeff, heavy, light = _euclidean_powers(values, n, l, values[-1])
     # The gaps at eigenvalue k are d = lambda_k - lambda >= 0, and these are
     # the centered power sums of the sign certificate (module docstring).
     d2, hd2, cd1 = _sqrt_form_sums(gaps, heavy, light)
     # eval_eq112's test at eigenvalue k without its absolute floor: a purely
     # relative test gives the same verdict at every scale.
-    lhs, rhs = spectrum.n * d2, 2.0 * math.sqrt(coeff) * math.sqrt(hd2) * math.sqrt(cd1)
+    lhs, rhs = n * d2, 2.0 * math.sqrt(coeff) * math.sqrt(hd2) * math.sqrt(cd1)
     size = max(abs(lhs), abs(rhs))
     if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
         raise InfeasibleSpectrumError(
             f"the square-root form fails at eigenvalue {k} = {values[-1]} "
             f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
         )
-    scale = 2.0 * math.sqrt(coeff) / spectrum.n
+    scale = 2.0 * math.sqrt(coeff) / n
     last = scaled[-1]
     d1, h0, c0 = math.fsum(gaps), math.fsum(heavy), math.fsum(light)
     hd1 = math.fsum(map(mul, heavy, gaps))
@@ -715,7 +732,7 @@ def next_bound_sharp(spectrum, k):
 
     # Every candidate satisfies cor11, sum g**2 <= sum g C lambda (module
     # docstring), which ends the scan.
-    big_c = _quadratic_constant(spectrum)
+    big_c = _quadratic_constant(n, l)
     limit = _scan_limit(last, gaps, [big_c * v for v in scaled])
     return _largest_root(shortfall, values[-1], _ldexp(limit, -shift))
 
@@ -729,9 +746,9 @@ def eval_thm12(spectrum, k, candidate, delta):
     (lam**(1/(l-1)) + (n-2)**2/4) / delta_i.  It is scored at raw scale, so
     a side that leaves the float range raises ``NumericalError``.
     """
-    candidate = _check_candidate(spectrum, k, candidate)
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
     delta = _as_delta(delta, k)
-    values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
+    lhs_weights, s_values, light = _sphere_prefix(values, n, l)
     gaps = [candidate - v for v in values]
     describe = lambda: _out_of_range(candidate)
     lhs = _finite_sum(describe, (g * g * w for g, w in zip(gaps, lhs_weights)))
@@ -752,8 +769,8 @@ def next_bound_sphere(spectrum, k):
     unbounded and no finite bound exists.  Like the square-root solver it
     rejects a prefix whose form already fails at eigenvalue k itself.
     """
-    _check_k(spectrum, k)
-    values, lhs_weights, s_values, light = _sphere_prefix(spectrum, k)
+    values, n, l = _check_k(spectrum, k)
+    lhs_weights, s_values, light = _sphere_prefix(values, n, l)
     for i, s in enumerate(s_values):
         if s <= 0.0:
             raise InfeasibleSpectrumError(
@@ -771,14 +788,10 @@ def next_bound_sphere(spectrum, k):
         squares = [g * g for g in gaps]
         a = list(map(mul, squares, s_values))
         b = list(map(mul, gaps, light))
-        # Positive finite factors: a weight of 0 or inf is an underflow or
-        # overflow.
-        if not (0.0 < min(a) and max(a) < math.inf and 0.0 < min(b) and max(b) < math.inf):
-            raise NumericalError(_out_of_range(x))
-        delta = _pool_adjacent_violators(a, b)
+        describe = lambda: _out_of_range(x)
         # A pooled block whose sum of a overflows gets delta 0, one whose sum
         # of b overflows gets inf (nan when both do).
-        describe = lambda: _out_of_range(x)
+        delta = _minimizer(a, b, describe)
         lhs = _finite_sum(describe, map(mul, squares, lhs_weights))
         return lhs, _finite_sum(describe, map(mul, delta, a), map(truediv, b, delta))
 
@@ -791,11 +804,7 @@ def next_bound_sphere(spectrum, k):
             f"(residual {report.residual} above tolerance {report.tolerance})"
         )
 
-    def shortfall(x):
-        lhs, rhs = sides(x)
-        return lhs - rhs
-
-    return _largest_root(shortfall, values[-1], _sphere_cap(values, s_values, light))
+    return _largest_root(lambda x: sub(*sides(x)), values[-1], _sphere_cap(values, s_values, light))
 
 
 def _out_of_range(x):
@@ -828,17 +837,17 @@ def chain_bounds(lambda1, count, n, l, method):
     _require_int(count, "count", 1)
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
-    lambda1 = _require_positive(lambda1, "lambda1")
-    solvers = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}
-    if not isinstance(method, str) or method not in solvers:
+    (lambda1,) = _require_positive_floats((lambda1,), "lambda1")
+    kernels = {"cor11": _next_cor11, "sharp": _next_sharp}
+    if not isinstance(method, str) or method not in kernels:
         raise InvalidParameterError(
-            f"method must be one of {sorted(solvers)}, got {_shown(method)}"
+            f"method must be one of {sorted(kernels)}, got {_shown(method)}"
         )
-    solver = solvers[method]
+    # every entry is positive, finite and above the one before it, so the
+    # list is a checked prefix at each step
     values = [lambda1]
     for j in range(1, count):
-        spectrum = Spectrum(values=values, n=n, l=l, provenance="synthetic")
-        nxt = solver(spectrum, j)
+        nxt = kernels[method](values, n, l)
         if nxt <= values[-1]:
             raise InternalConsistencyError(
                 f"chain stalled at step {j}: bound {nxt} does not exceed {values[-1]}"
@@ -860,11 +869,9 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     """
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
-    shift, scaled, gaps = _euclidean_units(spectrum, k, candidate)
-    delta_scalar = _require_positive(delta_scalar, "delta")
-    n = spectrum.n
-    values = spectrum.values[:k]
-    d = delta_scalar
+    values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    shift, scaled, gaps = _euclidean_units(values, l, candidate)
+    (d,) = _require_positive_floats((delta_scalar,), "delta")
     # A zero gap adds nothing to either sum, also where its weight is not
     # finite and g * g * inf would be nan.
     try:

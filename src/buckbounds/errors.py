@@ -2,17 +2,25 @@
 
 The input checks that every module shares live here too, next to the
 ``InvalidParameterError`` they raise: ``_require_int`` for integer arguments,
-``_converted`` for a conversion to float, ``_require_positive_floats``
-with its scalar form ``_require_positive`` for positive finite reals, and
-``_require_path`` for a file path.  A
-message shows a refused value through ``_shown``, which names its type where
-its ``repr`` cannot be built.  ``_finite_sum`` is the one float-range rule of
-the sums that ``bounds`` and ``polyrec`` must keep finite: a sum that leaves
-the float range raises ``NumericalError``.
+``_converted`` for a conversion, ``_real`` for a conversion to float that
+refuses complex numbers, ``_require_positive_floats`` for positive finite
+reals, and ``_require_path`` for a file path.  A message shows a refused
+value through ``_shown``, which names its type where its ``repr`` cannot be
+built.  ``_finite_sum`` is the one float-range rule of the sums that
+``bounds`` and ``polyrec`` must keep finite: a sum that leaves the float
+range raises ``NumericalError``.
+
+In ``bounds`` and ``polyrec`` these checks run at the boundary: a public
+function checks and converts each argument once, at its entry, and then
+hands plain floats and ints to private kernels, which call no public
+function, check nothing again and raise only ``NumericalError`` (with its
+subclasses), ``InfeasibleSpectrumError`` and ``InternalConsistencyError``.
+``eigen`` and ``verify`` still check some arguments twice.
 """
 
 import os
 from math import fsum, inf
+from numbers import Complex, Real
 
 # _require_int refuses an integer this large in magnitude before formatting
 # it: str() raises ValueError past sys.get_int_max_str_digits() digits.
@@ -69,10 +77,7 @@ class BracketError(NumericalError):
 
 
 def _require_int(value, name, minimum):
-    # type() is bool matches isinstance(value, bool), as bool has no
-    # subclasses, and costs less: chain_bounds makes four checks a step with
-    # the cor11 solver and six with the sharp one
-    if type(value) is bool or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParameterError(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum or value >= _INT_LIMIT:
         if abs(value) >= _INT_LIMIT:
@@ -99,23 +104,22 @@ def _converted(convert, value, name):
         raise InvalidParameterError(f"{name} must be numeric and within the float range") from None
 
 
+def _real(value):
+    # float(value), which raises TypeError on a complex number: float()
+    # refuses a Python complex but keeps only the real part of a numpy
+    # complex scalar, with a ComplexWarning
+    if type(value) is not float and isinstance(value, Complex) and not isinstance(value, Real):
+        raise TypeError(f"{type(value).__name__} is not a real number")
+    return float(value)
+
+
 def _require_positive_floats(values, name):
-    # values as a tuple of floats, each finite and > 0
-    values = _converted(lambda items: tuple(map(float, items)), values, name)
+    # values as a tuple of floats, each real, finite and > 0
+    values = _converted(lambda items: tuple(map(_real, items)), values, name)
     for v in values:
         if not 0.0 < v < inf:  # NaN fails too
             raise InvalidParameterError(f"{name} must be positive finite, got {v}")
     return values
-
-
-def _require_positive(value, name):
-    # _require_positive_floats of one value, without the tuple that would
-    # cost five times the check: s_term and h_term check every eigenvalue
-    # of a spherical solve
-    value = _converted(float, value, name)
-    if not 0.0 < value < inf:
-        raise InvalidParameterError(f"{name} must be positive finite, got {value}")
-    return value
 
 
 def _require_path(path):

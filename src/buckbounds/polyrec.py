@@ -8,13 +8,16 @@ shared three-term recursion
 differing only in their seeds.  All coefficients stay exact integers; Python
 integers make overflow impossible.  The interior coefficients of the main
 family feed the scalar terms ``h_term`` and ``s_term`` used by the gap
-inequalities.  The argument checks used here live in ``errors``.
+inequalities.  The argument checks used here live in ``errors``; each public
+function makes them once, at its entry, and the private kernels ``_phi``,
+``_a_coefficients``, ``_h_term`` and ``_s_term`` check nothing again, so the
+spherical functions of ``bounds`` call ``_s_term`` once per eigenvalue.
 
 A member's cost grows about cubically in its index q, and faster with n, so
 q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
 ``fg_polynomials`` at the cap took 0.8 s and ``phi_polynomial`` 0.34 s on a
-2-vCPU host.  ``extract_a_coefficients``, and through it ``h_term`` and
-``s_term``, reach ``phi_polynomial`` at q = l - 1, so l is capped one above.
+2-vCPU host.  ``extract_a_coefficients``, ``h_term`` and ``s_term`` build
+phi_{l-1}, so each checks that l is at most one above the cap.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     _finite_sum,
     _require_int,
-    _require_positive,
+    _require_positive_floats,
     _shown,
 )
 
@@ -150,6 +153,11 @@ def phi_polynomial(q, n):
     """
     _require_index(q, 1)
     _require_int(n, "n", 2)
+    return _phi(q, n)
+
+
+def _phi(q, n):
+    # phi_polynomial of checked arguments
     first = Polynomial((-1, 1))
     if q == 1:
         return first
@@ -184,7 +192,6 @@ class ACoefficients:
     a_plus: tuple
 
 
-@lru_cache(maxsize=None)
 def extract_a_coefficients(l, n):
     """Read the alternating-sign interior coefficients out of phi_{l-1}.
 
@@ -199,7 +206,14 @@ def extract_a_coefficients(l, n):
     """
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
-    coeffs = phi_polynomial(l - 1, n).coefficients
+    _require_index(l - 1, 1)
+    return _a_coefficients(l, n)
+
+
+@lru_cache(maxsize=None)
+def _a_coefficients(l, n):
+    # extract_a_coefficients of checked arguments, built once per (l, n)
+    coeffs = _phi(l - 1, n).coefficients
     a = tuple((-1) ** (l - 1 - j) * coeffs[j] for j in range(1, l - 1))
     a_plus = tuple(max(v, 0) for v in a)
     return ACoefficients(l=l, n=n, a=a, a_plus=a_plus)
@@ -213,8 +227,16 @@ def h_term(l, n, lam):
     A sign term, a coefficient or a sum past the float range raises
     ``NumericalError``.
     """
-    lam = _require_positive(lam, "lam")
-    coeffs = extract_a_coefficients(l, n)
+    (lam,) = _require_positive_floats((lam,), "lam")
+    _require_int(l, "l", 2)
+    _require_int(n, "n", 2)
+    _require_index(l - 1, 1)
+    return _h_term(l, n, lam)
+
+
+def _h_term(l, n, lam):
+    # h_term of checked arguments
+    coeffs = _a_coefficients(l, n)
     # the sign term is added as a float, as int + float converts it
     return _finite_sum(
         lambda: f"h_term at l={l}, n={n}, lam={lam} leaves the float range",
@@ -230,18 +252,24 @@ def s_term(l, n, lam):
     and a domain violation is raised.  A term past the float range, as the
     reciprocal of a subnormal root gap is, raises ``NumericalError``.
     """
-    lam = _require_positive(lam, "lam")
+    (lam,) = _require_positive_floats((lam,), "lam")
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
     root = lam ** (1.0 / (l - 1))
-    gap = root - (n - 2)
-    if gap <= 0.0:
+    if root - (n - 2) <= 0.0:
         raise DomainViolationError(
             f"s_term requires lam**(1/(l-1)) > n - 2; got lam={lam} with "
             f"lam**(1/(l-1))={root} and n-2={n - 2}"
         )
+    _require_index(l - 1, 1)
+    return _s_term(l, n, lam)
+
+
+def _s_term(l, n, lam):
+    # s_term of checked arguments with lam**(1/(l-1)) > n - 2
+    gap = lam ** (1.0 / (l - 1)) - (n - 2)
     return _finite_sum(
         lambda: f"s_term at l={l}, n={n}, lam={lam} leaves the float range",
         (lam * (1.0 - 1.0 / gap),),
-        (h_term(l, n, lam),),
+        (_h_term(l, n, lam),),
     )

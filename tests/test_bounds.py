@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from buckbounds import (
     DeltaSequence,
+    Domain,
     DomainViolationError,
     InfeasibleSpectrumError,
+    InternalConsistencyError,
     InvalidParameterError,
     NumericalError,
     Spectrum,
@@ -472,6 +474,14 @@ def test_thm11_optimal_delta_handles_zero_gaps():
     assert tuple(flat) == (1.0, 1.0)
 
 
+def test_thm11_optimal_delta_underflowed_weight_is_a_numerical_error():
+    # the units weight g**2 coeff h of the subnormal eigenvalue underflows to
+    # 0; optimize_delta's input check refused it as a usage error
+    spectrum = Spectrum(values=(5e-324, 1e300), n=2, l=30)
+    with pytest.raises(NumericalError, match="^the minimizing delta leaves the float range$"):
+        thm11_optimal_delta(spectrum, 2, 1.5e300)
+
+
 def test_thm11_optimal_delta_past_the_float_range_at_raw_scale():
     # the minimizer is finite in units, and scaling it back by 2**tilt
     # passes the float range, where math.ldexp raised a bare OverflowError
@@ -725,8 +735,9 @@ def test_sphere_scan_past_the_float_range_names_a_finite_candidate(l):
 def _sharp_cap(spectrum, k):
     # where the sharp scan ends: _scan_limit with u = C lambda in the
     # Euclidean units of eigenvalue k, scaled back
-    shift, scaled, gaps = bounds._euclidean_units(spectrum, k, spectrum.values[k - 1])
-    big_c = bounds._quadratic_constant(spectrum)
+    values = spectrum.values[:k]
+    shift, scaled, gaps = bounds._euclidean_units(values, spectrum.l, values[-1])
+    big_c = bounds._quadratic_constant(spectrum.n, spectrum.l)
     limit = bounds._scan_limit(scaled[-1], gaps, [big_c * v for v in scaled])
     return bounds._ldexp(limit, -shift)
 
@@ -770,7 +781,7 @@ def test_sharp_cap_is_finite_without_a_cor11_root():
     spectrum = Spectrum(values=(1.0, 100.0), n=8, l=2)
     with pytest.raises(InfeasibleSpectrumError, match="negative discriminant"):
         next_bound_cor11(spectrum, 2)
-    big_c = bounds._quadratic_constant(spectrum)
+    big_c = bounds._quadratic_constant(8, 2)
     assert _sharp_cap(spectrum, 2) == pytest.approx(100.0 * (1.0 + big_c) - 49.5, rel=1e-15)
 
 
@@ -841,6 +852,85 @@ def test_chain_entries_do_not_bound_every_feasible_spectrum():
     beyond = next_bound_cor11(prefix, 2)
     assert beyond == pytest.approx(2.534798, rel=1e-6)
     assert beyond > chain[2]
+
+
+def _stepwise_chain(lambda1, count, n, l, method):
+    # chain_bounds rebuilt from the public solvers on Spectrum prefixes
+    solver = {"cor11": next_bound_cor11, "sharp": next_bound_sharp}[method]
+    values = [lambda1]
+    for j in range(1, count):
+        nxt = solver(Spectrum(values=tuple(values), n=n, l=l), j)
+        if nxt <= values[-1]:
+            raise InternalConsistencyError(
+                f"chain stalled at step {j}: bound {nxt} does not exceed {values[-1]}"
+            )
+        values.append(nxt)
+    return values
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+# sharp chains from 50.0 that raise BracketError
+DEFECT_CHAINS = ((3, 4), (4, 4), (4, 3), (5, 5))
+
+
+def test_chain_bounds_equals_the_public_stepwise_chain():
+    rng = np.random.default_rng(36)
+    cases = [("sharp", 50.0, n, l, 40) for n, l in DEFECT_CHAINS]
+    for method in ("cor11", "sharp"):
+        for start in (1.0, 12.5, 50.0, 1e-300, 1e200):
+            for _ in range(3):
+                n, l = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+                cases.append((method, start, n, l, 40 if method == "cor11" else 12))
+    raised = set()
+    for method, start, n, l, count in cases:
+        got = _outcome(chain_bounds, start, count, n, l, method)
+        assert got == _outcome(_stepwise_chain, start, count, n, l, method), (method, start, n, l)
+        if isinstance(got, tuple):
+            raised.add(got[0])
+    assert BracketError in raised
+
+
+def test_chain_bounds_builds_no_spectrum(monkeypatch):
+    built = []
+    check = Spectrum.__post_init__
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: built.append(self) or check(self))
+    Spectrum(values=(1.0,), n=2, l=2)
+    assert len(built) == 1
+    for method in ("cor11", "sharp"):
+        assert len(chain_bounds(12.5, 40, 2, 3, method)) == 40
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1 + 2j, np.complex64(1 + 2j), np.complex128(1 + 2j), np.clongdouble(1 + 2j), np.complex128(3.0)],
+    ids=["complex", "complex64", "complex128", "clongdouble", "complex128-real"],
+)
+def test_complex_values_are_refused_not_truncated(value):
+    # numpy's complex scalars convert to float with their imaginary part
+    # dropped, and only a ComplexWarning
+    for build, name in (
+        (lambda: Spectrum(values=(value,), n=2, l=2), "eigenvalues"),
+        (lambda: Domain((1.0, value)), "edge lengths"),
+        (lambda: optimize_delta((value,), (1.0,)), "weights"),
+        (lambda: optimize_delta((1.0,), (value,)), "weights"),
+        (lambda: delta_objective((value,), (1.0,), (1.0,)), "delta entries"),
+        (lambda: delta_objective((1.0,), (1.0,), (value,)), "weights"),
+        (lambda: DeltaSequence((value,)), "delta entries"),
+        (lambda: chain_bounds(value, 3, 2, 2, "cor11"), "lambda1"),
+        (lambda: eval_cor11(Spectrum(values=(0.5,), n=2, l=2), 1, value), "candidate"),
+        (lambda: eval_l2_priors(Spectrum(values=(0.5,), n=2, l=2), 1, 2.0, value), "delta"),
+        (lambda: s_term(2, 2, value), "lam"),
+    ):
+        message = f"^{name} must be numeric and within the float range$"
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
 
 
 def test_chain_bounds_validation():
@@ -1004,8 +1094,8 @@ def test_sphere_cap_bounds_the_oracle():
             next_bound_sphere(spectrum, k)
         except InfeasibleSpectrumError:
             continue
-        values, _, s_values, light = _sphere_prefix(spectrum, k)
-        cap = _sphere_cap(values, s_values, light)
+        _, s_values, light = _sphere_prefix(lams, n, l)
+        cap = _sphere_cap(lams, s_values, light)
         assert cap >= oracles.sphere_bound_oracle(lams, n, l, k) * (1.0 - 1e-12)
         checked += 1
     assert checked > 20
@@ -1223,9 +1313,9 @@ def test_sharp_solver_sums_its_prefix_once_at_eigenvalue_k(monkeypatch):
 
 
 def test_quadratic_constant_is_built_once_and_validated_every_call():
-    spectrum = Spectrum(values=(1.0, 2.0), n=3, l=4)
-    assert bounds._quadratic_constant(spectrum) is bounds._quadratic_constant(spectrum)
-    assert bounds._quadratic_constant(spectrum) == 4.0 * float(euclidean_coefficient(3, 4)) / 9
+    # built once per (n, l), which the public functions check before reading it
+    assert bounds._quadratic_constant(3, 4) is bounds._quadratic_constant(3, 4)
+    assert bounds._quadratic_constant(3, 4) == 4.0 * float(euclidean_coefficient(3, 4)) / 9
     # n is checked once per call, by the public function that reads C
     line = Spectrum(values=(1.0,), n=1, l=2)
     with pytest.raises(InvalidParameterError, match="^n must be >= 2, got 1$"):

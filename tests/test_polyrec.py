@@ -11,8 +11,10 @@ from buckbounds import (
     NumericalError,
     Polynomial,
     extract_a_coefficients,
+    Spectrum,
     fg_polynomials,
     h_term,
+    next_bound_sphere,
     phi_polynomial,
     polyrec,
     s_term,
@@ -180,6 +182,21 @@ def test_parameter_validation():
         phi_polynomial(2.5, 4)
 
 
+def test_order_and_dimension_are_checked_on_every_call():
+    # the coefficient table is cached by value, and 2.0 == 2 hit the entry
+    # of l = 2, so h_term(2.0, 2, 1.0) passed once h_term(2, 2, 1.0) had run
+    assert h_term(2, 2, 1.0) == 1.0
+    assert extract_a_coefficients(3, 4).a == (9,)
+    for call, message in (
+        (lambda: h_term(2.0, 2, 1.0), "l must be an integer, got 2.0"),
+        (lambda: h_term(2, 2.0, 1.0), "n must be an integer, got 2.0"),
+        (lambda: extract_a_coefficients(3.0, 4), "l must be an integer, got 3.0"),
+        (lambda: extract_a_coefficients(3, 4.0), "n must be an integer, got 4.0"),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            call()
+
+
 def test_index_cap():
     cap = polyrec.INDEX_CAP
     assert phi_polynomial(cap, 3).degree == cap
@@ -188,6 +205,9 @@ def test_index_cap():
         lambda: fg_polynomials(cap + 1, 3),
         lambda: extract_a_coefficients(cap + 2, 3),
         lambda: s_term(cap + 2, 3, 10.0),
+        lambda: h_term(cap + 2, 3, 10.0),
+        # the spherical functions check it before they call the s_term kernel
+        lambda: next_bound_sphere(Spectrum(values=(10.0,), n=3, l=cap + 2), 1),
     ):
         with pytest.raises(InvalidParameterError, match=f"^q={cap + 1} exceeds the supported cap"):
             call()
