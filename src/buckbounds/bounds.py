@@ -102,8 +102,6 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub, truediv
 
@@ -117,6 +115,7 @@ from .errors import (
     SpectrumFormatError,
     _converted,
     _finite_sum,
+    _Record,
     _real,
     _require_int,
     _require_path,
@@ -148,32 +147,49 @@ def euclidean_coefficient(n, l):
     """
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
-    return _coefficient(n, l)
+    return _exact_coefficient(n, l)
 
 
 @lru_cache
-def _coefficient(n, l):
+def _exact_coefficient(n, l):
     # euclidean_coefficient for validated integers, built once per (n, l).
-    # Every Euclidean evaluation and solve reads it.
+    # fractions is imported here, by the only caller that needs the exact
+    # value, so that the bound commands of the CLI start without it.
+    from fractions import Fraction
+
     return Fraction((l - 1) * (3 * n + 6 * l - 8), 3)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+def _coefficient(n, l):
+    # The coefficient as a float, for validated integers: int true division
+    # rounds the exact quotient once, so this is float(euclidean_coefficient)
+    # bit for bit.  Every Euclidean evaluation and solve reads it.
+    return (l - 1) * (3 * n + 6 * l - 8) / 3
+
+
+class Spectrum(_Record):
     """Ascending positive eigenvalues with their origin.
 
     ``provenance`` is one of computed (solved here, with eigenvectors and
     forms retained), synthetic (constructed numbers), or file (parsed from a
     spectrum file).  Only computed spectra may claim theorem verification.
+    ``vectors``, ``forms`` and ``m`` take no part in equality, and ``repr``
+    leaves out ``vectors`` and ``forms``.
     """
 
-    values: tuple
-    n: int
-    l: int
-    provenance: str = "synthetic"
-    vectors: object = field(default=None, compare=False, repr=False)
-    forms: object = field(default=None, compare=False, repr=False)
-    m: object = field(default=None, compare=False)
+    _fields = ("values", "n", "l", "provenance", "vectors", "forms", "m")
+    _uncompared = ("vectors", "forms", "m")
+    _unshown = ("vectors", "forms")
+
+    def __init__(self, values, n, l, provenance="synthetic", vectors=None, forms=None, m=None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_int(self.n, "n", 1)
@@ -241,11 +257,14 @@ def format_spectrum_csv(spectrum):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(_Record):
     """Positive non-increasing weight sequence."""
 
-    values: tuple
+    _fields = ("values",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         values = _require_positive_floats(self.values, "delta entries")
@@ -262,8 +281,7 @@ class DeltaSequence:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Outcome of scoring one inequality at one candidate.
 
     ``residual`` is lhs - rhs; the inequality is satisfied when the residual
@@ -271,16 +289,19 @@ class BoundReport:
     evaluators return reports; the solvers return the bound as a float.
     """
 
-    method: str
-    k: int
-    lhs: float
-    rhs: float
-    residual: float
-    tolerance: float
-    satisfied: bool
+    _fields = ("method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied")
+
+    def __init__(self, method, k, lhs, rhs, residual, tolerance, satisfied):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "satisfied", satisfied)
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _report(method, k, lhs, rhs, shift=0):
@@ -365,14 +386,14 @@ def _euclidean_powers(values, n, l, candidate):
     tilt = (l - 2) * shift // (l - 1)
     heavy = [math.ldexp(v ** ((l - 2) / (l - 1)), tilt) for v in values]
     light = [math.ldexp(v ** (1 / (l - 1)), shift // (l - 1)) for v in values]
-    return shift, tilt, scaled, gaps, float(_coefficient(n, l)), heavy, light
+    return shift, tilt, scaled, gaps, _coefficient(n, l), heavy, light
 
 
 @lru_cache
 def _quadratic_constant(n, l):
     # C = 4 * coefficient / n**2 of the quadratic corollary, which needs none
     # of the powers that _euclidean_powers computes; built once per (n, l).
-    return 4.0 * float(_coefficient(n, l)) / n**2
+    return 4.0 * _coefficient(n, l) / n**2
 
 
 def _sqrt_form_sums(gaps, heavy, light):

@@ -14,17 +14,16 @@ numpy loads only for ``solve`` and ``verify``, and scipy only when they reach
 the eigensolver: ``solve_buckling``, ``Domain`` and ``run_verification`` are
 module attributes that the package resolves on first use.  The commands look
 these and the ``next_bound_*`` solvers up by name, so they call whatever
-those attributes hold at call time.
+those attributes hold at call time.  ``json`` loads only for ``--json``
+output and ``fractions`` only for ``bound next --exact``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import warnings
-from fractions import Fraction
 
 from .bounds import (
     _read_ascii,
@@ -112,20 +111,24 @@ def _any_int_length():
         sys.set_int_max_str_digits(limit)
 
 
+def _print_json(data):
+    import json
+
+    print(json.dumps(data))
+
+
 def _cmd_phi(args):
     poly = phi_polynomial(args.q, args.n)
     with _any_int_length():
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "schema": 1,
-                        "q": args.q,
-                        "n": args.n,
-                        "degree": poly.degree,
-                        "coefficients": list(poly.coefficients),
-                    }
-                )
+            _print_json(
+                {
+                    "schema": 1,
+                    "q": args.q,
+                    "n": args.n,
+                    "degree": poly.degree,
+                    "coefficients": list(poly.coefficients),
+                }
             )
         elif args.exact:
             print(" ".join(str(c) for c in poly.coefficients))
@@ -149,17 +152,15 @@ def _cmd_solve(args):
     edges = _parse_edges(args.domain, args.dim)
     spectrum = _lazy("solve_buckling")(_lazy("Domain")(edges), args.l, args.degree, args.count)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "n": spectrum.n,
-                    "l": spectrum.l,
-                    "m": spectrum.m,
-                    "domain": list(edges),
-                    "eigenvalues": list(spectrum.values),
-                }
-            )
+        _print_json(
+            {
+                "schema": 1,
+                "n": spectrum.n,
+                "l": spectrum.l,
+                "m": spectrum.m,
+                "domain": list(edges),
+                "eigenvalues": list(spectrum.values),
+            }
         )
     elif args.csv:
         sys.stdout.write(format_spectrum_csv(spectrum))
@@ -170,6 +171,8 @@ def _cmd_solve(args):
 
 
 def _exact_next_bound(spectrum, k, method):
+    from fractions import Fraction
+
     if method not in ("cor11", "sharp") or k != 1:
         raise InvalidParameterError("--exact is only available for k=1 with method cor11 or sharp")
     coeff = euclidean_coefficient(spectrum.n, spectrum.l)
@@ -215,7 +218,7 @@ def _cmd_verify(args):
     edges = _parse_edges(args.domain, args.dim)
     report = _lazy("run_verification")(_lazy("Domain")(edges), args.l, args.degree, args.kmax)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        _print_json(report.to_dict())
     else:
         print(
             f"domain = {'x'.join(_num(e) for e in report.domain.edges)}  "

@@ -16,15 +16,77 @@ hands plain floats and ints to private kernels, which call no public
 function, check nothing again and raise only ``NumericalError`` (with its
 subclasses), ``InfeasibleSpectrumError`` and ``InternalConsistencyError``.
 ``eigen`` and ``verify`` still check some arguments twice.
+
+The package's eleven records (``Spectrum``, ``BoundReport``, ``Domain`` and
+the rest) derive from ``_Record`` here and are not built with ``@dataclass``,
+so that the light CLI commands start faster.  The dataclass module loads
+``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
+``@dataclass`` builds each class's methods from generated source when the
+class is made.  On a shared 2-vCPU host with Python 3.11, importing the
+dataclass module took 6.4 ms, and the five records of ``bounds`` and
+``polyrec`` took about 3 ms more.  With ``fractions`` loaded beforehand,
+``import buckbounds`` took 11.2 ms with ``@dataclass`` records and 1.6 ms
+with ``_Record``; these are medians of 21 fresh processes.  Each record
+writes its own ``__init__`` with explicit parameters: a generic
+``*args, **kwargs`` one that maps the arguments onto ``_fields`` took
+5.4 us to build a 3-value ``Spectrum``, against 3.6 us.
 """
 
 import os
 from math import fsum, inf
 from numbers import Complex, Real
+from operator import attrgetter
 
 # _require_int refuses an integer this large in magnitude before formatting
 # it: str() raises ValueError past sys.get_int_max_str_digits() digits.
 _INT_LIMIT = 2**63
+
+
+class _Record:
+    """Base of a frozen record, with the behaviour of a frozen dataclass.
+
+    A record lists its fields in ``_fields``, in ``__init__`` order, and its
+    ``__init__`` stores each through ``object.__setattr__``.  ``==`` and
+    ``hash`` read the fields not named in ``_uncompared`` and ``repr`` those
+    not named in ``_unshown``; equality needs the same class.  Assignment and
+    deletion raise ``AttributeError``.  Instances keep a ``__dict__``, so
+    pickle and deepcopy restore them without calling ``__init__``.
+    """
+
+    _fields = ()
+    _uncompared = ()
+    _unshown = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        compared = [f for f in cls._fields if f not in cls._uncompared]
+        # _key(record) is the tuple of the compared fields: attrgetter returns
+        # that tuple for two or more names, and the bare value for one.
+        get = attrgetter(*compared)
+        cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._unshown)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self):
+        # The fields by name, in _fields order.
+        return {f: getattr(self, f) for f in self._fields}
 
 
 class BuckBoundsError(Exception):

@@ -50,7 +50,6 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
@@ -60,6 +59,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
     _converted,
+    _Record,
     _require_int,
     _require_path,
     _require_positive_floats,
@@ -69,15 +69,18 @@ DEGREE_CAP = 24
 BASIS_CAP = DEGREE_CAP**2  # the largest N a rectangle reaches; m <= 8 on a box
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Record):
     """Axis-aligned box [0, e_1] x ... x [0, e_n] with 1 to 3 edges.
 
     One edge is an interval, two a rectangle and three a box; n = ``dim``
     is the dimension the paper's inequalities take.
     """
 
-    edges: tuple
+    _fields = ("edges",)
+
+    def __init__(self, edges):
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         edges = _require_positive_floats(self.edges, "edge lengths")
@@ -98,8 +101,7 @@ class Domain:
         return cls((a, b))
 
 
-@dataclass(frozen=True)
-class Basis1D:
+class Basis1D(_Record):
     """The clamped basis b_0..b_(m-1) on [0, 1] for boundary order l.
 
     It holds only l and m, and checks them when it is made: l >= 2 and
@@ -107,8 +109,12 @@ class Basis1D:
     the integer rows of ``_basis_rows(l, m)``, which the 1D table integrates.
     """
 
-    l: int
-    m: int
+    _fields = ("l", "m")
+
+    def __init__(self, l, m):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_int(self.l, "l", 2)

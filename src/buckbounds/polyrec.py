@@ -22,28 +22,31 @@ phi_{l-1}, so each checks that l is at most one above the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     DomainViolationError,
     InvalidParameterError,
     _finite_sum,
+    _Record,
     _require_int,
     _require_positive_floats,
     _shown,
 )
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Dense univariate polynomial with exact integer coefficients.
 
     Coefficients are stored ascending by power.  The zero polynomial is
     disallowed; the leading coefficient is always nonzero.
     """
 
-    coefficients: tuple
+    _fields = ("coefficients",)
+
+    def __init__(self, coefficients):
+        object.__setattr__(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self):
         coeffs = tuple(self.coefficients)
@@ -178,18 +181,20 @@ def fg_polynomials(q, n):
     return tuple(_advance(n, _ONE, seed, q - 1) for seed in seeds)
 
 
-@dataclass(frozen=True)
-class ACoefficients:
+class ACoefficients(_Record):
     """Interior coefficients a_1..a_{l-2} of the degree-(l-1) family member.
 
     ``a_plus`` holds the clipped values max(a_j, 0) that enter the scalar
     terms.  Empty tuples at l = 2.
     """
 
-    l: int
-    n: int
-    a: tuple
-    a_plus: tuple
+    _fields = ("l", "n", "a", "a_plus")
+
+    def __init__(self, l, n, a, a_plus):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_plus", a_plus)
 
 
 def extract_a_coefficients(l, n):

@@ -24,18 +24,16 @@ Any other violation fails.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 from .bounds import (
-    BoundReport,
     eval_cor11,
     eval_eq112,
     eval_thm11,
     thm11_optimal_delta,
 )
 from .eigen import _check_request, _spectrum, solve_buckling
-from .errors import InvalidParameterError, _require_int
-from .galerkin import Domain, _checked_basis, _float_array, _leading_forms
+from .errors import InvalidParameterError, _Record, _require_int
+from .galerkin import _checked_basis, _float_array, _leading_forms
 
 NORMALIZATION_TOL = 1e-8
 LEMMA_SLACK = 1e-6
@@ -61,16 +59,18 @@ def rayleigh_quantities(vector, forms):
     return [norm] + [float(x @ forms.matrices[k - 1] @ x) for k in range(2, forms.l)]
 
 
-@dataclass(frozen=True)
-class LemmaRow:
+class LemmaRow(_Record):
     """One intermediate-power check: 0 <= r_k <= lam**((k-1)/(l-1))."""
 
-    i: int
-    k: int
-    value: float
-    bound: float
-    margin: float
-    passed: bool
+    _fields = ("i", "k", "value", "bound", "margin", "passed")
+
+    def __init__(self, i, k, value, bound, margin, passed):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "passed", passed)
 
 
 def check_lemma21(solution):
@@ -133,8 +133,7 @@ def check_theorem11(spectrum, k_max):
     return reports
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(_Record):
     """Eigenvalue estimates per basis size with simple acceleration data.
 
     ``monotone`` flags per eigenvalue index whether estimates never rose as
@@ -143,11 +142,14 @@ class ConvergenceTable:
     basis size whose relative change from its predecessor fell below 1e-7.
     """
 
-    m_values: tuple
-    eigenvalues: tuple
-    monotone: tuple
-    extrapolated: tuple
-    converged_at: tuple
+    _fields = ("m_values", "eigenvalues", "monotone", "extrapolated", "converged_at")
+
+    def __init__(self, m_values, eigenvalues, monotone, extrapolated, converged_at):
+        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "monotone", monotone)
+        object.__setattr__(self, "extrapolated", extrapolated)
+        object.__setattr__(self, "converged_at", converged_at)
 
 
 def _extrapolate(history):
@@ -215,26 +217,38 @@ def _study(domain, l, m_values, counts):
     return spectra, _table_from_rows(m_values, [s.values[: counts[0]] for s in spectra])
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """A scored inequality plus its verdict: pass, inconclusive, or failed."""
+class TheoremCheck(_Record):
+    """A scored inequality plus its verdict: pass, inconclusive, or failed.
 
-    report: BoundReport
-    verdict: str
+    ``report`` is the ``BoundReport`` of the inequality.
+    """
+
+    _fields = ("report", "verdict")
+
+    def __init__(self, report, verdict):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Everything one verification run asserted, plus the overall outcome."""
+class VerificationReport(_Record):
+    """Everything one verification run asserted, plus the overall outcome.
 
-    domain: Domain
-    l: int
-    m: int
-    count: int
-    checks: tuple
-    lemma_rows: tuple
-    convergence: ConvergenceTable
-    passed: bool
+    ``domain`` is the ``Domain`` verified, ``checks`` and ``lemma_rows`` are
+    tuples of ``TheoremCheck`` and ``LemmaRow``, and ``convergence`` is the
+    ``ConvergenceTable`` of the ladder.
+    """
+
+    _fields = ("domain", "l", "m", "count", "checks", "lemma_rows", "convergence", "passed")
+
+    def __init__(self, domain, l, m, count, checks, lemma_rows, convergence, passed):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "lemma_rows", lemma_rows)
+        object.__setattr__(self, "convergence", convergence)
+        object.__setattr__(self, "passed", passed)
 
     def to_dict(self):
         return {
@@ -247,7 +261,7 @@ class VerificationReport:
             "theorem_checks": [
                 dict(check.report.to_dict(), verdict=check.verdict) for check in self.checks
             ],
-            "lemma_rows": [asdict(row) for row in self.lemma_rows],
+            "lemma_rows": [row._asdict() for row in self.lemma_rows],
             "convergence": {
                 "m": list(self.convergence.m_values),
                 "eigenvalues": [list(row) for row in self.convergence.eigenvalues],

@@ -153,6 +153,19 @@ def test_coefficient_is_built_once_and_validated_every_call():
             euclidean_coefficient(n, l)
 
 
+def test_kernel_coefficient_is_the_exact_one_rounded():
+    # The kernels read the coefficient as the int quotient
+    # (l-1)(3n+6l-8) / 3, which Python rounds correctly, as float() of the
+    # Fraction does: the two agree bit for bit, out to n near 2**63.
+    for n in [*range(2, 13), 2**31 - 1, 2**62, 2**63 - 1]:
+        for l in range(2, 302):
+            exact = euclidean_coefficient(n, l)
+            assert isinstance(exact, Fraction)
+            value = bounds._coefficient(n, l)
+            assert type(value) is float
+            assert value == float(exact), (n, l)
+
+
 # -- inequality evaluators, hand instances
 
 

@@ -226,6 +226,61 @@ def test_light_subcommands_never_load_numpy(tmp_path):
     assert report["drivers"] == [True, True]
 
 
+# The standard-library modules that the light subcommands do without: the
+# records are not dataclasses (dataclasses loads inspect), the bound kernels
+# read their coefficient as a float (fractions loads decimal), and json loads
+# only for --json output.
+HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "json")
+
+# Imports the package, then runs the light subcommands given as arguments
+# (one per argument, its words separated by tabs), in a fresh interpreter
+# that itself imports none of HEAVY_STDLIB, and prints with print() which of
+# them each stage loaded and the exit codes.
+STDLIB_PROBE = """
+import contextlib, io, sys
+heavy = sys.argv[1].split(",")
+before = sorted(set(heavy) & set(sys.modules))
+import buckbounds
+package = sorted(set(heavy) & set(sys.modules))
+from buckbounds import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.dispatch(argv.split("\\t")) for argv in sys.argv[2:]]
+print(before)
+print(package)
+print(sorted(set(heavy) & set(sys.modules)))
+print(codes)
+"""
+
+
+def test_light_subcommands_load_no_heavy_stdlib_module(tmp_path):
+    two = tmp_path / "two.csv"
+    two.write_text("# n=2 l=2\n1.0\n2.0\n", encoding="ascii")
+    sphere = tmp_path / "sphere.csv"
+    sphere.write_text("# n=3 l=3\n9.0\n16.0\n", encoding="ascii")
+    runs = [
+        ["phi", "--q", "3", "--n", "4"],
+        ["coeffs", "--l", "4", "--n", "2"],
+        ["bound", "next", "--method", "cor11", "--spectrum", str(two)],
+        ["bound", "next", "--method", "sharp", "--spectrum", str(two), "--k", "1"],
+        ["bound", "next", "--method", "sphere", "--spectrum", str(sphere)],
+        ["bound", "chain", "--lambda1", "1.0", "--count", "4", "--n", "2", "--l", "3", "--method", "sharp"],
+        ["bound", "chain", "--lambda1", "2.0", "--count", "4", "--n", "3", "--l", "2", "--method", "cor11"],
+        ["compare-l2", "--spectrum", str(two), "--candidate", "4.0"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, ",".join(HEAVY_STDLIB)]
+        + ["\t".join(argv) for argv in runs],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    before, package, light, codes = result.stdout.splitlines()
+    assert before == "[]"  # the probe's own imports load none of them
+    assert package == "[]"
+    assert light == "[]"
+    assert codes == str([0] * len(runs))
+
+
 # Every numeric argument check, as a call that puts one value where a number
 # belongs.  Each value below is refused, where float() would raise on some
 # and others convert to a float that the check refuses.
