@@ -120,6 +120,7 @@ from .errors import (
     _require_int,
     _require_path,
     _require_positive_floats,
+    _require_type,
     _shown,
 )
 # s_term is imported only for perfbench's tracer, which replaces bounds.s_term
@@ -177,33 +178,22 @@ class Spectrum(_Record):
     leaves out ``vectors`` and ``forms``.
     """
 
-    _fields = ("values", "n", "l", "provenance", "vectors", "forms", "m")
     _uncompared = ("vectors", "forms", "m")
     _unshown = ("vectors", "forms")
 
     def __init__(self, values, n, l, provenance="synthetic", vectors=None, forms=None, m=None):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _require_int(self.n, "n", 1)
-        _require_int(self.l, "l", 2)
-        if self.provenance not in _PROVENANCES:
+        _require_int(n, "n", 1)
+        _require_int(l, "l", 2)
+        if provenance not in _PROVENANCES:
             raise InvalidParameterError(
-                f"provenance must be one of {_PROVENANCES}, got {_shown(self.provenance)}"
+                f"provenance must be one of {_PROVENANCES}, got {_shown(provenance)}"
             )
-        values = _require_positive_floats(self.values, "eigenvalues")
+        values = _require_positive_floats(values, "eigenvalues")
         if not values:
             raise InvalidParameterError("a spectrum needs at least one eigenvalue")
         if any(b < a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("eigenvalues must be nondecreasing")
-        object.__setattr__(self, "values", values)
+        self._store(locals())
 
     @property
     def k(self):
@@ -260,19 +250,13 @@ def format_spectrum_csv(spectrum):
 class DeltaSequence(_Record):
     """Positive non-increasing weight sequence."""
 
-    _fields = ("values",)
-
     def __init__(self, values):
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        values = _require_positive_floats(self.values, "delta entries")
+        values = _require_positive_floats(values, "delta entries")
         if not values:
             raise InvalidParameterError("delta sequence must be nonempty")
         if any(b > a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("delta entries must be non-increasing")
-        object.__setattr__(self, "values", values)
+        self._store(locals())
 
     def __len__(self):
         return len(self.values)
@@ -289,19 +273,10 @@ class BoundReport(_Record):
     evaluators return reports; the solvers return the bound as a float.
     """
 
-    _fields = ("method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied")
-
     def __init__(self, method, k, lhs, rhs, residual, tolerance, satisfied):
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "satisfied", satisfied)
+        self._store(locals())
 
-    def to_dict(self):
-        return self._asdict()
+    to_dict = _Record._asdict
 
 
 def _report(method, k, lhs, rhs, shift=0):
@@ -341,8 +316,10 @@ def _as_delta(delta, k):
 
 def _check_k(spectrum, k):
     # The checks every bound function makes once, at its entry, directly or
-    # through _check_candidate: k, then n >= 2 (a Spectrum has l >= 2).  It
-    # returns what the kernels take: the first k eigenvalues, n and l.
+    # through _check_candidate: a Spectrum, k, then n >= 2 (a Spectrum has
+    # l >= 2).  It returns what the kernels take: the first k eigenvalues, n
+    # and l.
+    _require_type(spectrum, Spectrum, "spectrum")
     _require_int(k, "k", 1)
     if k > spectrum.k:
         raise InvalidParameterError(f"k={k} exceeds the spectrum length {spectrum.k}")
@@ -888,6 +865,7 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     underflows to 0 at n = 2, and when its rhs is undefined in the float
     range: weights past it of both signs, or one that is inf / inf.
     """
+    _require_type(spectrum, Spectrum, "spectrum")
     if spectrum.l != 2:
         raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     values, n, l, candidate = _check_candidate(spectrum, k, candidate)

@@ -16,7 +16,9 @@ operands are finite symmetric float arrays of one shape, and 1 <= count
 two halves of each form from the same rational and raises on overflow;
 ``solve_buckling`` has just checked both forms through its two unscaled
 ``cholesky_spd`` calls; a ladder's coarser rungs are principal sub-blocks
-of those forms; and ``_check_request`` has checked every rung's request.
+of those forms; and every rung's request has been checked, by
+``_check_request`` or, on ``run_verification``'s ladder, by the check of
+the m that its rungs are derived from.
 It leaves the domain, l, m and the caps to galerkin's one request check,
 ``_checked_basis``, and checks only its own rule, 1 <= count <= m**dim, so
 a new domain kind changes one check, not one per module.  The solver

@@ -4,7 +4,9 @@ The input checks that every module shares live here too, next to the
 ``InvalidParameterError`` they raise: ``_require_int`` for integer arguments,
 ``_converted`` for a conversion, ``_real`` for a conversion to float that
 refuses complex numbers, ``_require_positive_floats`` for positive finite
-reals, and ``_require_path`` for a file path.  A message shows a refused
+reals (a str or bytes is refused, not read as characters), ``_collected``
+for an iterable argument, ``_require_type`` for an argument of a package
+type, and ``_require_path`` for a file path.  A message shows a refused
 value through ``_shown``, which names its type where its ``repr`` cannot be
 built.  ``_finite_sum`` is the one float-range rule of the sums that
 ``bounds`` and ``polyrec`` must keep finite: a sum that leaves the float
@@ -15,7 +17,21 @@ function checks and converts each argument once, at its entry, and then
 hands plain floats and ints to private kernels, which call no public
 function, check nothing again and raise only ``NumericalError`` (with its
 subclasses), ``InfeasibleSpectrumError`` and ``InternalConsistencyError``.
-``eigen`` and ``verify`` still check some arguments twice.
+``galerkin``, ``eigen`` and ``verify`` keep five double checks, each on a
+call that perfbench's tracer wraps by its module attribute, so each stays
+until the tracer reads a stage timer instead (ROADMAP items 1a and 11):
+
+- ``solve_buckling`` checks its request, and ``assemble_forms`` checks the
+  domain, l and m again;
+- ``solve_buckling``'s ladder callers, ``convergence_study`` and
+  ``run_verification``, check the finest rung's request before
+  ``solve_buckling`` checks it again;
+- ``cholesky_spd`` checks again the matrices that ``solve_buckling`` and
+  the solver hand it, three calls a whole solve;
+- ``check_theorem11`` calls the four public evaluators, which check again
+  the spectrum, k and candidate it has checked;
+- ``_assemble`` calls ``derivative_integral_table``, which checks again the
+  basis and the orders it builds.
 
 The package's eleven records (``Spectrum``, ``BoundReport``, ``Domain`` and
 the rest) derive from ``_Record`` here and are not built with ``@dataclass``,
@@ -26,10 +42,15 @@ class is made.  On a shared 2-vCPU host with Python 3.11, importing the
 dataclass module took 6.4 ms, and the five records of ``bounds`` and
 ``polyrec`` took about 3 ms more.  With ``fractions`` loaded beforehand,
 ``import buckbounds`` took 11.2 ms with ``@dataclass`` records and 1.6 ms
-with ``_Record``; these are medians of 21 fresh processes.  Each record
-writes its own ``__init__`` with explicit parameters: a generic
-``*args, **kwargs`` one that maps the arguments onto ``_fields`` took
-5.4 us to build a 3-value ``Spectrum``, against 3.6 us.
+with ``_Record``; these are medians of 21 fresh processes.
+
+A record names each field once, as a positional parameter of its own
+explicit ``__init__``: ``_Record`` derives the class's ``_fields`` from that
+signature.  The ``__init__`` checks and converts its arguments, then ends in
+``self._store(locals())``, which stores each field once, in ``_fields``
+order.  A generic ``*args, **kwargs`` init that maps the arguments onto
+``_fields`` took 5.4 us to build a 3-value ``Spectrum``, against 3.6 us,
+and it would hide the signature.
 """
 
 import os
@@ -45,26 +66,34 @@ _INT_LIMIT = 2**63
 class _Record:
     """Base of a frozen record, with the behaviour of a frozen dataclass.
 
-    A record lists its fields in ``_fields``, in ``__init__`` order, and its
-    ``__init__`` stores each through ``object.__setattr__``.  ``==`` and
-    ``hash`` read the fields not named in ``_uncompared`` and ``repr`` those
-    not named in ``_unshown``; equality needs the same class.  Assignment and
-    deletion raise ``AttributeError``.  Instances keep a ``__dict__``, so
-    pickle and deepcopy restore them without calling ``__init__``.
+    A record's fields are the positional parameters of its own ``__init__``,
+    in order, which ``__init_subclass__`` reads into ``_fields``; the
+    ``__init__`` ends in ``self._store(locals())``.  ``==`` and ``hash`` read
+    the fields not named in ``_uncompared`` and ``repr`` those not named in
+    ``_unshown``; equality needs the same class.  Assignment and deletion
+    raise ``AttributeError``.  Instances keep a ``__dict__``, so pickle and
+    deepcopy restore them without calling ``__init__``.
     """
 
-    _fields = ()
     _uncompared = ()
     _unshown = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
         compared = [f for f in cls._fields if f not in cls._uncompared]
         # _key(record) is the tuple of the compared fields: attrgetter returns
         # that tuple for two or more names, and the bare value for one.
         get = attrgetter(*compared)
         cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
         cls._shown = tuple(f for f in cls._fields if f not in cls._unshown)
+
+    def _store(self, arguments):
+        # Each field's value from the locals() of __init__, in _fields order.
+        stored = self.__dict__
+        for f in self._fields:
+            stored[f] = arguments[f]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -176,12 +205,31 @@ def _real(value):
 
 
 def _require_positive_floats(values, name):
-    # values as a tuple of floats, each real, finite and > 0
+    # values as a tuple of floats, each real, finite and > 0.  A str or bytes
+    # is refused: it iterates as characters, which float() reads as digits,
+    # or as byte values.
+    if isinstance(values, (str, bytes, bytearray)):
+        raise InvalidParameterError(f"{name} must be numbers, not a {type(values).__name__}")
     values = _converted(lambda items: tuple(map(_real, items)), values, name)
     for v in values:
         if not 0.0 < v < inf:  # NaN fails too
             raise InvalidParameterError(f"{name} must be positive finite, got {v}")
     return values
+
+
+def _collected(collect, values, name, items):
+    # collect(values), such as list(values), with the TypeError of a value
+    # that is not iterable, or of an item that a set cannot hold, raised as
+    # InvalidParameterError
+    try:
+        return collect(values)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an iterable of {items}") from None
+
+
+def _require_type(value, kind, name):
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _require_path(path):

@@ -58,11 +58,13 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     NumericalError,
+    _collected,
     _converted,
     _Record,
     _require_int,
     _require_path,
     _require_positive_floats,
+    _require_type,
 )
 
 DEGREE_CAP = 24
@@ -76,17 +78,11 @@ class Domain(_Record):
     is the dimension the paper's inequalities take.
     """
 
-    _fields = ("edges",)
-
     def __init__(self, edges):
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
-
-    def __post_init__(self):
-        edges = _require_positive_floats(self.edges, "edge lengths")
+        edges = _require_positive_floats(edges, "edge lengths")
         if not 1 <= len(edges) <= 3:
             raise InvalidParameterError(f"domain needs 1 to 3 edges, got {len(edges)}")
-        object.__setattr__(self, "edges", edges)
+        self._store(locals())
 
     @property
     def dim(self):
@@ -109,18 +105,12 @@ class Basis1D(_Record):
     the integer rows of ``_basis_rows(l, m)``, which the 1D table integrates.
     """
 
-    _fields = ("l", "m")
-
     def __init__(self, l, m):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _require_int(self.l, "l", 2)
-        _require_int(self.m, "m", 1)
-        if self.m > DEGREE_CAP:
-            raise InvalidParameterError(f"m={self.m} exceeds the supported cap {DEGREE_CAP}")
+        _require_int(l, "l", 2)
+        _require_int(m, "m", 1)
+        if m > DEGREE_CAP:
+            raise InvalidParameterError(f"m={m} exceeds the supported cap {DEGREE_CAP}")
+        self._store(locals())
 
 
 def build_basis_1d(l, m):
@@ -172,10 +162,9 @@ def derivative_integral_table(basis, orders):
     their entries.  Orders are keys, so an interval's orders 1..l also
     serve a rectangle's.
     """
-    if not isinstance(basis, Basis1D):
-        raise InvalidParameterError(f"basis must be a Basis1D, got {type(basis).__name__}")
+    _require_type(basis, Basis1D, "basis")
     l, m = basis.l, basis.m
-    orders = set(orders)
+    orders = _collected(set, orders, "orders", "integers")
     for j in orders:
         _require_int(j, "order", 0)
         if j > l:
@@ -262,22 +251,15 @@ class OperatorForms:
 
     def __init__(self, domain, l, m, matrices):
         _checked_basis(domain, l, m)
-        n = m**domain.dim
-        forms = {}
-        for k, mat in enumerate(matrices, start=1):
-            mat = _float_array(mat, f"matrix {k}")
-            if mat.shape != (n, n) or not np.isfinite(mat).all() or not np.array_equal(mat, mat.T):
-                raise InvalidParameterError(f"matrix {k} is not a finite symmetric {n} x {n} array")
-            forms[k] = mat
-        if len(forms) != l:
-            raise InvalidParameterError(f"forms of order l={l} need {l} matrices, got {len(forms)}")
+        forms = _checked_matrices(l, m**domain.dim, matrices)
         self.domain, self.l, self.m, self._forms = domain, l, m, forms
 
     @classmethod
     def _built(cls, domain, l, m, forms):
-        # Forms built in this module, as {k: matrix}: exact by construction,
-        # so they are not checked again.  Every other order is assembled on
-        # its first read.
+        # Forms of a checked request whose matrices, as {k: matrix}, this
+        # module built, exact by construction, or loaded and checked, so
+        # nothing is checked again.  Every other order is assembled on its
+        # first read.
         built = cls.__new__(cls)
         built.domain, built.l, built.m, built._forms = domain, l, m, forms
         return built
@@ -309,6 +291,20 @@ class OperatorForms:
     def _a_matrix(self):
         # A_l, the pencil's other form.
         return self._read((self.l,))[0]
+
+
+def _checked_matrices(l, n, matrices):
+    # The forms' check of their matrices, as {k: matrix}: l of them, each
+    # converting to a finite, exactly symmetric float array of shape (n, n).
+    forms = {}
+    for k, mat in enumerate(_collected(tuple, matrices, "matrices", "arrays"), start=1):
+        mat = _float_array(mat, f"matrix {k}")
+        if mat.shape != (n, n) or not np.isfinite(mat).all() or not np.array_equal(mat, mat.T):
+            raise InvalidParameterError(f"matrix {k} is not a finite symmetric {n} x {n} array")
+        forms[k] = mat
+    if len(forms) != l:
+        raise InvalidParameterError(f"forms of order l={l} need {l} matrices, got {len(forms)}")
+    return forms
 
 
 def _form_terms(k, dim):
@@ -476,6 +472,7 @@ def _header(domain, l, m):
 def export_forms(forms, path):
     """Write a one-line JSON header, then each matrix as row-major binary64."""
     _require_path(path)
+    _require_type(forms, OperatorForms, "forms")
     with open(path, "wb") as handle:
         handle.write(_header(forms.domain, forms.l, forms.m))
         for mat in forms.matrices:
@@ -490,8 +487,9 @@ def load_forms(path):
     rest is exactly l little-endian row-major binary64 matrices of size
     m**dim.  Its domain, l and m are checked as ``assemble_forms`` checks
     them, caps included, and the length of the rest too, before any matrix
-    is read; the matrices are then checked by the ``OperatorForms``
-    constructor, which refuses any that is not finite and exactly symmetric.
+    is read; the matrices are then checked as the ``OperatorForms``
+    constructor checks them, which refuses any that is not finite and
+    exactly symmetric.
     """
     _require_path(path)
     with open(path, "rb") as handle:
@@ -520,4 +518,4 @@ def load_forms(path):
         data = np.empty((l, n, n), dtype="<f8")
         if handle.readinto(data) != size:
             raise InvalidParameterError(f"{path} changed while it was read")
-    return OperatorForms(domain=domain, l=l, m=m, matrices=tuple(data))
+    return OperatorForms._built(domain, l, m, _checked_matrices(l, n, data))

@@ -42,22 +42,16 @@ class Polynomial(_Record):
     disallowed; the leading coefficient is always nonzero.
     """
 
-    _fields = ("coefficients",)
-
     def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", coefficients)
-        self.__post_init__()
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        for c in coeffs:
+        coefficients = tuple(coefficients)
+        for c in coefficients:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise InvalidParameterError(f"coefficients must be integers, got {_shown(c)}")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if coeffs == () or coeffs == (0,):
+        while len(coefficients) > 1 and coefficients[-1] == 0:
+            coefficients = coefficients[:-1]
+        if coefficients == () or coefficients == (0,):
             raise InvalidParameterError("the zero polynomial is not representable here")
-        object.__setattr__(self, "coefficients", coeffs)
+        self._store(locals())
 
     @property
     def degree(self):
@@ -188,13 +182,8 @@ class ACoefficients(_Record):
     terms.  Empty tuples at l = 2.
     """
 
-    _fields = ("l", "n", "a", "a_plus")
-
     def __init__(self, l, n, a, a_plus):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_plus", a_plus)
+        self._store(locals())
 
 
 def extract_a_coefficients(l, n):

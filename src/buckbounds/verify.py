@@ -26,14 +26,15 @@ from __future__ import annotations
 import math
 
 from .bounds import (
+    Spectrum,
     eval_cor11,
     eval_eq112,
     eval_thm11,
     thm11_optimal_delta,
 )
 from .eigen import _check_request, _spectrum, solve_buckling
-from .errors import InvalidParameterError, _Record, _require_int
-from .galerkin import _checked_basis, _float_array, _leading_forms
+from .errors import InvalidParameterError, _collected, _Record, _require_int, _require_type
+from .galerkin import OperatorForms, _checked_basis, _float_array, _leading_forms
 
 NORMALIZATION_TOL = 1e-8
 LEMMA_SLACK = 1e-6
@@ -49,28 +50,29 @@ def rayleigh_quantities(vector, forms):
     normalization, so it always sits at 1 up to solver roundoff.
     """
     x = _float_array(vector, "vector").reshape(-1)
+    _require_type(forms, OperatorForms, "forms")
     if x.shape[0] != forms.n_basis:
         raise InvalidParameterError(
             f"vector length {x.shape[0]} does not match the basis size {forms.n_basis}"
         )
-    norm = float(x @ forms.matrices[0] @ x)
+    return _quantities(x, forms.matrices)
+
+
+def _quantities(x, matrices):
+    # rayleigh_quantities of a float vector x whose length is the size of the
+    # l matrices: the kernel that rayleigh_quantities and check_lemma21
+    # share, which checks only that x is B-normalized
+    norm = float(x @ matrices[0] @ x)
     if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise InvalidParameterError(f"vector is not B-normalized: x^T B x = {norm}")
-    return [norm] + [float(x @ forms.matrices[k - 1] @ x) for k in range(2, forms.l)]
+    return [norm] + [float(x @ matrices[k - 1] @ x) for k in range(2, len(matrices))]
 
 
 class LemmaRow(_Record):
     """One intermediate-power check: 0 <= r_k <= lam**((k-1)/(l-1))."""
 
-    _fields = ("i", "k", "value", "bound", "margin", "passed")
-
     def __init__(self, i, k, value, bound, margin, passed):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "passed", passed)
+        self._store(locals())
 
 
 def check_lemma21(solution):
@@ -78,17 +80,27 @@ def check_lemma21(solution):
 
     For eigenpair (lam_i, x_i) and k = 1..l-1 the value x_i^T A_k x_i must
     lie in [0, lam_i**((k-1)/(l-1))] up to a 1e-6 relative slack.  Violations
-    are recorded in the returned rows, not raised.
+    are recorded in the returned rows, not raised.  The vectors and forms
+    are checked once, before any row: the vectors must hold a column of the
+    basis size for each eigenvalue.
     """
+    _require_type(solution, Spectrum, "solution")
     if solution.vectors is None:
         raise InvalidParameterError("the spectrum carries no eigenvectors to check")
     forms = solution.forms
     if forms is None:
         raise InvalidParameterError("no operator forms available for the check")
-    l = forms.l
+    _require_type(forms, OperatorForms, "forms")
+    vectors = _float_array(solution.vectors, "vector")
+    if vectors.ndim != 2 or vectors.shape[0] != forms.n_basis or vectors.shape[1] < solution.k:
+        raise InvalidParameterError(
+            f"vectors must have shape ({forms.n_basis}, k) with k >= {solution.k}, "
+            f"got {vectors.shape}"
+        )
+    l, matrices = forms.l, forms.matrices
     rows = []
     for i, lam in enumerate(solution.values, start=1):
-        quantities = rayleigh_quantities(solution.vectors[:, i - 1], forms)
+        quantities = _quantities(vectors[:, i - 1], matrices)
         for k in range(1, l):
             value = quantities[k - 1]
             bound = lam ** ((k - 1) / (l - 1))
@@ -116,6 +128,7 @@ def check_theorem11(spectrum, k_max):
     of the same statement.  Synthetic or file spectra are refused: they prove
     nothing about the theorems.
     """
+    _require_type(spectrum, Spectrum, "spectrum")
     _require_int(k_max, "k_max", 0)
     if spectrum.provenance != "computed":
         raise InvalidParameterError(
@@ -142,14 +155,8 @@ class ConvergenceTable(_Record):
     basis size whose relative change from its predecessor fell below 1e-7.
     """
 
-    _fields = ("m_values", "eigenvalues", "monotone", "extrapolated", "converged_at")
-
     def __init__(self, m_values, eigenvalues, monotone, extrapolated, converged_at):
-        object.__setattr__(self, "m_values", m_values)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "monotone", monotone)
-        object.__setattr__(self, "extrapolated", extrapolated)
-        object.__setattr__(self, "converged_at", converged_at)
+        self._store(locals())
 
 
 def _extrapolate(history):
@@ -164,22 +171,13 @@ def _extrapolate(history):
 
 
 def _table_from_rows(m_values, rows):
-    count = len(rows[0])
-    monotone = []
-    extrapolated = []
-    converged_at = []
-    for i in range(count):
-        column = [row[i] for row in rows]
-        monotone.append(
-            all(later <= earlier * (1.0 + MONOTONE_SLACK) for earlier, later in zip(column, column[1:]))
-        )
+    monotone, extrapolated, converged_at = [], [], []
+    for column in zip(*rows):  # one eigenvalue index's estimates, in m order
+        steps = list(zip(m_values[1:], column, column[1:]))  # (m, previous, estimate)
+        monotone.append(all(b <= a * (1.0 + MONOTONE_SLACK) for _, a, b in steps))
         extrapolated.append(_extrapolate(column))
-        found = None
-        for j in range(1, len(column)):
-            if abs(column[j] - column[j - 1]) <= CONVERGED_RELATIVE * abs(column[j]):
-                found = m_values[j]
-                break
-        converged_at.append(found)
+        converged = (m for m, a, b in steps if abs(b - a) <= CONVERGED_RELATIVE * abs(b))
+        converged_at.append(next(converged, None))
     return ConvergenceTable(
         m_values=tuple(m_values),
         eigenvalues=tuple(tuple(row) for row in rows),
@@ -194,24 +192,26 @@ def convergence_study(domain, l, m_list, count):
 
     Nested bases make the Rayleigh-Ritz estimates nonincreasing in m; the
     table records whether that held along with extrapolation diagnostics.
+    Every size is checked, as ``solve_buckling`` checks its request, before
+    any is solved.
     """
-    m_list = list(m_list)
+    m_list = _collected(list, m_list, "m_list", "basis sizes")
     if not m_list:
         raise InvalidParameterError("m_list must be nonempty")
+    for mm in m_list:
+        _check_request(domain, l, mm, count)
+    if any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise InvalidParameterError(f"m_list must be strictly increasing, got {m_list}")
     return _study(domain, l, m_list, [count] * len(m_list))[1]
 
 
 def _study(domain, l, m_values, counts):
     # The spectra of counts[i] eigenvalues at the increasing basis sizes
     # m_values[i], from one assembly: the bases are nested, so every coarser
-    # rung's pencil is a leading sub-block of the finest rung's.  Every rung
-    # is checked before any is solved.  The table keeps each rung's first
-    # counts[0] values, which no rung has fewer of.
+    # rung's pencil is a leading sub-block of the finest rung's.  The rungs
+    # are trusted: each caller has checked them.  The table keeps each
+    # rung's first counts[0] values, which no rung has fewer of.
     rungs = list(zip(m_values, counts))
-    for mm, count in rungs:
-        _check_request(domain, l, mm, count)
-    if any(b <= a for a, b in zip(m_values, m_values[1:])):
-        raise InvalidParameterError(f"m_list must be strictly increasing, got {m_values}")
     finest = solve_buckling(domain, l, *rungs[-1])
     spectra = [_spectrum(_leading_forms(finest.forms, mm), c) for mm, c in rungs[:-1]] + [finest]
     return spectra, _table_from_rows(m_values, [s.values[: counts[0]] for s in spectra])
@@ -223,11 +223,8 @@ class TheoremCheck(_Record):
     ``report`` is the ``BoundReport`` of the inequality.
     """
 
-    _fields = ("report", "verdict")
-
     def __init__(self, report, verdict):
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "verdict", verdict)
+        self._store(locals())
 
 
 class VerificationReport(_Record):
@@ -238,17 +235,8 @@ class VerificationReport(_Record):
     ``ConvergenceTable`` of the ladder.
     """
 
-    _fields = ("domain", "l", "m", "count", "checks", "lemma_rows", "convergence", "passed")
-
     def __init__(self, domain, l, m, count, checks, lemma_rows, convergence, passed):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "lemma_rows", lemma_rows)
-        object.__setattr__(self, "convergence", convergence)
-        object.__setattr__(self, "passed", passed)
+        self._store(locals())
 
     def to_dict(self):
         return {
@@ -292,10 +280,12 @@ def run_verification(domain, l, m, k_max):
 
     The request is checked before anything is solved: its domain, l, m and
     caps by galerkin's request check, then n >= 2 and the k_max + 1 <= m**n
-    eigenvalues that the checks read.  The theorem residuals are also scored
-    at the next-coarser rung, which is no partner when it holds fewer than
-    k_max + 1 eigenvalues, and each check at the finest rung gets the
-    module's verdict: pass, inconclusive or failed.
+    eigenvalues that the checks read.  The ladder's rungs, at most m and at
+    least min(m, 2), with between 1 and k_max + 1 eigenvalues each, pass
+    that check too, so they are not checked again.  The theorem residuals
+    are also scored at the next-coarser rung, which is no partner when it
+    holds fewer than k_max + 1 eigenvalues, and each check at the finest
+    rung gets the module's verdict: pass, inconclusive or failed.
     """
     _checked_basis(domain, l, m)
     _require_int(k_max, "k_max", 0)

@@ -911,8 +911,13 @@ def test_chain_bounds_equals_the_public_stepwise_chain():
 
 def test_chain_bounds_builds_no_spectrum(monkeypatch):
     built = []
-    check = Spectrum.__post_init__
-    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: built.append(self) or check(self))
+    init = Spectrum.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Spectrum, "__init__", counted)
     Spectrum(values=(1.0,), n=2, l=2)
     assert len(built) == 1
     for method in ("cor11", "sharp"):

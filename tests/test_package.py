@@ -2,11 +2,13 @@ import ast
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import buckbounds
@@ -375,3 +377,114 @@ def test_integer_checks_stop_at_2_to_the_63():
 def test_validators_refuse_every_bad_number_as_invalid(site, value):
     with pytest.raises(buckbounds.InvalidParameterError):
         VALIDATOR_SITES[site](value)
+
+
+# Every check of a sequence of positive numbers, as a call that puts one
+# sequence where it belongs.  A str or bytes iterates as characters, which
+# float() reads as digits, or as byte values: "11" would be (1.0, 1.0) and
+# b"11" (49.0, 49.0), each a valid sequence at every site.
+SEQUENCE_SITES = {
+    "Domain": lambda v: buckbounds.Domain(v),
+    "Spectrum": lambda v: buckbounds.Spectrum(values=v, n=2, l=2),
+    "DeltaSequence": lambda v: buckbounds.DeltaSequence(v),
+    "eval_thm11-delta": lambda v: buckbounds.eval_thm11(_SPECTRUM, 2, 3.0, v),
+    "optimize_delta-a": lambda v: buckbounds.optimize_delta(v, (1.0, 1.0)),
+    "optimize_delta-b": lambda v: buckbounds.optimize_delta((1.0, 1.0), v),
+    "delta_objective-delta": lambda v: buckbounds.delta_objective(v, (1.0, 1.0), (1.0, 1.0)),
+    "delta_objective-a": lambda v: buckbounds.delta_objective((1.0, 1.0), v, (1.0, 1.0)),
+    "delta_objective-b": lambda v: buckbounds.delta_objective((1.0, 1.0), (1.0, 1.0), v),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["11", b"11", bytearray(b"11")], ids=["str", "bytes", "bytearray"]
+)
+@pytest.mark.parametrize("site", sorted(SEQUENCE_SITES))
+def test_sequence_checks_refuse_text(site, value):
+    with pytest.raises(buckbounds.InvalidParameterError, match=" must be numbers, not a "):
+        SEQUENCE_SITES[site](value)
+
+
+def _lemma_spectrum(vectors, forms=None, count=1):
+    # A computed interval spectrum of count values with the given vectors and
+    # forms; the forms are the interval's at l=2, m=3 by default.
+    if forms is None:
+        forms = buckbounds.assemble_forms(buckbounds.Domain.interval(), 2, 3)
+    values = tuple(40.0 + i for i in range(count))
+    return buckbounds.Spectrum(values, 1, 2, "computed", vectors=vectors, forms=forms)
+
+
+def _solved_vectors():
+    # the single B-normalized eigenvector of the interval at l=2, m=3
+    return buckbounds.solve_buckling(buckbounds.Domain.interval(), 2, 3, 1).vectors
+
+
+# Malformed arguments that the package once let through to raise a bare
+# TypeError, IndexError or AttributeError from inside it.
+MALFORMED_SITES = {
+    "check_lemma21-1d-vectors": lambda: buckbounds.check_lemma21(_lemma_spectrum(np.ones(3))),
+    # the one column is B-normalized, so only the missing second one is wrong
+    "check_lemma21-too-few-columns": lambda: buckbounds.check_lemma21(
+        _lemma_spectrum(_solved_vectors(), count=2)
+    ),
+    "check_lemma21-str-vectors": lambda: buckbounds.check_lemma21(_lemma_spectrum("abc")),
+    "check_lemma21-forms": lambda: buckbounds.check_lemma21(_lemma_spectrum(np.ones((3, 1)), "x")),
+    "check_lemma21-solution": lambda: buckbounds.check_lemma21("x"),
+    "rayleigh_quantities-forms": lambda: buckbounds.rayleigh_quantities(np.ones(3), "x"),
+    "check_theorem11-spectrum": lambda: buckbounds.check_theorem11("x", 1),
+    "next_bound_cor11-spectrum": lambda: buckbounds.next_bound_cor11("x", 1),
+    "eval_l2_priors-spectrum": lambda: buckbounds.eval_l2_priors("x", 1, 3.0),
+    "export_forms-forms": lambda: buckbounds.export_forms("x", os.devnull),
+    "convergence_study-m_list": lambda: buckbounds.convergence_study(
+        buckbounds.Domain.interval(), 2, None, 2
+    ),
+    "derivative_integral_table-None": lambda: buckbounds.derivative_integral_table(
+        buckbounds.build_basis_1d(2, 2), None
+    ),
+    "derivative_integral_table-int": lambda: buckbounds.derivative_integral_table(
+        buckbounds.build_basis_1d(2, 2), 2
+    ),
+    "OperatorForms-matrices": lambda: buckbounds.OperatorForms(
+        buckbounds.Domain.interval(), 2, 2, None
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MALFORMED_SITES))
+def test_malformed_arguments_are_refused_as_invalid(site):
+    with pytest.raises(buckbounds.InvalidParameterError):
+        MALFORMED_SITES[site]()
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment on a code line counts
+
+# a comment line does not
+
+
+def f(x):
+    """A function docstring."""
+    text = """a string
+    that is no docstring"""
+    return (x,
+            text)
+'''
+
+
+def test_code_line_counter_skips_blank_comment_and_docstring_lines(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "sample.py").write_text(CODE_LINES_SAMPLE)
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert [line.split() for line in out] == [
+        ["0", str(tmp_path / "empty.py")],
+        ["6", str(tmp_path / "sample.py")],
+        ["6", "total"],
+    ]

@@ -131,6 +131,19 @@ RECORDS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_names_each_field_once(name):
+    # A record's fields are its __init__ parameters, stored by one _store
+    # call: its class body holds no field list, no post-init hook and no
+    # store of a single field.
+    cls = RECORDS[name][0]
+    source = inspect.getsource(cls)
+    assert cls._fields == RECORDS[name][2]
+    for absent in ("_fields", "__post_init__", "__setattr__"):
+        assert absent not in source
+    assert source.count("self._store(locals())") == 1
+
+
 def _built(name):
     cls, args, fields, _, _, _ = RECORDS[name]
     return cls(*args), cls(**dict(zip(fields, args)))
