@@ -96,8 +96,6 @@ which keeps every loop sum finite, and where a sum falls below the floor
 and above the floor the total stays below u / 8 of the sum.
 """
 
-from __future__ import annotations
-
 import math
 import re
 import sys
@@ -384,20 +382,23 @@ def _sphere_prefix(values, n, l):
     # The lhs weights, s_terms and plain-gap weights root + (n-2)**2/4 of
     # the eigenvalues, where every root = lam**(1/(l-1)) must exceed n - 2
     # and l must be within the cap of the s_terms' coefficient table: the
-    # spherical functions' last checks, before the s_term kernel runs.
+    # spherical functions' last checks, before the s_term kernel runs on
+    # each eigenvalue with its checked root gap.
     quarter = (n - 2) ** 2 / 4.0
-    lhs_weights, light = [], []
+    lhs_weights, gaps, light = [], [], []
     for i, v in enumerate(values, start=1):
         root = v ** (1.0 / (l - 1))
-        if root - (n - 2) <= 0.0:
+        gap = root - (n - 2)
+        if gap <= 0.0:
             raise DomainViolationError(
                 f"eigenvalue {i} = {v} violates "
                 f"lam**(1/(l-1)) > n - 2 (root {root}, n - 2 = {n - 2})"
             )
-        lhs_weights.append(2.0 + (n - 2) / (root - (n - 2)))
+        lhs_weights.append(2.0 + (n - 2) / gap)
+        gaps.append(gap)
         light.append(root + quarter)
     _require_index(l - 1, 1)
-    return lhs_weights, [_s_term(l, n, v) for v in values], light
+    return lhs_weights, [_s_term(l, n, v, g) for v, g in zip(values, gaps)], light
 
 
 def eval_thm11(spectrum, k, candidate, delta):
@@ -861,9 +862,11 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     4(n+2)/n**2 and 4(n+4/3)/n**2; prior18 is sharper since 4/3 < 2.
     prior19 is the spherical single-weight form and uses ``delta_scalar``.
     Only meaningful at l = 2.  All three are decided in the Euclidean units
-    like ``eval_cor11``; prior19 raises ``NumericalError`` when delta * lam
-    underflows to 0 at n = 2, and when its rhs is undefined in the float
-    range: weights past it of both signs, or one that is inf / inf.
+    like ``eval_cor11``.  prior19's weight delta lam + delta**2 (lam - (n-2))
+    / (4 (delta lam + n - 2)) is evaluated with one delta cancelled, as
+    delta (lam + (lam - (n-2)) / (4 (lam + (n-2) / delta))), whose divisor
+    is at least lam; it raises ``NumericalError`` when its rhs is undefined
+    in the float range, with weights past it of both signs.
     """
     _require_type(spectrum, Spectrum, "spectrum")
     if spectrum.l != 2:
@@ -873,18 +876,11 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     (d,) = _require_positive_floats((delta_scalar,), "delta")
     # A zero gap adds nothing to either sum, also where its weight is not
     # finite and g * g * inf would be nan.
-    try:
-        # n - 2 is added as an exact integer, so d lam + (n - 2) is 0 only
-        # when d lam underflows
-        heavy = [
-            g * g * (d * v + d * d * (v - (n - 2)) / (4.0 * (d * v + (n - 2))))
-            for g, v in zip(gaps, values)
-            if g
-        ]
-    except ZeroDivisionError:
-        raise NumericalError(
-            f"the prior19 weight delta * lam + n - 2 underflows to 0 at delta = {d}"
-        ) from None
+    heavy = [
+        g * g * (d * (v + (v - (n - 2)) / (4.0 * (v + (n - 2) / d))))
+        for g, v in zip(gaps, values)
+        if g
+    ]
     # prior19's weights are not homogeneous in lam, so they are taken of the
     # raw eigenvalues; the gaps carry 2**shift, and so does each light factor,
     # so that every term carries 4**shift

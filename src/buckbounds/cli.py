@@ -18,8 +18,6 @@ those attributes hold at call time.  ``json`` loads only for ``--json``
 output and ``fractions`` only for ``bound next --exact``.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import sys

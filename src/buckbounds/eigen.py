@@ -67,8 +67,6 @@ loads numpy alone, scipy loads at the first solve, and the solver calls
 whatever the two attributes hold at call time.
 """
 
-from __future__ import annotations
-
 import importlib
 import math
 import sys

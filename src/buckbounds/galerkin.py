@@ -44,8 +44,6 @@ pencil cannot be solved.  ``eigen.solve_buckling`` checks that its pencil is
 definite and warns when its digits may not be trusted.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import json

@@ -11,7 +11,8 @@ family feed the scalar terms ``h_term`` and ``s_term`` used by the gap
 inequalities.  The argument checks used here live in ``errors``; each public
 function makes them once, at its entry, and the private kernels ``_phi``,
 ``_a_coefficients``, ``_h_term`` and ``_s_term`` check nothing again, so the
-spherical functions of ``bounds`` call ``_s_term`` once per eigenvalue.
+spherical functions of ``bounds`` call ``_s_term`` once per eigenvalue, with
+the root gap lam**(1/(l-1)) - (n-2) that they have checked.
 
 A member's cost grows about cubically in its index q, and faster with n, so
 q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
@@ -19,8 +20,6 @@ q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
 2-vCPU host.  ``extract_a_coefficients``, ``h_term`` and ``s_term`` build
 phi_{l-1}, so each checks that l is at most one above the cap.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 
@@ -250,18 +249,18 @@ def s_term(l, n, lam):
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
     root = lam ** (1.0 / (l - 1))
-    if root - (n - 2) <= 0.0:
+    gap = root - (n - 2)
+    if gap <= 0.0:
         raise DomainViolationError(
             f"s_term requires lam**(1/(l-1)) > n - 2; got lam={lam} with "
             f"lam**(1/(l-1))={root} and n-2={n - 2}"
         )
     _require_index(l - 1, 1)
-    return _s_term(l, n, lam)
+    return _s_term(l, n, lam, gap)
 
 
-def _s_term(l, n, lam):
-    # s_term of checked arguments with lam**(1/(l-1)) > n - 2
-    gap = lam ** (1.0 / (l - 1)) - (n - 2)
+def _s_term(l, n, lam, gap):
+    # s_term of checked arguments, with the root gap lam**(1/(l-1)) - (n-2) > 0
     return _finite_sum(
         lambda: f"s_term at l={l}, n={n}, lam={lam} leaves the float range",
         (lam * (1.0 - 1.0 / gap),),

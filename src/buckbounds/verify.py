@@ -21,8 +21,6 @@ no such partner, because it is indistinguishable from discretization error.
 Any other violation fails.
 """
 
-from __future__ import annotations
-
 import math
 
 from .bounds import (

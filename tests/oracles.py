@@ -482,6 +482,25 @@ def l2_rhs_linear_gap(n, lams, k, candidate, delta):
     return coeff * first + second
 
 
+def prior19_rhs_exact(lams, n, candidate, delta):
+    """prior19's rhs in exact rationals of the float inputs, coded literally.
+
+    The rhs is sum g**2 w + sum g (lam + (n-2)**2/4) / delta with the weight
+    w = delta lam + delta**2 (lam - (n-2)) / (4 (delta lam + n - 2)).  Also
+    returns the sum of the terms' magnitudes, each weight's two parts taken
+    apart, which bounds the roundoff of a float evaluation.
+    """
+    d, x, m = Fraction(delta), Fraction(candidate), n - 2
+    total = magnitude = Fraction(0)
+    for lam in map(Fraction, lams):
+        g = x - lam
+        first, second = d * lam, d * d * (lam - m) / (4 * (d * lam + m))
+        light = g * (lam + Fraction(m * m, 4)) / d
+        total += g * g * (first + second) + light
+        magnitude += g * g * (abs(first) + abs(second)) + abs(light)
+    return total, magnitude
+
+
 def sphere_a_coefficients(l, n):
     """Clipped interior coefficients from the symbolic polynomial route."""
     coeffs = phi_symbolic(l - 1, n)

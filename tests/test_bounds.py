@@ -1379,8 +1379,8 @@ def test_l2_priors_zero_gap():
 
 
 def test_l2_prior19_adds_n_minus_two_exactly():
-    # the weight's denominator 4 (d lam + (n - 2)) keeps d lam below the
-    # rounding unit of n; (d lam + n) - 2 cancelled it to 0 at n = 2
+    # n - 2 enters the weight as an exact integer; (d lam + n) - 2
+    # cancelled d lam to 0 at n = 2
     spectrum = Spectrum(values=(1.0, 2.0), n=2, l=2)
     assert eval_l2_priors(spectrum, 2, 3.0, 1e-17)[2].satisfied
     # at candidate 1e20 and delta 1e-10 both rhs terms count
@@ -1391,20 +1391,55 @@ def test_l2_prior19_adds_n_minus_two_exactly():
         for v in spectrum.values
     )
     assert eval_l2_priors(spectrum, 2, candidate, d)[2].rhs == pytest.approx(exact, rel=1e-14)
+    # the weight 5/4 d lam underflows to 0 at n = 2, so the heavy terms
+    # vanish and the light ones give (2e-200 * 1e-200 + 1e-200 * 2e-200) / 1e-200
     tiny = Spectrum(values=(1e-200, 2e-200), n=2, l=2)
-    with pytest.raises(NumericalError, match="underflows to 0"):
-        eval_l2_priors(tiny, 2, 3e-200, 1e-200)
+    assert eval_l2_priors(tiny, 2, 3e-200, 1e-200)[2].rhs == 4e-200
 
 
 def test_l2_prior19_undefined_rhs_is_a_numerical_error():
-    # d**2 overflows at delta = 1e300: the weight of lam = 5 < n - 2 is -inf
-    # and that of lam = 600 is +inf, and fsum raised a bare ValueError
+    # one delta is cancelled from the weight, so no d**2 overflows at
+    # delta = 1e300: the weights of lam = 5 < n - 2 and lam = 600 are finite
     mixed = Spectrum(values=(5.0, 600.0), n=10, l=2)
-    with pytest.raises(NumericalError, match="^the prior19 rhs at delta = 1e\\+300 is undefined"):
-        eval_l2_priors(mixed, 2, 700.0, 1e300)
-    # a weight of inf / inf is nan, which the rhs read with a failed verdict
-    with pytest.raises(NumericalError, match="undefined in the float range"):
-        eval_l2_priors(Spectrum(values=(1e10, 2e10), n=2, l=2), 2, 3e10, 1e300)
+    assert eval_l2_priors(mixed, 2, 700.0, 1e300)[2].rhs == 8.345137916666667e306
+    # a weight past the float range makes an inf rhs, which the rule allows
+    report = eval_l2_priors(Spectrum(values=(1e10, 2e10), n=2, l=2), 2, 3e10, 1e300)[2]
+    assert (report.rhs, report.satisfied) == (math.inf, True)
+    # at delta = 1e308 the weight of lam = 1e-300 is -inf and that of
+    # lam = 600 is +inf, so the rhs is undefined
+    mixed = Spectrum(values=(1e-300, 600.0), n=10, l=2)
+    with pytest.raises(NumericalError, match="^the prior19 rhs at delta = 1e\\+308 is undefined"):
+        eval_l2_priors(mixed, 2, 700.0, 1e308)
+
+
+def test_l2_prior19_weight_does_not_saturate():
+    # the weight 5 d - 3 d**2 / (4 (5 d + 8)) is about 4.85 d; with d**2
+    # evaluated first it was -inf at d = 1e300
+    report = eval_l2_priors(Spectrum(values=(5.0,), n=10, l=2), 1, 700.0, 1e300)[2]
+    assert report.rhs == pytest.approx(2.34267125e306, rel=1e-14)
+    assert report.residual < 0.0
+    # at n = 2 the weight is d lam + d / 4; d**2 made it inf at d = 1e308
+    report = eval_l2_priors(Spectrum(values=(1e-300,), n=2, l=2), 1, 3e-300, 1e308)[2]
+    assert report.rhs == pytest.approx(1e-292, rel=1e-14)
+
+
+def test_l2_prior19_matches_the_exact_rhs():
+    # Each computed term rounds a few times, so the rhs lies within a few
+    # units of roundoff of the sum of its terms' magnitudes; a negative
+    # weight (lam < n - 2) can cancel against the light terms, which makes
+    # a plain relative bound on the rhs depend on the draw.
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        n = int(rng.choice([2, 3, 4, 5, 10]))
+        k = int(rng.integers(1, 7))
+        scale = 10.0 ** float(rng.uniform(-5.0, 5.0))
+        values = sorted(float(v) for v in scale * rng.uniform(0.1, 1.0, size=k))
+        candidate = values[-1] * float(rng.uniform(1.0, 2.0))
+        delta = 10.0 ** float(rng.uniform(-6.0, 6.0))
+        spectrum = Spectrum(values=tuple(values), n=n, l=2)
+        rhs = eval_l2_priors(spectrum, k, candidate, delta)[2].rhs
+        exact, magnitude = oracles.prior19_rhs_exact(values, n, candidate, delta)
+        assert abs(Fraction(rhs) - exact) <= 1e-15 * magnitude
 
 
 def test_l2_prior19_light_sum_past_the_float_range_in_units_is_inf():

@@ -313,6 +313,28 @@ def test_residual_failure_names_the_threshold_it_compares(monkeypatch):
         solve_generalized(0.1 * np.eye(3), np.eye(3), 2)
 
 
+def test_vectors_that_are_not_b_orthonormal_are_refused(monkeypatch):
+    # doubled vectors have Gram matrix 4 I, which deviates from I by 3
+    eigh = eigen.eigh
+
+    def doubled(*args, **kwargs):
+        values, vectors = eigh(*args, **kwargs)
+        return values, 2.0 * vectors
+
+    monkeypatch.setattr(eigen, "eigh", doubled)
+    with pytest.raises(ConvergenceError, match=r"^eigenvectors deviate from B-orthonormality by 3\.0$"):
+        solve_generalized(np.diag([1.0, 2.0, 3.0]), np.eye(3), 2)
+
+
+def test_a_failed_eigeniteration_is_a_convergence_error(monkeypatch):
+    def failed(*args, **kwargs):
+        raise np.linalg.LinAlgError("stub")
+
+    monkeypatch.setattr(eigen, "eigh", failed)
+    with pytest.raises(ConvergenceError, match="^symmetric eigeniteration failed: stub$"):
+        solve_generalized(np.eye(3), np.eye(3), 1)
+
+
 def test_solve_generalized_validation():
     with pytest.raises(InvalidParameterError):
         solve_generalized(np.eye(3), np.eye(2), 1)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -557,6 +558,25 @@ def test_unsolvable_pencil_still_assembles_and_round_trips(tmp_path):
     with pytest.warns(UserWarning, match="m=24"):
         with pytest.raises(NotPositiveDefiniteError, match=failure):
             solve_buckling(Domain((1.0, 1.0)), 4, 24, 1)
+
+
+def test_forms_repr_names_the_request():
+    forms = assemble_forms(Domain.interval(1.0), 2, 2)
+    assert repr(forms) == "OperatorForms(domain=Domain(edges=(1.0,)), l=2, m=2)"
+
+
+def test_load_refuses_a_short_read(tmp_path, monkeypatch):
+    # a file that shrinks between the size check and the read fills fewer
+    # bytes than the matrices need
+    path, _, _ = _exported(tmp_path)
+
+    class Short(io.BufferedReader):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+    monkeypatch.setattr(galerkin, "open", lambda *a: Short(io.FileIO(*a)), raising=False)
+    with pytest.raises(InvalidParameterError, match="changed while it was read$"):
+        load_forms(path)
 
 
 def test_load_rejects_unknown_schema(tmp_path):

@@ -222,6 +222,11 @@ def test_polynomial_arithmetic():
     with pytest.raises(InvalidParameterError):
         p - p
     assert (p * q).coefficients == (0, 1, 2, 3)
+    # an operand that is not a Polynomial (nor an int factor) is refused
+    with pytest.raises(TypeError):
+        Polynomial((1,)) + 1
+    with pytest.raises(TypeError):
+        Polynomial((1,)) * "x"
     assert p(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
     assert p.derivative().coefficients == (2, 6)
     assert p.derivative(2).coefficients == (6,)

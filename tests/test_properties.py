@@ -353,9 +353,11 @@ def extreme_bound_inputs(draw):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(case=extreme_bound_inputs())
-# a prior19 rhs of -inf + inf, a thm11 rhs whose positive terms overflow in
-# units, and a minimizing delta past the float range at raw scale
+# prior19 weights that saturated to -inf and +inf, a prior19 rhs of -inf + inf,
+# a thm11 rhs whose positive terms overflow in units, and a minimizing delta
+# past the float range at raw scale
 @example(case=((5.0, 600.0), 10, 2, 700.0, (1e300, 1e300)))
+@example(case=((1e-300, 600.0), 10, 2, 700.0, (1e308, 1e308)))
 @example(case=((1e300, 1.0000000000000005e300, 1e302), 2, 30, 1e302, (1e5, 1e5, 1e5)))
 @example(case=((1e-320,), 2, 60, 2e-320, (1.0,)))
 def test_bound_functions_keep_the_float_range_rule(case):

@@ -145,6 +145,12 @@ def test_convergence_study_single_size():
     assert table.converged_at == (None, None)
 
 
+def test_extrapolation_keeps_the_last_estimate_without_curvature():
+    # equal steps leave the geometric ratio undefined (a zero second
+    # difference), so the last estimate stands
+    assert verify._extrapolate([3.0, 2.0, 1.0]) == 1.0
+
+
 def test_convergence_study_validation():
     with pytest.raises(InvalidParameterError):
         convergence_study(Domain.interval(1.0), 2, (4, 4), 1)
