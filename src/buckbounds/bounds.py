@@ -146,13 +146,7 @@ def euclidean_coefficient(n, l):
     """
     _require_int(n, "n", 2)
     _require_int(l, "l", 2)
-    return _exact_coefficient(n, l)
-
-
-@lru_cache
-def _exact_coefficient(n, l):
-    # euclidean_coefficient for validated integers, built once per (n, l).
-    # fractions is imported here, by the only caller that needs the exact
+    # fractions is imported here, by the only function that needs the exact
     # value, so that the bound commands of the CLI start without it.
     from fractions import Fraction
 

@@ -19,7 +19,7 @@ function, check nothing again and raise only ``NumericalError`` (with its
 subclasses), ``InfeasibleSpectrumError`` and ``InternalConsistencyError``.
 ``galerkin``, ``eigen`` and ``verify`` keep five double checks, each on a
 call that perfbench's tracer wraps by its module attribute, so each stays
-until the tracer reads a stage timer instead (ROADMAP items 1a and 11):
+until the tracer is keyed by code object instead (ROADMAP item 25):
 
 - ``solve_buckling`` checks its request, and ``assemble_forms`` checks the
   domain, l and m again;

@@ -406,8 +406,9 @@ def thm11_weyl_limit(n, l):
     until t^p = (a - b) / (p + a - b) and then rises: the optimal delta
     follows it on [0, tau] and pools [tau, 1] at the pointwise value at
     tau, so tau solves B / A = (int_tau^1 B) / (int_tau^1 A).  tau comes
-    from ``mpmath.findroot`` and the integrals from ``mpmath.quad``, at 20
-    digits.
+    from ``mpmath.findroot`` at 20 digits, the integrals over [tau, 1] in
+    closed form (A and B are sums of powers of t) and the one over [0, tau]
+    from ``mpmath.quad``.
     """
     if l <= 3:
         return math.sqrt(eq112_weyl_limit_squared(n, l))
@@ -422,16 +423,22 @@ def thm11_weyl_limit(n, l):
         def light(t):
             return (1 - t**p) * t**b
 
+        def tails(tau):
+            # int_tau^1 of A and of B, from int_tau^1 t^e = (1 - tau^(e+1)) / (e+1)
+            def power(e):
+                return (1 - tau ** (e + 1)) / (e + 1)
+
+            return coeff * (power(a) - 2 * power(a + p) + power(a + 2 * p)), power(b) - power(b + p)
+
         def excess(tau):
-            return light(tau) / heavy(tau) - mpmath.quad(light, [tau, 1]) / mpmath.quad(
-                heavy, [tau, 1]
-            )
+            heavy_tail, light_tail = tails(tau)
+            return light(tau) / heavy(tau) - light_tail / heavy_tail
 
         bottom = ((a - b) / (p + a - b)) ** (1 / p)
         tau = mpmath.findroot(excess, (bottom / 1000, bottom), solver="anderson")
         followed = mpmath.quad(lambda t: 2 * mpmath.sqrt(heavy(t) * light(t)), [0, tau])
-        pooled = 2 * mpmath.sqrt(mpmath.quad(heavy, [tau, 1]) * mpmath.quad(light, [tau, 1]))
-        squares = mpmath.quad(lambda t: (1 - t**p) ** 2, [0, 1])
+        pooled = 2 * mpmath.sqrt(mpmath.fprod(tails(tau)))
+        squares = 1 - 2 / (p + 1) + 1 / (2 * p + 1)
         return float(n * squares / (followed + pooled))
 
 

@@ -1,6 +1,8 @@
 import math
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,10 +146,8 @@ def test_coefficient_validation():
         euclidean_coefficient(2, 1)
 
 
-def test_coefficient_is_built_once_and_validated_every_call():
-    # the cache sits behind the integer checks: 2.0 == 2 and True == 1 hash
-    # like the valid key, and must still be rejected after it is cached
-    assert euclidean_coefficient(2, 2) is euclidean_coefficient(2, 2)
+def test_coefficient_refuses_floats_and_bools():
+    # 2.0 == 2 and True == 1 compare equal to valid integers, and are refused
     for n, l in ((2.0, 2), (True, 2), (2, 2.0), (2, True)):
         with pytest.raises(InvalidParameterError):
             euclidean_coefficient(n, l)
@@ -361,6 +361,24 @@ def test_thm11_ratio_rises_to_its_weyl_limit(n, l):
         ratios.append(report.lhs / report.rhs)
     assert ratios[0] < ratios[1] < ratios[2] < limit
     assert limit - ratios[2] < 0.01 * limit
+
+
+def test_readme_weyl_limit_table():
+    # every row of the README's r_inf table, at n <= 10 and l <= 6, is the
+    # three limits rounded to four places
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Large-k limits of the inequalities\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| (\S+) \| (\S+) \| (\S+) \|$", table, re.MULTILINE)
+    expected = []
+    for n in range(2, 11):
+        for l in range(2, 7):
+            limits = (
+                oracles.thm11_weyl_limit(n, l),
+                math.sqrt(oracles.eq112_weyl_limit_squared(n, l)),
+                oracles.cor11_weyl_limit(n, l),
+            )
+            expected.append((str(n), str(l), *(f"{float(r):.4f}" for r in limits)))
+    assert rows == expected
 
 
 # -- weight optimization

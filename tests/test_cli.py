@@ -208,6 +208,10 @@ def test_solve_refuses_a_box_above_the_basis_cap(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: usage:") and "cap 576" in err
+    # verify's ladder refuses it through galerkin's request check, before any solve
+    argv = ["verify", "--dim", "3", "--l", "2", "--degree", "9", "--kmax", "1"]
+    message = "error: usage: basis size m**dim = 729 exceeds the supported cap 576\n"
+    assert run_cli(argv, capsys) == (2, "", message)
 
 
 def test_solve_overflow_is_numerical(capsys):
@@ -215,6 +219,32 @@ def test_solve_overflow_is_numerical(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
+def test_solve_pivot_failure_is_numerical(capsys):
+    # the unscaled A_1 of the unit square fails the pivot check at l=4, m=24,
+    # after the warning for m above 16
+    argv = ["solve", "--dim", "2", "--l", "4", "--degree", "24", "--count", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    first, last = err.splitlines()
+    assert first.startswith("warning: basis size m=24 is above 16")
+    assert last.startswith("error: numerical: pivot")
+
+
+def test_square_double_eigenvalue_prints_as_one_value():
+    # solved one parity class at a time, the two values print alike; at m = 16
+    # nothing warns, so -W error leaves the solve alone
+    argv = ["solve", "--dim", "2", "--l", "2", "--degree", "16", "--count", "3"]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "buckbounds", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    names, values = zip(*(line.split(" = ") for line in result.stdout.splitlines()))
+    assert names == ("Lambda_1", "Lambda_2", "Lambda_3")
+    assert values[1] == values[2]
 
 
 def test_solve_overflowed_residual_check_is_numerical(capsys):
@@ -438,6 +468,26 @@ def test_bound_next_sphere_terms_past_the_float_range(capsys, tmp_path, text):
     assert err.startswith("error: numerical:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        # the scan ends at the largest float, which the message names, not inf
+        ("# n=6 l=2\n1e300\n1.1e300\n", ["bound", "next", "--method", "sphere", "--k", "1"]),
+        # prior19's weights at delta = 1e308 are past the float range with
+        # both signs, so its rhs would be -inf + inf
+        ("# n=10 l=2\n1e-300\n600\n", ["compare-l2", "--candidate", "700", "--delta", "1e308"]),
+    ],
+    ids=["sphere-scan-limit", "prior19-rhs"],
+)
+def test_float_range_failure_is_one_numerical_line(capsys, tmp_path, text, command):
+    path = tmp_path / "far.csv"
+    path.write_text(text, encoding="ascii")
+    code, out, err = run_cli(command + ["--spectrum", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+    assert " at inf " not in err
+
+
 def test_bound_next_bracket_failure_is_numerical(capsys, spectra, monkeypatch):
     def no_bracket(spectrum, k):
         raise BracketError("no sign change")
@@ -482,6 +532,9 @@ def test_bound_chain_output(capsys):
     ]
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, "1\n4.333333333333\n9.888888888889\n")
+    # the sharp form gives the same chain
+    code, out, _ = run_cli(argv[:-1] + ["sharp"], capsys)
+    assert (code, out) == (0, "1\n4.333333333333\n9.888888888889\n")
     argv[3] = "1e160"
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, "1e+160\n4.333333333333e+160\n9.888888888889e+160\n")
@@ -518,13 +571,15 @@ def test_bound_chain_rejects_sphere(capsys):
 
 
 def test_verify_text_passes(capsys):
-    argv = ["verify", "--l", "2", "--degree", "4", "--kmax", "1"]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("domain = 1x1  l = 2  m = 4")
-    assert lines[-1] == "PASS"
-    assert any("k=1 thm11:" in line for line in lines)
+    # at l = 4 the lemma rows read A_2 and A_3, which are built on that first read
+    for l in ("2", "4"):
+        argv = ["verify", "--l", l, "--degree", "4", "--kmax", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith(f"domain = 1x1  l = {l}  m = 4")
+        assert lines[-1] == "PASS"
+        assert any("k=1 thm11:" in line for line in lines)
 
 
 def test_verify_json_schema(capsys):
@@ -550,6 +605,12 @@ def test_verify_on_a_box(capsys):
     checks = data["theorem_checks"]
     assert [c["method"] for c in checks] == ["thm11", "eq112", "cor11"] * 2
     assert all(c["satisfied"] and c["verdict"] == "pass" for c in checks)
+    # at l = 3 the lemma rows assemble A_2 of the 3-edge domain on first
+    # read, and the coarse rung reads only the sliced pencil
+    code, out, _ = run_cli(["verify", "--dim", "3", "--l", "3", "--degree", "4", "--kmax", "1"], capsys)
+    assert code == 0
+    assert out.startswith("domain = 1x1x1  l = 3  m = 4")
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_verify_rejects_dim_one(capsys):
