@@ -34,8 +34,8 @@ private kernels, which never call a public function and raise only
 ``NumericalError``, ``InfeasibleSpectrumError``, ``BracketError`` and
 ``InternalConsistencyError``.  ``chain_bounds`` loops the cor11 or sharp
 kernel over one growing float list, which is a checked prefix at every
-step, and the spherical functions read their s_terms from the kernel of
-``polyrec``.
+step, and the spherical functions check their prefix with the one
+admissibility check of ``polyrec`` and read their s_terms from its kernel.
 
 One float-range rule holds for every public function here and for the
 spherical terms of ``polyrec``: a report side may read +-inf, and every
@@ -105,7 +105,6 @@ from operator import mul, sub, truediv
 
 from .errors import (
     BracketError,
-    DomainViolationError,
     InfeasibleSpectrumError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -122,7 +121,7 @@ from .errors import (
     _shown,
 )
 # s_term is imported only for perfbench's tracer, which replaces bounds.s_term
-from .polyrec import _require_index, _s_term, s_term  # noqa: F401
+from .polyrec import _root_gaps, _s_term, s_term  # noqa: F401
 
 RESIDUAL_TOLERANCE = 1e-9
 PROBES_PER_DOUBLING = 16
@@ -374,24 +373,13 @@ def _sqrt_form_sums(gaps, heavy, light):
 
 def _sphere_prefix(values, n, l):
     # The lhs weights, s_terms and plain-gap weights root + (n-2)**2/4 of
-    # the eigenvalues, where every root = lam**(1/(l-1)) must exceed n - 2
-    # and l must be within the cap of the s_terms' coefficient table: the
-    # spherical functions' last checks, before the s_term kernel runs on
-    # each eigenvalue with its checked root gap.
+    # the eigenvalues, from the roots lam**(1/(l-1)) and root gaps that
+    # polyrec's admissibility check returns: the spherical functions' last
+    # check, before the s_term kernel runs on each eigenvalue.
+    roots, gaps = _root_gaps(values, n, l)
     quarter = (n - 2) ** 2 / 4.0
-    lhs_weights, gaps, light = [], [], []
-    for i, v in enumerate(values, start=1):
-        root = v ** (1.0 / (l - 1))
-        gap = root - (n - 2)
-        if gap <= 0.0:
-            raise DomainViolationError(
-                f"eigenvalue {i} = {v} violates "
-                f"lam**(1/(l-1)) > n - 2 (root {root}, n - 2 = {n - 2})"
-            )
-        lhs_weights.append(2.0 + (n - 2) / gap)
-        gaps.append(gap)
-        light.append(root + quarter)
-    _require_index(l - 1, 1)
+    lhs_weights = [2.0 + (n - 2) / g for g in gaps]
+    light = [r + quarter for r in roots]
     return lhs_weights, [_s_term(l, n, v, g) for v, g in zip(values, gaps)], light
 
 
@@ -862,10 +850,9 @@ def eval_l2_priors(spectrum, k, candidate, delta_scalar=1.0):
     is at least lam; it raises ``NumericalError`` when its rhs is undefined
     in the float range, with weights past it of both signs.
     """
-    _require_type(spectrum, Spectrum, "spectrum")
-    if spectrum.l != 2:
-        raise InvalidParameterError(f"the prior inequalities require l=2, got l={spectrum.l}")
     values, n, l, candidate = _check_candidate(spectrum, k, candidate)
+    if l != 2:
+        raise InvalidParameterError(f"the prior inequalities require l=2, got l={l}")
     shift, scaled, gaps = _euclidean_units(values, l, candidate)
     (d,) = _require_positive_floats((delta_scalar,), "delta")
     # A zero gap adds nothing to either sum, also where its weight is not

@@ -17,6 +17,12 @@ function checks and converts each argument once, at its entry, and then
 hands plain floats and ints to private kernels, which call no public
 function, check nothing again and raise only ``NumericalError`` (with its
 subclasses), ``InfeasibleSpectrumError`` and ``InternalConsistencyError``.
+Each rule of the spherical terms is checked in one place too:
+``polyrec._root_gaps`` is the one admissibility check lam**(1/(l-1)) > n - 2,
+which ``s_term`` makes on its eigenvalue and the spherical functions of
+``bounds`` on their prefix, and ``polyrec._require_order`` is the one cap on
+the order l of the terms built from phi_{l-1}, which ``_root_gaps``,
+``extract_a_coefficients`` and ``h_term`` share.
 ``galerkin``, ``eigen`` and ``verify`` keep five double checks, each on a
 call that perfbench's tracer wraps by its module attribute, so each stays
 until the tracer is keyed by code object instead (ROADMAP item 25):

@@ -10,15 +10,22 @@ integers make overflow impossible.  The interior coefficients of the main
 family feed the scalar terms ``h_term`` and ``s_term`` used by the gap
 inequalities.  The argument checks used here live in ``errors``; each public
 function makes them once, at its entry, and the private kernels ``_phi``,
-``_a_coefficients``, ``_h_term`` and ``_s_term`` check nothing again, so the
-spherical functions of ``bounds`` call ``_s_term`` once per eigenvalue, with
-the root gap lam**(1/(l-1)) - (n-2) that they have checked.
+``_a_coefficients``, ``_h_term`` and ``_s_term`` check nothing again.
+
+Two rules are checked here once each.  ``_require_index`` caps the index q
+of ``phi_polynomial`` and ``fg_polynomials``.  ``_root_gaps`` takes a
+checked prefix of eigenvalues, n and l and is the one admissibility check of
+the spherical terms: it returns each root lam**(1/(l-1)) and its gap to
+n - 2, raises ``DomainViolationError`` where a gap is <= 0, and then caps l.
+``s_term`` calls it on one eigenvalue, and the spherical functions of
+``bounds`` on their prefix, before they call ``_s_term`` once per
+eigenvalue with its checked gap.
 
 A member's cost grows about cubically in its index q, and faster with n, so
 q is capped at ``INDEX_CAP``: at n = 2**63 - 1, the largest n accepted,
 ``fg_polynomials`` at the cap took 0.8 s and ``phi_polynomial`` 0.34 s on a
-2-vCPU host.  ``extract_a_coefficients``, ``h_term`` and ``s_term`` build
-phi_{l-1}, so each checks that l is at most one above the cap.
+2-vCPU host.  ``extract_a_coefficients``, ``h_term`` and ``_root_gaps``
+build phi_{l-1}, so ``_require_order`` caps l at ``INDEX_CAP + 1``.
 """
 
 from functools import lru_cache
@@ -130,6 +137,13 @@ def _require_index(q, minimum):
         raise InvalidParameterError(f"q={q} exceeds the supported cap {INDEX_CAP}")
 
 
+def _require_order(l):
+    # the cap on an order l >= 2 that is already checked as an integer: the
+    # terms built from phi_{l-1} need l - 1 <= INDEX_CAP
+    if l > INDEX_CAP + 1:
+        raise InvalidParameterError(f"l={l} exceeds the supported cap {INDEX_CAP + 1}")
+
+
 def _advance(n, prev2, prev, steps):
     # Run the shared recursion `steps` times from two consecutive members
     # and return the last member reached.
@@ -199,7 +213,7 @@ def extract_a_coefficients(l, n):
     """
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
-    _require_index(l - 1, 1)
+    _require_order(l)
     return _a_coefficients(l, n)
 
 
@@ -223,7 +237,7 @@ def h_term(l, n, lam):
     (lam,) = _require_positive_floats((lam,), "lam")
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
-    _require_index(l - 1, 1)
+    _require_order(l)
     return _h_term(l, n, lam)
 
 
@@ -248,15 +262,23 @@ def s_term(l, n, lam):
     (lam,) = _require_positive_floats((lam,), "lam")
     _require_int(l, "l", 2)
     _require_int(n, "n", 2)
-    root = lam ** (1.0 / (l - 1))
-    gap = root - (n - 2)
-    if gap <= 0.0:
-        raise DomainViolationError(
-            f"s_term requires lam**(1/(l-1)) > n - 2; got lam={lam} with "
-            f"lam**(1/(l-1))={root} and n-2={n - 2}"
-        )
-    _require_index(l - 1, 1)
+    _, (gap,) = _root_gaps((lam,), n, l)
     return _s_term(l, n, lam, gap)
+
+
+def _root_gaps(values, n, l):
+    # The roots lam**(1/(l-1)) of a checked prefix and their gaps to n - 2,
+    # once every gap is > 0 and l is within the cap: the one admissibility
+    # check of the spherical terms.
+    roots = [v ** (1.0 / (l - 1)) for v in values]
+    gaps = [r - (n - 2) for r in roots]
+    for v, r, g in zip(values, roots, gaps):
+        if g <= 0.0:
+            raise DomainViolationError(
+                f"lam={v} violates lam**(1/(l-1)) > n - 2 (root {r}, n - 2 = {n - 2})"
+            )
+    _require_order(l)
+    return roots, gaps
 
 
 def _s_term(l, n, lam, gap):

@@ -73,8 +73,13 @@ def beta_integral(p, q):
     return Fraction(math.factorial(p) * math.factorial(q), math.factorial(p + q + 1))
 
 
+@lru_cache(maxsize=None)
 def basis_integral_sympy(l, a, b, r, s):
-    """Exact integral of the r-th and s-th basis derivatives via sympy."""
+    """Exact integral of the r-th and s-th basis derivatives via sympy.
+
+    Cached: it is a pure function of five ints, and each symbolic integral
+    costs tens of milliseconds.
+    """
     fa = _X**l * (1 - _X) ** l * sympy.legendre(a, 2 * _X - 1)
     fb = _X**l * (1 - _X) ** l * sympy.legendre(b, 2 * _X - 1)
     product = sympy.diff(fa, _X, r) * sympy.diff(fb, _X, s)

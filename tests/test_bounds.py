@@ -1396,6 +1396,45 @@ def test_l2_priors_zero_gap():
         assert report.residual == 0.0
 
 
+def _prior19_next_bound(spectrum, k, deltas):
+    # The smallest, over deltas, of the largest candidate that prior19 marks
+    # satisfied: doubling from eigenvalue k to the first refused candidate,
+    # then bisection.  A delta whose candidates pass every doubling up to
+    # 2**40 times eigenvalue k is skipped as satisfied everywhere.
+    best = math.inf
+    for d in deltas:
+        satisfied = lambda x: eval_l2_priors(spectrum, k, x, d)[2].satisfied
+        lo = spectrum.values[k - 1]
+        assert satisfied(lo)
+        for _ in range(40):
+            if not satisfied(2.0 * lo):
+                break
+            lo *= 2.0
+        else:
+            continue
+        hi = 2.0 * lo
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if satisfied(mid) else (lo, mid)
+        best = min(best, lo)
+    return best
+
+
+@pytest.mark.parametrize("n, ks", [(2, (3, 8, 15, 24, 35)), (3, (4, 13, 29))])
+def test_sphere_bound_strengthens_prior19_on_the_closed_sphere(n, ks):
+    # The paper's spherical bound lies at or below prior19's next bound,
+    # minimized over a log grid of delta from 1e-5 to 1e5, on exact l = 2
+    # spectra, each prefix ending a cluster of equal eigenvalues.  A coarser
+    # grid can only raise prior19's side.  The margin measured over k = 1..35
+    # was 1.4-39% at n = 2 and 17-114% at n = 3.
+    deltas = [10.0 ** (e / 8) for e in range(-40, 41)]
+    values = oracles.closed_sphere_eigenvalues(n, 2, max(ks) + 1)
+    for k in ks:
+        assert values[k] > values[k - 1]
+        spectrum = Spectrum(values=values[:k], n=n, l=2)
+        assert next_bound_sphere(spectrum, k) <= _prior19_next_bound(spectrum, k, deltas), k
+
+
 def test_l2_prior19_adds_n_minus_two_exactly():
     # n - 2 enters the weight as an exact integer; (d lam + n) - 2
     # cancelled d lam to 0 at n = 2

@@ -67,10 +67,13 @@ def test_phi_usage_error(capsys):
 
 def test_phi_and_coeffs_refuse_an_index_above_the_cap(capsys):
     # coeffs --l reads the family member of index l - 1
-    for argv in (["phi", "--q", "301", "--n", "3"], ["coeffs", "--l", "302", "--n", "3"]):
+    for argv, message in (
+        (["phi", "--q", "301", "--n", "3"], "q=301 exceeds the supported cap 300"),
+        (["coeffs", "--l", "302", "--n", "3"], "l=302 exceeds the supported cap 301"),
+    ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
-        assert err == "error: usage: q=301 exceeds the supported cap 300\n"
+        assert err == f"error: usage: {message}\n"
 
 
 def test_coeffs_output(capsys):

@@ -206,18 +206,6 @@ def test_table_validates_every_order_before_any_block(monkeypatch):
             derivative_integral_table(basis, orders)
 
 
-def test_table_matches_full_hilbert_route():
-    # Every block, block 0 at large m included (no interval form reads it),
-    # equals the x-coefficient Hilbert product the parity split replaced.
-    for l, m in itertools.product(range(2, 7), range(1, DEGREE_CAP + 1)):
-        blocks, den = derivative_integral_table(build_basis_1d(l, m), range(l + 1))
-        reference, reference_den = oracles.hilbert_table(l, m, range(l + 1))
-        assert den == reference_den
-        assert sorted(blocks) == list(range(l + 1))
-        for j in range(l + 1):
-            assert np.array_equal(blocks[j], reference[j]), (l, m, j)
-
-
 @lru_cache(maxsize=None)
 def _hilbert_reference(l, m):
     return oracles.hilbert_table(l, m, range(l + 1))
@@ -233,9 +221,11 @@ def _check_table(l, m, orders):
 
 
 def test_table_cache_serves_every_leading_block(monkeypatch):
-    # Cold builds, then the same tables with m ascending (every call grows
-    # the kept blocks), descending (every call after the first is served
-    # from the m = 24 blocks) and shuffled, interval orders 1..l and
+    # Cold builds of every block against the x-coefficient Hilbert product
+    # that the parity split replaced, block 0 at large m included (no
+    # interval form reads it), then the same tables with m ascending (every
+    # call grows the kept blocks), descending (every call after the first is
+    # served from the m = 24 blocks) and shuffled, interval orders 1..l and
     # rectangle orders 0..l taking turns at going first.
     monkeypatch.setattr(galerkin, "_TABLES", {})
     sizes = list(range(1, DEGREE_CAP + 1))
@@ -402,7 +392,6 @@ def test_assemble_third_order_square_odd_form():
     l, m = 3, 2
     forms = assemble_forms(Domain.rectangle(1.0, 1.0), l, m)
 
-    @lru_cache(maxsize=None)
     def e(a, b, r, s):
         value = oracles.basis_integral_sympy(l, a, b, r, s)
         return Fraction(int(value.p), int(value.q))

@@ -12,6 +12,7 @@ from buckbounds import (
     Polynomial,
     extract_a_coefficients,
     Spectrum,
+    eval_thm12,
     fg_polynomials,
     h_term,
     next_bound_sphere,
@@ -163,6 +164,10 @@ def test_s_term_domain_violation():
     with pytest.raises(DomainViolationError) as err:
         s_term(3, 3, 1.0)
     assert "lam**(1/(l-1)) > n - 2" in str(err.value)
+    # one admissibility check serves s_term and the spherical functions
+    with pytest.raises(DomainViolationError) as sphere:
+        eval_thm12(Spectrum(values=(1.0,), n=3, l=3), 1, 2.0, (1.0,))
+    assert str(sphere.value) == str(err.value)
     with pytest.raises(DomainViolationError):
         s_term(2, 3, 0.9)
 
@@ -200,16 +205,22 @@ def test_order_and_dimension_are_checked_on_every_call():
 def test_index_cap():
     cap = polyrec.INDEX_CAP
     assert phi_polynomial(cap, 3).degree == cap
+    for call in (lambda: phi_polynomial(cap + 1, 3), lambda: fg_polynomials(cap + 1, 3)):
+        with pytest.raises(
+            InvalidParameterError, match=f"^q={cap + 1} exceeds the supported cap {cap}$"
+        ):
+            call()
+    # the terms built from phi_{l-1} cap l itself, one above the index cap
     for call in (
-        lambda: phi_polynomial(cap + 1, 3),
-        lambda: fg_polynomials(cap + 1, 3),
         lambda: extract_a_coefficients(cap + 2, 3),
         lambda: s_term(cap + 2, 3, 10.0),
         lambda: h_term(cap + 2, 3, 10.0),
         # the spherical functions check it before they call the s_term kernel
         lambda: next_bound_sphere(Spectrum(values=(10.0,), n=3, l=cap + 2), 1),
     ):
-        with pytest.raises(InvalidParameterError, match=f"^q={cap + 1} exceeds the supported cap"):
+        with pytest.raises(
+            InvalidParameterError, match=f"^l={cap + 2} exceeds the supported cap {cap + 1}$"
+        ):
             call()
 
 
