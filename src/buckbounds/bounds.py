@@ -43,6 +43,16 @@ other number returned (a bound, a delta, an objective, a spherical term) is
 finite, or the call raises ``NumericalError``.  ``errors._finite_sum`` is
 that rule for each sum that must stay finite.
 
+Every solver first checks its own form at eigenvalue k.  With a zero last
+gap its sides there are the (k-1)-th inequality at candidate lam_k, which
+every buckling spectrum satisfies, so a prefix that fails it raises
+``InfeasibleSpectrumError``.  All three solvers decide it by one purely
+relative rule, ``_require_feasible``: lhs - rhs <= 1e-9 max(|lhs|, |rhs|),
+with no absolute floor, so the verdict does not depend on the scale of the
+prefix.  For cor11 the sides are the terms of its quadratic at x = lam_k,
+k x**2 + (1 + C) S2 and (2 + C) S1 x, which puts lam_k between its roots
+without computing the smaller one.
+
 The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
 to just past a limit that their own inequality puts on every feasible
 candidate, walk it down from the top probe to the first sign change met,
@@ -546,10 +556,11 @@ def next_bound_cor11(spectrum, k):
 
     With C = 4 * coefficient / n**2 the feasible candidates satisfy
     k x**2 - (2 + C) S1 x + (1 + C) S2 <= 0 where S1, S2 are the power sums
-    of the first k eigenvalues.  A negative discriminant or a largest root
-    below eigenvalue k means the input is not a buckling spectrum prefix.
-    It is solved in the Euclidean units, so only a bound beyond the float
-    range raises ``NumericalError``.
+    of the first k eigenvalues.  At x = eigenvalue k this quadratic is the
+    (k-1)-th inequality, so a prefix whose quadratic there is positive, to
+    the relative tolerance 1e-9 of its terms, is not a buckling spectrum
+    prefix.  It is solved in the Euclidean units, so only a bound beyond
+    the float range raises ``NumericalError``.
     """
     return _next_cor11(*_check_k(spectrum, k))
 
@@ -561,17 +572,13 @@ def _next_cor11(values, n, l):
     big_c = _quadratic_constant(n, l)
     s1 = math.fsum(scaled)
     s2 = math.fsum(v * v for v in scaled)
-    root = _largest_quadratic_root(k, (2.0 + big_c) * s1, (1.0 + big_c) * s2)
-    if root is None:
-        raise InfeasibleSpectrumError(
-            "negative discriminant: no candidate satisfies the quadratic bound"
-        )
-    if root < scaled[-1] * (1.0 - 1e-12):
-        raise InfeasibleSpectrumError(
-            f"largest root {math.ldexp(root, -shift)} lies below eigenvalue {k} = {top}"
-        )
+    linear, constant, last = (2.0 + big_c) * s1, (1.0 + big_c) * s2, scaled[-1]
+    _require_feasible("quadratic", values, k * last * last + constant, linear * last)
+    # The quadratic is at most zero at eigenvalue k, so a root lies at or
+    # above it and a negative discriminant is roundoff.
+    disc = max(linear * linear - 4.0 * k * constant, 0.0)
     try:
-        return math.ldexp(max(root, scaled[-1]), -shift)
+        return math.ldexp(max((linear + math.sqrt(disc)) / (2.0 * k), last), -shift)
     except OverflowError:
         raise NumericalError(
             f"the quadratic bound after eigenvalue {k} = {top} exceeds the float range"
@@ -601,6 +608,17 @@ def _scan_limit(top, below, u):
     )
     first = max(u) - spread / k
     return top + (first if root is None else min(first, root))
+
+
+def _require_feasible(form, values, lhs, rhs):
+    # The solvers' feasibility rule (module docstring): lhs and rhs of the
+    # form at eigenvalue k, to a purely relative tolerance.
+    size = max(abs(lhs), abs(rhs))
+    if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
+        raise InfeasibleSpectrumError(
+            f"the {form} form fails at eigenvalue {len(values)} = {values[-1]} "
+            f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
+        )
 
 
 def _largest_root(f, start, limit):
@@ -676,15 +694,8 @@ def _next_sharp(values, n, l):
     # The gaps at eigenvalue k are d = lambda_k - lambda >= 0, and these are
     # the centered power sums of the sign certificate (module docstring).
     d2, hd2, cd1 = _sqrt_form_sums(gaps, heavy, light)
-    # eval_eq112's test at eigenvalue k without its absolute floor: a purely
-    # relative test gives the same verdict at every scale.
-    lhs, rhs = n * d2, 2.0 * math.sqrt(coeff) * math.sqrt(hd2) * math.sqrt(cd1)
-    size = max(abs(lhs), abs(rhs))
-    if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
-        raise InfeasibleSpectrumError(
-            f"the square-root form fails at eigenvalue {k} = {values[-1]} "
-            f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
-        )
+    rhs = 2.0 * math.sqrt(coeff) * math.sqrt(hd2) * math.sqrt(cd1)
+    _require_feasible("square-root", values, n * d2, rhs)
     scale = 2.0 * math.sqrt(coeff) / n
     last = scaled[-1]
     d1, h0, c0 = math.fsum(gaps), math.fsum(heavy), math.fsum(light)
@@ -748,7 +759,8 @@ def next_bound_sphere(spectrum, k):
     sequences; zero-gap indices contribute nothing and are dropped.  Every
     s_term must be strictly positive, otherwise the inner minimization is
     unbounded and no finite bound exists.  Like the square-root solver it
-    rejects a prefix whose form already fails at eigenvalue k itself.
+    rejects a prefix whose form already fails at eigenvalue k itself, to the
+    relative tolerance 1e-9 with no absolute floor, at every scale.
     """
     values, n, l = _check_k(spectrum, k)
     lhs_weights, s_values, light = _sphere_prefix(values, n, l)
@@ -776,15 +788,7 @@ def next_bound_sphere(spectrum, k):
         lhs = _finite_sum(describe, map(mul, squares, lhs_weights))
         return lhs, _finite_sum(describe, map(mul, delta, a), map(truediv, b, delta))
 
-    # A zero last gap leaves the (k-1)-th inequality at eigenvalue k, which
-    # every buckling spectrum satisfies.
-    report = _report("thm12", k, *sides(values[-1]))
-    if not report.satisfied:
-        raise InfeasibleSpectrumError(
-            f"the spherical form fails at eigenvalue {k} = {values[-1]} "
-            f"(residual {report.residual} above tolerance {report.tolerance})"
-        )
-
+    _require_feasible("spherical", values, *sides(values[-1]))
     return _largest_root(lambda x: sub(*sides(x)), values[-1], _sphere_cap(values, s_values, light))
 
 

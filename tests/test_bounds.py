@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -562,8 +563,57 @@ def test_cor11_rejects_non_spectrum_prefix():
 def test_cor11_rejects_a_largest_root_below_eigenvalue_k():
     # the discriminant is positive, but both roots lie below 8.15
     prefix = Spectrum(values=(4.7, 5.0, 8.15), n=7, l=2)
-    with pytest.raises(InfeasibleSpectrumError, match="lies below eigenvalue 3 = 8.15"):
+    expected = r"quadratic form fails at eigenvalue 3 = 8.15 \(relative residual 0.000205"
+    with pytest.raises(InfeasibleSpectrumError, match=expected):
         next_bound_cor11(prefix, 3)
+
+
+def test_cor11_rejects_eigenvalue_k_below_the_smaller_root():
+    # the k=1 bound from 3.85 is 147.6, and eval_cor11 fails at 395.1; the
+    # roots of the k=2 quadratic are 401.96 and 7443.8
+    first = Spectrum(values=(3.8501561413836063,), n=2, l=5)
+    assert next_bound_cor11(first, 1) < 395.08892975002993
+    assert not eval_cor11(first, 1, 395.08892975002993).satisfied
+    prefix = Spectrum(values=(3.8501561413836063, 395.08892975002993), n=2, l=5)
+    with pytest.raises(InfeasibleSpectrumError, match="relative residual 0.0153"):
+        next_bound_cor11(prefix, 2)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10**5])
+def test_cor11_accepts_eigenvalue_k_at_a_root_of_its_quadratic(n):
+    # lambda_1 is the smaller root of the k=1 quadratic, and (1 + C) lambda_1
+    # that of the k=2 one; the two roots close in as n grows, and the
+    # larger one keeps about 1e-16 / C**2 of relative accuracy
+    big_c = bounds._quadratic_constant(n, 2)
+    rel = 1e-14 / (big_c * big_c)
+    rng = random.Random(n)
+    for _ in range(50):
+        x = rng.uniform(0.5, 2.0)
+        bound = next_bound_cor11(Spectrum(values=(x,), n=n, l=2), 1)
+        assert bound == pytest.approx((1.0 + big_c) * x, rel=rel)
+        expected = [x, (1.0 + big_c) * x, (1.0 + big_c + big_c * big_c / 2.0) * x]
+        assert chain_bounds(x, 3, n, 2, "cor11") == pytest.approx(expected, rel=rel)
+
+
+def test_solvers_reject_every_prefix_their_own_form_refuses():
+    # With a zero last gap, the form at eigenvalue k is its (k-1)-th
+    # inequality at candidate lambda_k.  The draw reaches cor11 prefixes
+    # whose lambda_k lies below the smaller root of its quadratic.
+    rng = random.Random(3)
+    refused = {next_bound_cor11: 0, next_bound_sharp: 0}
+    for _ in range(3000):
+        n, l, k = rng.randint(2, 10), rng.randint(2, 6), rng.randint(2, 12)
+        scale = 10.0 ** rng.uniform(-100, 100)
+        values = tuple(sorted(scale * rng.uniform(0.1, 1.0) for _ in range(k)))
+        below = Spectrum(values=values[:-1], n=n, l=l)
+        for evaluate, solve in ((eval_cor11, next_bound_cor11), (eval_eq112, next_bound_sharp)):
+            report = evaluate(below, k - 1, values[-1])
+            if report.residual <= 1e-6 * max(abs(report.lhs), abs(report.rhs)):
+                continue
+            refused[solve] += 1
+            with pytest.raises(InfeasibleSpectrumError):
+                solve(Spectrum(values=values, n=n, l=l), k)
+    assert min(refused.values()) > 500, refused
 
 
 def test_cor11_scale_covariance():
@@ -708,12 +758,18 @@ def test_sharp_rejects_prefix_infeasible_at_its_last_eigenvalue():
 
 
 def test_sharp_lambda_k_check_is_relative_at_every_scale():
-    # 71.5 lies far beyond the k=1 bound from 1.0 (11.6); with an absolute
-    # tolerance floor the check passed at 1e-14 and the scan found no bracket
-    for scale in (1.0, 1e-14, 2.0**-600, 1e200):
-        spectrum = Spectrum(values=(scale, 71.5 * scale), n=3, l=3)
-        with pytest.raises(InfeasibleSpectrumError, match="relative residual 0.717"):
-            next_bound_sharp(spectrum, 2)
+    # 71.5 lies far beyond the k=1 bound from 1.0 of the sharp and spherical
+    # solvers, at every scale.  The spherical form is not homogeneous, so its
+    # residual moves with the scale.
+    cases = (
+        (next_bound_sharp, 3, 3, [(s, "0.717") for s in (1.0, 1e-14, 2.0**-600, 1e200)]),
+        (next_bound_sphere, 2, 2, [(1.0, "0.8809"), (1e-6, "0.99988"), (1e-9, "0.999996")]),
+    )
+    for solve, n, l, scales in cases:
+        for scale, residual in scales:
+            spectrum = Spectrum(values=(scale, 71.5 * scale), n=n, l=l)
+            with pytest.raises(InfeasibleSpectrumError, match=f"relative residual {residual}"):
+                solve(spectrum, 2)
 
 
 def test_sharp_scan_ends_when_its_limit_overflows():
@@ -810,7 +866,7 @@ def test_sharp_cap_is_finite_without_a_cor11_root():
     # the cor11 quadratic of (1, 100) at n = 8 has a negative discriminant;
     # the cap keeps its first term, max(u) - mean(e) above lambda_k
     spectrum = Spectrum(values=(1.0, 100.0), n=8, l=2)
-    with pytest.raises(InfeasibleSpectrumError, match="negative discriminant"):
+    with pytest.raises(InfeasibleSpectrumError, match="quadratic form fails at eigenvalue 2"):
         next_bound_cor11(spectrum, 2)
     big_c = bounds._quadratic_constant(8, 2)
     assert _sharp_cap(spectrum, 2) == pytest.approx(100.0 * (1.0 + big_c) - 49.5, rel=1e-15)

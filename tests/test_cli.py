@@ -370,7 +370,10 @@ def test_bound_next_cor11_root_below_the_last_eigenvalue(capsys, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("# n=7 l=2\n4.7\n5.0\n8.15\n", encoding="ascii")
     argv = ["bound", "next", "--method", "cor11", "--spectrum", str(path)]
-    expected = "error: input: largest root 8.03970644049084 lies below eigenvalue 3 = 8.15\n"
+    expected = (
+        "error: input: the quadratic form fails at eigenvalue 3 = 8.15 "
+        "(relative residual 0.0002053901706807994 above tolerance 1e-09)\n"
+    )
     assert run_cli(argv, capsys) == (1, "", expected)
 
 
@@ -423,6 +426,19 @@ def test_bound_next_sphere_infeasible_input(capsys, spectra):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: input:")
+
+
+def test_bound_next_sphere_infeasible_at_a_tiny_scale(capsys, tmp_path):
+    # the residual at eigenvalue 2 is 9.9e-15, which no absolute floor may
+    # hide
+    path = tmp_path / "tiny.csv"
+    path.write_text("# n=2 l=2\n1e-09\n7.15e-08\n", encoding="ascii")
+    argv = ["bound", "next", "--method", "sphere", "--spectrum", str(path)]
+    expected = (
+        "error: input: the spherical form fails at eigenvalue 2 = 7.15e-08 "
+        "(relative residual 0.9999962337819585 above tolerance 1e-09)\n"
+    )
+    assert run_cli(argv, capsys) == (1, "", expected)
 
 
 def test_bound_next_far_out_of_range(capsys, tmp_path):
