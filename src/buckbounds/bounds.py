@@ -43,15 +43,17 @@ other number returned (a bound, a delta, an objective, a spherical term) is
 finite, or the call raises ``NumericalError``.  ``errors._finite_sum`` is
 that rule for each sum that must stay finite.
 
-Every solver first checks its own form at eigenvalue k.  With a zero last
-gap its sides there are the (k-1)-th inequality at candidate lam_k, which
-every buckling spectrum satisfies, so a prefix that fails it raises
-``InfeasibleSpectrumError``.  All three solvers decide it by one purely
-relative rule, ``_require_feasible``: lhs - rhs <= 1e-9 max(|lhs|, |rhs|),
-with no absolute floor, so the verdict does not depend on the scale of the
-prefix.  For cor11 the sides are the terms of its quadratic at x = lam_k,
-k x**2 + (1 + C) S2 and (2 + C) S1 x, which puts lam_k between its roots
-without computing the smaller one.
+Every inequality here is decided by one relative rule, ``_holds``:
+lhs - rhs <= 1e-9 max(|lhs|, |rhs|), so no verdict depends on the scale
+of the spectrum.  Every evaluator's report reads it, and so does every
+solver's check of its own form at eigenvalue k.  With a zero last gap the
+sides there are the (k-1)-th inequality at candidate lam_k, which every
+buckling spectrum satisfies, so a prefix that fails it raises
+``InfeasibleSpectrumError``, where ``eval_eq112`` or ``eval_cor11`` at
+lam_k reports the same inequality unsatisfied.  For cor11 the sides are
+the terms of its quadratic at x = lam_k, k x**2 + (1 + C) S2 and
+(2 + C) S1 x, whose difference is that of ``eval_cor11``'s sides; this
+puts lam_k between its roots without computing the smaller one.
 
 The sharp and spherical solvers lay a geometric probe grid from eigenvalue k
 to just past a limit that their own inequality puts on every feasible
@@ -270,8 +272,10 @@ class BoundReport(_Record):
     """Outcome of scoring one inequality at one candidate.
 
     ``residual`` is lhs - rhs; the inequality is satisfied when the residual
-    does not exceed ``tolerance`` = 1e-9 * max(1, |lhs|, |rhs|).  Only the
-    evaluators return reports; the solvers return the bound as a float.
+    does not exceed ``tolerance`` = 1e-9 * max(|lhs|, |rhs|).  The verdict
+    is decided in the evaluator's units (module docstring), where neither
+    side leaves the float range.  Only the evaluators return reports; the
+    solvers return the bound as a float.
     """
 
     def __init__(self, method, k, lhs, rhs, residual, tolerance, satisfied):
@@ -280,23 +284,19 @@ class BoundReport(_Record):
     to_dict = _Record._asdict
 
 
+def _holds(lhs, rhs):
+    # The one verdict rule (module docstring): whether lhs - rhs is at most
+    # 1e-9 max(|lhs|, |rhs|), and that max.
+    size = max(abs(lhs), abs(rhs))
+    return lhs - rhs <= RESIDUAL_TOLERANCE * size, size
+
+
 def _report(method, k, lhs, rhs, shift=0):
-    # lhs and rhs come multiplied by 4**shift (module docstring).  The rule
-    # residual <= 1e-9 * max(1, |lhs|, |rhs|) holds when the residual is
-    # within 1e-9 of the larger side, which is decided in units, or within
-    # the absolute floor 1e-9, which is decided on the residual scaled back.
-    residual = lhs - rhs
-    relative = RESIDUAL_TOLERANCE * max(abs(lhs), abs(rhs))
-    raw_residual = _ldexp(residual, -2 * shift)
-    return BoundReport(
-        method=method,
-        k=k,
-        lhs=_ldexp(lhs, -2 * shift),
-        rhs=_ldexp(rhs, -2 * shift),
-        residual=raw_residual,
-        tolerance=max(RESIDUAL_TOLERANCE, _ldexp(relative, -2 * shift)),
-        satisfied=residual <= relative or raw_residual <= RESIDUAL_TOLERANCE,
-    )
+    # lhs and rhs come multiplied by 4**shift (module docstring): the verdict
+    # is decided there and every number is scaled back.
+    satisfied, size = _holds(lhs, rhs)
+    scaled = (_ldexp(x, -2 * shift) for x in (lhs, rhs, lhs - rhs, RESIDUAL_TOLERANCE * size))
+    return BoundReport(method, k, *scaled, satisfied)
 
 
 def _ldexp(x, exp):
@@ -611,10 +611,10 @@ def _scan_limit(top, below, u):
 
 
 def _require_feasible(form, values, lhs, rhs):
-    # The solvers' feasibility rule (module docstring): lhs and rhs of the
-    # form at eigenvalue k, to a purely relative tolerance.
-    size = max(abs(lhs), abs(rhs))
-    if not lhs - rhs <= RESIDUAL_TOLERANCE * size:
+    # The solvers' feasibility check (module docstring): lhs and rhs of the
+    # form at eigenvalue k, decided by the one verdict rule.
+    feasible, size = _holds(lhs, rhs)
+    if not feasible:
         raise InfeasibleSpectrumError(
             f"the {form} form fails at eigenvalue {len(values)} = {values[-1]} "
             f"(relative residual {(lhs - rhs) / size} above tolerance {RESIDUAL_TOLERANCE})"
@@ -680,9 +680,9 @@ def next_bound_sharp(spectrum, k):
     """Largest candidate allowed by the square-root form, by bracketing and bisection.
 
     The form must already hold at eigenvalue k itself, to the relative
-    tolerance 1e-9 with no absolute floor, so the verdict does not depend on
-    the scale of the prefix: a prefix that fails it there is not a buckling
-    spectrum prefix and is rejected before probing.
+    tolerance 1e-9 that every inequality here is decided by: a prefix that
+    fails it there is not a buckling spectrum prefix and is rejected before
+    probing.
     """
     return _next_sharp(*_check_k(spectrum, k))
 
@@ -760,7 +760,7 @@ def next_bound_sphere(spectrum, k):
     s_term must be strictly positive, otherwise the inner minimization is
     unbounded and no finite bound exists.  Like the square-root solver it
     rejects a prefix whose form already fails at eigenvalue k itself, to the
-    relative tolerance 1e-9 with no absolute floor, at every scale.
+    relative tolerance 1e-9 that every inequality here is decided by.
     """
     values, n, l = _check_k(spectrum, k)
     lhs_weights, s_values, light = _sphere_prefix(values, n, l)

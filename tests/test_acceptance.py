@@ -94,7 +94,7 @@ def test_criterion_05_theorems_hold_on_computed_spectra():
         reports = check_theorem11(spectrum, 5)
         assert len(reports) == 15
         for report in reports:
-            # satisfied encodes residual <= 1e-9 * max(1, |lhs|, |rhs|)
+            # satisfied encodes residual <= 1e-9 * max(|lhs|, |rhs|)
             assert report.satisfied, (l, report.method, report.k, report.residual)
     assert time.perf_counter() - started < 60.0
 

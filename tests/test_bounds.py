@@ -188,7 +188,7 @@ def test_eval_report_fields():
     assert report.method == "cor11"
     assert report.k == 2
     assert report.residual == report.lhs - report.rhs
-    assert report.tolerance == 1e-9 * max(1.0, abs(report.lhs), abs(report.rhs))
+    assert report.tolerance == 1e-9 * max(abs(report.lhs), abs(report.rhs))
     keys = list(report.to_dict())
     assert keys == ["method", "k", "lhs", "rhs", "residual", "tolerance", "satisfied"]
 
@@ -216,7 +216,7 @@ def test_evaluators_decide_in_units_far_from_one():
     _, raw_rhs = oracles.thm11_sides(tiny.values, 3, 6, 2, 3e-301, (1e-90, 1e-90))
     assert report.satisfied
     assert report.rhs == raw_rhs == pytest.approx(1.9866943526380664e-271, rel=1e-15)
-    assert (report.lhs, report.residual, report.tolerance) == (0.0, -raw_rhs, 1e-9)
+    assert (report.lhs, report.residual, report.tolerance) == (0.0, -raw_rhs, 1e-9 * raw_rhs)
     huge = Spectrum(values=(1e300, 1.5e300), n=3, l=6)
     report = eval_thm11(huge, 2, 2e300, (1e300, 1e300))
     assert report.satisfied
@@ -597,22 +597,31 @@ def test_cor11_accepts_eigenvalue_k_at_a_root_of_its_quadratic(n):
 
 def test_solvers_reject_every_prefix_their_own_form_refuses():
     # With a zero last gap, the form at eigenvalue k is its (k-1)-th
-    # inequality at candidate lambda_k.  The draw reaches cor11 prefixes
-    # whose lambda_k lies below the smaller root of its quadratic.
+    # inequality at candidate lambda_k, so the solver refuses exactly the
+    # prefixes whose evaluator reports that inequality unsatisfied, at every
+    # scale.  The draw reaches cor11 prefixes whose lambda_k lies below the
+    # smaller root of its quadratic.
     rng = random.Random(3)
     refused = {next_bound_cor11: 0, next_bound_sharp: 0}
+    mismatches = []
     for _ in range(3000):
         n, l, k = rng.randint(2, 10), rng.randint(2, 6), rng.randint(2, 12)
         scale = 10.0 ** rng.uniform(-100, 100)
         values = tuple(sorted(scale * rng.uniform(0.1, 1.0) for _ in range(k)))
         below = Spectrum(values=values[:-1], n=n, l=l)
         for evaluate, solve in ((eval_cor11, next_bound_cor11), (eval_eq112, next_bound_sharp)):
-            report = evaluate(below, k - 1, values[-1])
-            if report.residual <= 1e-6 * max(abs(report.lhs), abs(report.rhs)):
-                continue
-            refused[solve] += 1
-            with pytest.raises(InfeasibleSpectrumError):
+            fails = not evaluate(below, k - 1, values[-1]).satisfied
+            refuses = False
+            try:
                 solve(Spectrum(values=values, n=n, l=l), k)
+            except InfeasibleSpectrumError:
+                refuses = True
+            except Exception:  # any other failure is not a refusal
+                pass
+            refused[solve] += refuses
+            if fails != refuses:
+                mismatches.append((solve.__name__, values, n, l))
+    assert mismatches == []
     assert min(refused.values()) > 500, refused
 
 

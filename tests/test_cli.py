@@ -682,19 +682,42 @@ def test_compare_l2_output(capsys, spectra):
     )
 
 
-def test_compare_l2_far_from_unit_scale(capsys, tmp_path):
-    # every prior overflows to inf as cor11 does, and is satisfied; prior19's
-    # raw sides were inf - inf, a nan residual
-    path = tmp_path / "huge.csv"
-    path.write_text("# n=2 l=2\n1e200\n2e200\n", encoding="ascii")
-    argv = ["compare-l2", "--spectrum", str(path), "--candidate", "3e200"]
+@pytest.mark.parametrize(
+    "text, candidate, expected",
+    [
+        # every prior overflows to inf as cor11 does, and is satisfied;
+        # prior19's raw sides were inf - inf, a nan residual
+        (
+            "# n=2 l=2\n1e200\n2e200\n",
+            "3e200",
+            [
+                "prior16: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+                "prior18: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+                "prior19: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
+            ],
+        ),
+        # every lhs is many times its rhs, so no prior holds, however small
+        # the scale
+        (
+            "# n=2 l=2\n1e-09\n",
+            "7.15e-08",
+            [
+                "prior16: lhs = 4.97025e-15  rhs = 2.82e-16  residual = 4.68825e-15  satisfied = no",
+                "prior18: lhs = 4.97025e-15  rhs = 2.35e-16  residual = 4.73525e-15  satisfied = no",
+                "prior19: lhs = 9.9405e-15  rhs = 1.31306250497e-15  "
+                "residual = 8.62743749503e-15  satisfied = no",
+            ],
+        ),
+    ],
+    ids=["huge", "tiny"],
+)
+def test_compare_l2_far_from_unit_scale(capsys, tmp_path, text, candidate, expected):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(text, encoding="ascii")
+    argv = ["compare-l2", "--spectrum", str(path), "--candidate", candidate]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert out.splitlines() == [
-        "prior16: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
-        "prior18: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
-        "prior19: lhs = inf  rhs = inf  residual = -inf  satisfied = yes",
-    ]
+    assert out.splitlines() == expected
 
 
 def test_compare_l2_small_delta_lambda(capsys, tmp_path):

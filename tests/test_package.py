@@ -488,3 +488,14 @@ def test_code_line_counter_skips_blank_comment_and_docstring_lines(tmp_path):
         ["6", str(tmp_path / "sample.py")],
         ["6", "total"],
     ]
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    # the Quick start block runs as written, and each line it prints is the
+    # `# ...` comment line that follows its print call
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start\n\n```python\n")[1].split("```")[0]
+    exec(block, {})
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert len(expected) == block.count("print(") == 3
+    assert capsys.readouterr().out.splitlines() == expected
