@@ -33,7 +33,13 @@ any other.  Each class's principal sub-pencil is scaled, factored, reduced
 and handed to the eigensolver on its own.  The count smallest values over all
 classes are kept, and only their vectors are back-transformed, each exactly
 0.0 outside its class.  The postconditions then check the merged pairs
-once, against the whole pencil.  A solve keeps at most three N x N work
+once, against the whole pencil: the vectors must be B-orthonormal to
+``ORTHONORMALITY_TOL``, and each pair's normwise backward error
+eta = |A x - lambda B x| / ((|A|_F + |lambda| |B|_F) |x|) (D. J. Higham and
+N. J. Higham, SIAM J. Matrix Anal. Appl. 20 (1998) 493-512) must not exceed
+``RESIDUAL_TOL``.  Like the symmetry check, both are unitless: scaling A
+and B by powers of two scales the values and vectors exactly and keeps
+every verdict.  A solve keeps at most three N x N work
 arrays alive besides its inputs: A's gathered copy is scaled in place, the
 scaled B is written into the scaling's own buffer, each intermediate before
 the eigensolver is dropped as soon as its consumer returns, and the
@@ -88,7 +94,7 @@ from .galerkin import _checked_basis, _float_array, _parity_classes, assemble_fo
 
 PIVOT_RELATIVE = 1e-14
 ORTHONORMALITY_TOL = 1e-10
-RESIDUAL_TOL = 1e-8
+RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 CONDITIONING_NOTE = 16
 # A pencil is solved one parity class at a time when every class has at
@@ -117,8 +123,9 @@ def __getattr__(name):
 
 def _as_symmetric(matrix, name):
     # The one check of an input: square, nonempty and finite, then symmetric
-    # to SYMMETRY_TOL times max(1, largest |entry|).  max and min reach every
-    # NaN and inf without a temporary array; the difference is the only one.
+    # to SYMMETRY_TOL times its largest |entry|, a verdict that has no units.
+    # max and min reach every NaN and inf without a temporary array; the
+    # difference is the only one.
     mat = _float_array(matrix, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {mat.shape}")
@@ -130,7 +137,7 @@ def _as_symmetric(matrix, name):
     with np.errstate(over="ignore"):
         diff = mat - mat.T
     np.abs(diff, out=diff)
-    if float(diff.max()) > SYMMETRY_TOL * max(1.0, top, -bottom):
+    if float(diff.max()) > SYMMETRY_TOL * max(top, -bottom):
         raise InvalidParameterError(f"{name} is not symmetric")
     return mat
 
@@ -187,8 +194,9 @@ def solve_generalized(a_matrix, b_matrix, count):
 
     Both matrices are checked here: square, nonempty, finite, symmetric to
     a tolerance and of one shape, with 1 <= count <= N.  Postconditions are
-    validated before returning: B-orthonormality of the vectors to 1e-10
-    and pair residuals below 1e-8 times max(|A|, 1).
+    validated before returning: B-orthonormality of the vectors to 1e-10,
+    and for each pair a backward error
+    |A x - lambda B x| / ((|A|_F + |lambda| |B|_F) |x|) of at most 1e-10.
     """
     a_mat = _as_symmetric(a_matrix, "A")
     b_mat = _as_symmetric(b_matrix, "B")
@@ -242,20 +250,22 @@ def _solve_by_class(a_mat, b_mat, count, classes):
         raise ConvergenceError(
             f"eigenvectors deviate from B-orthonormality by {ortho_dev}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_a = float(np.linalg.norm(a_mat))
-        residuals = a_mat @ vectors - b_mat @ vectors * eigenvalues[None, :]
-        worst = float(np.max(np.linalg.norm(residuals, axis=0)))
-    # An overflowed norm would make the comparison below vacuous.
-    if not (math.isfinite(norm_a) and math.isfinite(worst)):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm_a, norm_b = float(np.linalg.norm(a_mat)), float(np.linalg.norm(b_mat))
+        residuals = np.linalg.norm(a_mat @ vectors - b_mat @ vectors * eigenvalues, axis=0)
+        scales = (norm_a + np.abs(eigenvalues) * norm_b) * np.linalg.norm(vectors, axis=0)
+        # A zero residual is a zero error, also where its scale is zero; a
+        # residual that is not finite gives an error that is not finite.
+        errors = np.divide(residuals, scales, out=np.zeros(count), where=residuals != 0.0)
+    worst = float(errors.max())
+    # An overflowed norm or residual would make the comparison below vacuous.
+    if not (math.isfinite(norm_a) and math.isfinite(norm_b) and math.isfinite(worst)):
         raise ConvergenceError(
-            f"the residual check overflowed: |A| = {norm_a}, worst pair residual = {worst}"
+            f"the residual check overflowed: |A| = {norm_a}, |B| = {norm_b}, "
+            f"worst pair backward error = {worst}"
         )
-    threshold = RESIDUAL_TOL * max(norm_a, 1.0)
-    if worst > threshold:
-        raise ConvergenceError(
-            f"pair residual {worst} exceeds {RESIDUAL_TOL} * max(|A|, 1) = {threshold}"
-        )
+    if worst > RESIDUAL_TOL:
+        raise ConvergenceError(f"pair backward error {worst} exceeds {RESIDUAL_TOL}")
     return EigenSolution(eigenvalues, vectors)
 
 

@@ -259,6 +259,90 @@ def test_solve_overflowed_residual_check_is_numerical(capsys):
     assert err.startswith("error: numerical:") and err.count("\n") == 1
 
 
+# each pair's backward error is below 1e-13, while its residual can exceed
+# 1e-8 * max(|A|, 1), a test whose verdict depends on the units
+UNIT_FREE_RESIDUAL_GOLDENS = [
+    (
+        ["solve", "--dim", "2", "--l", "6", "--degree", "4", "--count", "3", "--domain", "1.3,0.7"],
+        (
+            "Lambda_1 = 3226193329879\n"
+            "Lambda_2 = 3273327270042\n"
+            "Lambda_3 = 4453102444972\n"
+        ),
+    ),
+    (
+        ["solve", "--dim", "1", "--l", "6", "--degree", "7", "--count", "7"],
+        (
+            "Lambda_1 = 97532030616.68\n"
+            "Lambda_2 = 691923305355.4\n"
+            "Lambda_3 = 5663743009448\n"
+            "Lambda_4 = 2.381542653075e+13\n"
+            "Lambda_5 = 1.038690252362e+14\n"
+            "Lambda_6 = 4.700425410119e+14\n"
+            "Lambda_7 = 1.752895383504e+15\n"
+        ),
+    ),
+    (
+        ["verify", "--l", "6", "--degree", "8", "--kmax", "4", "--domain", "1.3,0.7"],
+        (
+            "domain = 1.3x0.7  l = 6  m = 8  count = 5\n"
+            "theorem checks:\n"
+            "  k=1 thm11: lhs = 1.25407666997e+21  rhs = 1.070943775373e+23  residual = -1.058403008673e+23  pass\n"
+            "  k=1 eq112: lhs = 1.25407666997e+21  rhs = 1.070943775373e+23  residual = -1.058403008673e+23  pass\n"
+            "  k=1 cor11: lhs = 6.270383349852e+20  rhs = 4.57276894417e+24  residual = -4.572141905835e+24  pass\n"
+            "  k=2 thm11: lhs = 4.427272464067e+24  rhs = 5.843747119393e+25  residual = -5.401019872987e+25  pass\n"
+            "  k=2 eq112: lhs = 4.427272464067e+24  rhs = 5.843747119393e+25  residual = -5.401019872987e+25  pass\n"
+            "  k=2 cor11: lhs = 2.213636232034e+24  rhs = 3.856857763245e+26  residual = -3.834721400925e+26  pass\n"
+            "  k=3 thm11: lhs = 8.968409109426e+25  rhs = 6.367406739845e+26  residual = -5.470565828903e+26  pass\n"
+            "  k=3 eq112: lhs = 8.968409109426e+25  rhs = 6.367406739845e+26  residual = -5.470565828903e+26  pass\n"
+            "  k=3 cor11: lhs = 4.484204554713e+25  rhs = 2.295446078375e+27  residual = -2.250604032828e+27  pass\n"
+            "  k=4 thm11: lhs = 1.116053145811e+27  rhs = 4.896315336698e+27  residual = -3.780262190886e+27  pass\n"
+            "  k=4 eq112: lhs = 1.116053145811e+27  rhs = 4.897764906424e+27  residual = -3.781711760613e+27  pass\n"
+            "  k=4 cor11: lhs = 5.580265729057e+26  rhs = 1.137062892973e+28  residual = -1.081260235682e+28  pass\n"
+            "lemma rows:\n"
+            "  i=1 k=1: value = 1  bound = 1  margin = -2.22044604925e-16  ok\n"
+            "  i=1 k=2: value = 157.7489891268  bound = 317.4248396692  margin = 159.6758505424  ok\n"
+            "  i=1 k=3: value = 38515.90057549  bound = 100758.528839  margin = 62242.62826354  ok\n"
+            "  i=1 k=4: value = 12570911.76174  bound = 31983259.86203  margin = 19412348.10029  ok\n"
+            "  i=1 k=5: value = 5200285328.717  bound = 10152281133.81  margin = 4951995805.088  ok\n"
+            "  i=2 k=1: value = 1  bound = 1  margin = -1.33226762955e-15  ok\n"
+            "  i=2 k=2: value = 168.3034445632  bound = 317.916616121  margin = 149.6131715578  ok\n"
+            "  i=2 k=3: value = 40769.16630575  bound = 101070.9748058  margin = 60301.80850007  ok\n"
+            "  i=2 k=4: value = 13057929.47207  bound = 32132142.29832  margin = 19074212.82625  ok\n"
+            "  i=2 k=5: value = 5320183411.789  bound = 10215341948.2  margin = 4895158536.41  ok\n"
+            "  i=3 k=1: value = 1  bound = 1  margin = 4.440892098501e-16  ok\n"
+            "  i=3 k=2: value = 204.1592547184  bound = 336.0720889022  margin = 131.9128341838  ok\n"
+            "  i=3 k=3: value = 53905.79787575  bound = 112944.4489391  margin = 59038.65106337  ok\n"
+            "  i=3 k=4: value = 17694064.34781  bound = 37957476.88488  margin = 20263412.53707  ok\n"
+            "  i=3 k=5: value = 7197712624.476  bound = 12756448546.16  margin = 5558735921.685  ok\n"
+            "  i=4 k=1: value = 1  bound = 1  margin = -1.088018564133e-14  ok\n"
+            "  i=4 k=2: value = 259.7706618292  bound = 375.0427196185  margin = 115.2720577893  ok\n"
+            "  i=4 k=3: value = 80851.51631894  bound = 140657.0415388  margin = 59805.52521986  ok\n"
+            "  i=4 k=4: value = 29286615.62867  bound = 52752399.3922  margin = 23465783.76353  ok\n"
+            "  i=4 k=5: value = 12508579854.61  bound = 19784403334.45  margin = 7275823479.839  ok\n"
+            "  i=5 k=1: value = 1  bound = 1  margin = -3.397282455353e-14  ok\n"
+            "  i=5 k=2: value = 328.5557862816  bound = 438.5974790149  margin = 110.0416927333  ok\n"
+            "  i=5 k=3: value = 125076.9089336  bound = 192367.7485982  margin = 67290.83966458  ok\n"
+            "  i=5 k=4: value = 53323995.60915  bound = 84372009.57893  margin = 31048013.96979  ok\n"
+            "  i=5 k=5: value = 25792802854.69  bound = 37005350700.74  margin = 11212547846.05  ok\n"
+            "convergence:\n"
+            "  m=2: 3253231962518  3377561499131  2.630819447004e+13  2.990669318781e+13\n"
+            "  m=4: 3226193329879  3273327270042  4453102444972  7655332819994\n"
+            "  m=8: 3222586211175  3247626944690  4287086309882  7419996432580\n"
+            "PASS\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", UNIT_FREE_RESIDUAL_GOLDENS, ids=["rectangle", "interval", "verify"]
+)
+def test_solves_the_residual_floor_refused(capsys, argv, expected):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_warning_is_one_stderr_line(capsys):
     # m = 17 is above the conditioning note: the solve warns and succeeds
     argv = ["solve", "--dim", "1", "--l", "2", "--degree", "17", "--count", "1"]

